@@ -24,13 +24,16 @@ from radext.channels import ModelParams
 from tracing import digits
 
 REFS = Path(__file__).with_name("specfun_refs.json")
+BREAKDOWN_SEEDS = range(50)
+COUPLED_N = 100  # base grid size of the coupled scaling probe; it also times 2 * COUPLED_N
+CLI_REPEATS = 3
 # half-decade ladder 1e-1, 10^-1.5, ..., 1e-10
 BREAKDOWN_LADDER = tuple(10.0 ** (-k / 2.0) for k in range(2, 21))
 
 
-def ref_digits(path: Path = REFS) -> float:
+def ref_digits() -> float:
     """Worst -log10 relative error of J, Y and K against the frozen references."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(REFS.read_text(encoding="utf-8"))
     worst = 0.0
     for nu, x, ref in doc["bessel_j"]:
         worst = max(worst, abs(specfun.bessel_j(nu, x) - ref) / abs(ref))
@@ -42,7 +45,7 @@ def ref_digits(path: Path = REFS) -> float:
     return digits(worst)
 
 
-def breakdown(seeds=range(50)) -> dict[str, float]:
+def breakdown() -> dict[str, float]:
     """r0_limit_scan down the ladder per seed; the typed error at each breakdown.
 
     The link map has two gates: g_from_u's own 1e-6 Hermiticity gate raises
@@ -51,7 +54,7 @@ def breakdown(seeds=range(50)) -> dict[str, float]:
     classify it. A seed that survives the whole ladder counts as a survivor.
     """
     radii, value_errors, arith_errors, survivors = [], 0, 0, 0
-    for seed in seeds:
+    for seed in BREAKDOWN_SEEDS:
         ext = extensions.random_extension(seed)
         r0 = annulus.r0_limit_scan(ext, BREAKDOWN_LADDER).breakdown_r0
         if r0 is None:
@@ -73,12 +76,12 @@ def breakdown(seeds=range(50)) -> dict[str, float]:
     }
 
 
-def coupled_scaling(seed: int, n: int = 100) -> float:
+def coupled_scaling(seed: int) -> float:
     """log2 of t(2n) / t(n) for oracle_spectrum on one Haar g, k = 4."""
     ext = extensions.ExtensionMatrix(extensions.haar_unitary(np.random.default_rng([seed, 3])))
     g = annulus.g_from_u(ext, 0.01)
     times = []
-    for size in (n, 2 * n):
+    for size in (COUPLED_N, 2 * COUPLED_N):
         ham = annulus.assemble_radial_hamiltonian(
             ModelParams(), annulus.AnnulusGrid(r0=0.01, R=40.0, n=size), g, ext.channels)
         start = time.perf_counter()
@@ -93,8 +96,8 @@ def _spawn_ms(code: str) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def cli_split(repeats: int = 3) -> dict[str, float]:
+def cli_split() -> dict[str, float]:
     """Median wall of a bare interpreter, and of `import radext.cli` minus that."""
-    interp = statistics.median(_spawn_ms("pass") for _ in range(repeats))
-    imported = statistics.median(_spawn_ms("import radext.cli") for _ in range(repeats))
+    interp = statistics.median(_spawn_ms("pass") for _ in range(CLI_REPEATS))
+    imported = statistics.median(_spawn_ms("import radext.cli") for _ in range(CLI_REPEATS))
     return {"cli.interp_ms": interp, "cli.import_ms": imported - interp}

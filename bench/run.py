@@ -5,9 +5,10 @@
 Run from the root of a checkout; the program is imported from its src/.
 With --trace 0 the last stdout line holds the end-to-end metrics of
 BENCHMARK.json, with --trace 1 its per-layer metrics. setup_s is the median
-over SETUP_SAMPLES fresh worker processes, each timed from spawn to READY;
-the last of them runs the measurement. A full result, with provenance, goes
-to bench/out/result-<workload>-s<seed>-t<trace>.json.
+over SETUP_SAMPLES fresh worker processes, each timed from spawn to READY
+and scaled to reference speed by the imports kernel timed before and after
+it (reference.py); the last of them runs the measurement. A full result,
+with provenance, goes to bench/out/result-<workload>-s<seed>-t<trace>.json.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import sys
 import threading
 import time
 from pathlib import Path
+
+import reference
 
 BENCH = Path(__file__).resolve().parent
 SETUP_SAMPLES = 3
@@ -41,7 +44,7 @@ class Worker:
         cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", str(args.trace), "--out", str(out_dir)]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), **BLAS_ENV)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
         self.start = time.perf_counter()
         self.proc = subprocess.Popen(cmd, cwd=root, env=env, text=True,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -120,18 +123,25 @@ def run(args, root: Path) -> dict:
         raise BenchError(f"no radext sources under {root / 'src'}; run from a checkout's root")
     out_dir = BENCH / "out"
     out_dir.mkdir(exist_ok=True)
+    # every process started from here on, workers and reference kernels, runs BLAS on one thread
+    os.environ.update(BLAS_ENV)
     deadline = time.monotonic() + DEADLINE_S
-    setups = []
+    setups, wall_setups = [], []
     n_workers = 1 if args.trace else SETUP_SAMPLES
+    before = reference.speed(reference.IMPORTS)
     for k in range(n_workers):
         worker = Worker(args, root, out_dir, deadline)
         try:
-            setups.append(worker.ready())
+            wall = worker.ready()
+            if k < n_workers - 1:
+                worker.finish("exit")
+            after = reference.speed(reference.IMPORTS)
         except BaseException:
             worker.close()
             raise
-        if k < n_workers - 1:
-            worker.finish("exit")
+        wall_setups.append(wall)
+        setups.append(wall * (before + after) / 2.0)
+        before = after
     result = worker.finish("run")
 
     metrics = dict(result["metrics"])
@@ -142,26 +152,27 @@ def run(args, root: Path) -> dict:
     if missing:
         raise BenchError(f"workload did not measure {missing}")
     line = {
-        "correct": result["wrong"] == 0,
+        "correct": result["failed"] == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {m["name"]: {"value": float(metrics[m["name"]]), "unit": m["unit"]} for m in wanted},
     }
-    record = dict(line, workload=args.workload, seconds=args.seconds, trace=args.trace,
-                  setup_samples_s=setups, detail=result["detail"],
+    record = dict(line, refused=result["refused"], workload=args.workload, seconds=args.seconds,
+                  trace=args.trace, setup_samples_s=setups, wall_setup_samples_s=wall_setups,
+                  detail=result["detail"],
                   provenance=provenance(root, args.seed, result["detail"]["blas_threads"]))
     path = out_dir / f"result-{args.workload}-s{args.seed}-t{args.trace}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return line
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     try:
         line = run(args, Path.cwd())
     except (BenchError, OSError, ValueError, KeyError) as exc:

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python3 -m pytest bench -q
 
-Every workload runs one cycle, injected faults must show as failed ops, the
+Every workload runs one cycle, injected faults must show as failed or
+refused ops, the
 emitted metric names must be those of BENCHMARK.json, and a directory
 without the program must make run.py fail without printing a result.
 """
@@ -25,7 +26,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from radext import annulus  # noqa: E402
 
+import reference  # noqa: E402
 import worker  # noqa: E402
+from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -42,18 +45,29 @@ def test_every_workload_runs_one_cycle(name, tmp_path):
     wl = WORKLOADS[name](seed=5, workdir=tmp_path)
     tally = worker.measure(wl, wl.op, n_ops=wl.cycle)
     assert tally["attempted"] == wl.cycle
-    assert tally["wrong"] == 0, tally["problems"]
+    assert tally["failed"] == 0, tally["problems"]
     metrics, detail = worker.end_to_end(wl, tally, 5, tmp_path)
     assert set(metrics) == END_TO_END - {"setup_s"}
     assert all(np.isfinite(v) for v in metrics.values())
-    assert detail["op_samples"] == wl.cycle - tally["failed"]
+    assert detail["op_samples"] == wl.cycle - tally["refused"]
+    assert detail["reference_kernel"] == wl.reference.name and detail["wall_op_p50_ms"] > 0
+
+
+def test_reference_kernels_call_no_radext():
+    kernels = (reference.INTERPRETER, reference.TRIDIAGONAL, reference.BANDED, reference.IMPORTS)
+    with Tracer() as tracer:
+        for k, kernel in enumerate(kernels):
+            assert tracer.op_span(k, reference.speed, kernel) > 0
+    # each kernel run is a bare root span, with no radext call under it
+    assert [span[0] for span in tracer.spans] == ["op"] * len(kernels)
+    assert not tracer.counts
 
 
 def test_traced_run_reports_every_layer(tmp_path):
     wl = WORKLOADS["oracle_diag"](seed=5, workdir=tmp_path)
     metrics, detail, tally = worker.per_layer(wl, 0.2, 5, tmp_path, tmp_path)
     assert PER_LAYER <= set(metrics)
-    assert tally["wrong"] == 0
+    assert tally["failed"] == 0
     assert metrics["specfun.k_calls_per_op"] > 0
     assert metrics["annulus.fd_unknowns_per_op"] >= 8001
     # the link map is off this workload's path, so its timing comes from the census
@@ -76,25 +90,27 @@ def test_non_hermitian_link_counts_as_failed(tmp_path, monkeypatch):
     wl = WORKLOADS["ensemble"](seed=5, workdir=tmp_path)
     tally = worker.measure(wl, wl.op, n_ops=wl.cycle)
     metrics, detail = worker.end_to_end(wl, tally, 5, tmp_path)
-    assert tally["failed"] == tally["wrong"] == wl.cycle
+    assert (tally["refused"], tally["failed"]) == (0, wl.cycle)
     assert detail["fail_ratio"] == 1.0
     assert metrics["pass_ratio"] == 0.0
+    # a wrong answer's latency is not a completed op's
+    assert detail["op_samples"] == 0
 
 
-def test_exit_code_mismatch_counts_as_failed(tmp_path):
+def test_exit_code_mismatch_counts_as_refused_or_failed(tmp_path):
     wl = WORKLOADS["cli_cold"](seed=5, workdir=tmp_path)
     bad = wl.commands[-1]
     assert bad.code in (2, 3)
-    # a documented error code where success was expected is a typed failure
+    # a documented error code where success was expected is a typed refusal
     wl.commands[-1] = dataclasses.replace(bad, code=0)
     tally = worker.measure(wl, wl.traced_op, n_ops=wl.cycle)
-    assert (tally["failed"], tally["wrong"]) == (1, 0)
+    assert (tally["refused"], tally["failed"]) == (1, 0)
     assert "expected 0" in tally["problems"][0]
     # success where an error was expected is a wrong answer
     wl.commands[-1] = bad
     wl.commands[0] = dataclasses.replace(wl.commands[0], code=2)
     tally = worker.measure(wl, wl.traced_op, n_ops=wl.cycle)
-    assert (tally["failed"], tally["wrong"]) == (1, 1)
+    assert (tally["refused"], tally["failed"]) == (0, 1)
 
 
 @pytest.mark.parametrize("trace,names", [(0, END_TO_END), (1, PER_LAYER)])

@@ -26,6 +26,7 @@ from collections import Counter
 from radext import annulus, channels, cli, dirac, extensions, specfun
 
 _MODULES = (specfun, channels, extensions, dirac, annulus, cli)
+DIGITS_CAP = 17.0  # digits() of a zero error: what double precision can resolve at most
 
 # (module, public function, span name, value read off the result)
 _SPANNED = (
@@ -256,6 +257,6 @@ def layer_metrics(tracer: Tracer, n_ops: int, n_census: int) -> tuple[dict, dict
     return out, source
 
 
-def digits(err: float, cap: float = 17.0) -> float:
+def digits(err: float) -> float:
     """-log10 of an error, capped where double precision has nothing left."""
-    return cap if err <= 0.0 else min(cap, -math.log10(err))
+    return DIGITS_CAP if err <= 0.0 else min(DIGITS_CAP, -math.log10(err))

@@ -24,6 +24,7 @@ from pathlib import Path
 import radext
 
 import probes
+import reference
 from tracing import Tracer, layer_metrics
 from workloads import WORKLOADS, fill_accuracy
 
@@ -52,44 +53,50 @@ def measure(wl, op, *, seconds=None, n_ops=None, tracer=None) -> dict:
     """Closed loop, one client: ops back to back until the time or count is spent.
 
     A time-limited run ends at the first cycle boundary past the deadline.
-    Inputs are generated and outputs checked outside the timed region.
+    Inputs are generated and outputs checked outside the timed region. An
+    op the program refuses with ValueError or ArithmeticError, its typed
+    gates, counts as refused; a wrong answer or any other exception counts
+    as failed. Both count against pass_ratio.
     """
-    lat, busy, failed, wrong, i = [], 0.0, 0, 0, 0
+    lat, wall_lat, busy, wall_busy, refused, failed, i = [], [], 0.0, 0.0, 0, 0, 0
     errors: Counter = Counter()
     problems: list[str] = []
     deadline = time.perf_counter() + (seconds or 0.0)
     while True:
         inp = wl.inputs(i)
+        scale = reference.speed(wl.reference)
+        exc = None
         start = time.perf_counter()
         try:
             out = tracer.op_span(i, op, inp) if tracer else op(inp)
-        except (ValueError, ArithmeticError) as exc:
-            busy += time.perf_counter() - start
-            failed += 1
-            errors[type(exc).__name__] += 1
-            problems.append(f"op {i}: {type(exc).__name__}: {exc}")
-        except Exception as exc:  # anything untyped is a broken program: failed and wrong
-            busy += time.perf_counter() - start
-            failed += 1
-            wrong += 1
+        except Exception as caught:
+            exc = caught
+        dt = time.perf_counter() - start
+        busy += dt * scale
+        wall_busy += dt
+        if exc is not None:
+            if isinstance(exc, (ValueError, ArithmeticError)):
+                refused += 1
+            else:
+                failed += 1  # anything untyped is a broken program
             errors[type(exc).__name__] += 1
             problems.append(f"op {i}: {type(exc).__name__}: {exc}")
         else:
-            dt = time.perf_counter() - start
-            busy += dt
-            lat.append(dt)
             bad = wl.check(inp, out)
             if bad:
                 failed += 1
-                wrong += 1
                 problems.append(f"op {i}: " + "; ".join(bad))
+            else:
+                lat.append(dt * scale)
+                wall_lat.append(dt)
         i += 1
         if n_ops is not None:
             if i >= n_ops:
                 break
         elif i % wl.cycle == 0 and time.perf_counter() >= deadline:
             break
-    return {"attempted": i, "failed": failed, "wrong": wrong, "latencies": lat, "busy_s": busy,
+    return {"attempted": i, "refused": refused, "failed": failed, "latencies": lat, "busy_s": busy,
+            "wall_latencies": wall_lat, "wall_busy_s": wall_busy,
             "errors": dict(errors), "problems": problems[:20]}
 
 
@@ -101,7 +108,7 @@ def _percentile(values, q: float) -> float:
 def end_to_end(wl, tally: dict, seed: int, workdir: Path) -> tuple[dict, dict]:
     lat = tally["latencies"]
     who = resource.RUSAGE_CHILDREN if wl.children_rss else resource.RUSAGE_SELF
-    completed = tally["attempted"] - tally["failed"]
+    completed = tally["attempted"] - tally["refused"] - tally["failed"]
     metrics = {
         "op_p50_ms": statistics.median(lat) * 1e3 if lat else 0.0,
         "ops_per_s": completed / tally["busy_s"] if tally["busy_s"] > 0 else 0.0,
@@ -114,7 +121,10 @@ def end_to_end(wl, tally: dict, seed: int, workdir: Path) -> tuple[dict, dict]:
     tail_q = max(0.5, 1.0 - 10.0 / len(lat)) if lat else 0.5
     detail = {"op_samples": len(lat), "tail_quantile": tail_q,
               "op_tail_ms": _percentile(lat, tail_q) * 1e3 if lat else 0.0,
-              "fail_ratio": tally["failed"] / tally["attempted"]}
+              "reference_kernel": wl.reference.name,
+              "wall_op_p50_ms": statistics.median(tally["wall_latencies"]) * 1e3 if lat else 0.0,
+              "wall_ops_per_s": completed / tally["wall_busy_s"] if tally["wall_busy_s"] > 0 else 0.0,
+              "fail_ratio": 1.0 - completed / tally["attempted"]}
     return metrics, detail
 
 
@@ -141,20 +151,20 @@ def per_layer(wl, seconds: float, seed: int, workdir: Path, out_dir: Path) -> tu
     metrics.update(probes.breakdown())
     metrics["annulus.coupled_scaling_exp"] = probes.coupled_scaling(seed)
     metrics.update(probes.cli_split())
-    tally = {k: plain[k] + traced[k] for k in ("attempted", "failed", "wrong")}
+    tally = {k: plain[k] + traced[k] for k in ("attempted", "refused", "failed")}
     tally["problems"] = plain["problems"] + traced["problems"]
     tally["errors"] = dict(Counter(plain["errors"]) + Counter(traced["errors"]))
     return metrics, {"layer_source": source, "spans": len(tracer.spans)}, tally
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     if not Path(radext.__file__).resolve().is_relative_to((ROOT / "src").resolve()):
         raise SystemExit(f"radext imported from {radext.__file__}, not from {ROOT / 'src'}")
@@ -167,6 +177,7 @@ def main(argv=None) -> int:
     try:
         wl = WORKLOADS[args.workload](args.seed, workdir)
         warm = wl.inputs(0)
+        reference.speed(wl.reference)
         try:
             wl.check(warm, wl.op(warm))  # untimed warm-up; the timed loop counts failures
         except (ValueError, ArithmeticError):
@@ -180,7 +191,7 @@ def main(argv=None) -> int:
             tally = measure(wl, wl.op, seconds=args.seconds)
             metrics, detail = end_to_end(wl, tally, args.seed, workdir)
         detail.update(errors=tally["errors"], problems=tally["problems"], blas_threads=_blas_threads())
-        result = {"attempted": tally["attempted"], "failed": tally["failed"], "wrong": tally["wrong"],
+        result = {"attempted": tally["attempted"], "refused": tally["refused"], "failed": tally["failed"],
                   "metrics": metrics, "detail": detail}
         proto.write(json.dumps(result) + "\n")
         proto.flush()

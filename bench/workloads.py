@@ -3,9 +3,9 @@
 Each op's inputs come from numpy's generator seeded with (seed, stream, op
 index), so an op is the same whichever run, pass or census replays it. The
 program receives only those generated inputs. An op that raises ValueError
-or ArithmeticError (the program's typed failures) counts as failed; an op
+or ArithmeticError (the program's typed gates) counts as refused; an op
 whose output fails its check, or that raises anything else, counts as
-failed and wrong.
+failed. Both count against pass_ratio.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from radext import annulus, cli, extensions
 from radext.channels import ChannelSpec, ModelParams
 
+from reference import BANDED, IMPORTS, INTERPRETER, TRIDIAGONAL
 from tracing import digits
 
 MU = 1.0
@@ -44,6 +45,7 @@ class Workload:
     name = ""
     cycle = 1  # ops per cycle; a run ends only at a cycle boundary
     children_rss = False  # peak RSS is the children's, not the worker's
+    reference = INTERPRETER  # the kernel whose speed scales op times (reference.py)
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
@@ -208,6 +210,7 @@ class OracleDiag(Workload):
     # n = 16000 (twice the cost), and the draws keep the median on n = 8000
     DRAWS = 8
     cycle = len(LADDER) + DRAWS
+    reference = TRIDIAGONAL
 
     def inputs(self, i: int) -> DiagInput:
         j = i % self.cycle
@@ -272,6 +275,7 @@ class OracleCoupled(Workload):
     # n = 200 costs about eight n = 100 solves; two to one keeps the median on n = 100
     SIZES = (100, 100, 200, 100, 100, 200)
     cycle = len(SIZES)
+    reference = BANDED
 
     def inputs(self, i: int) -> CoupledInput:
         j = i % self.cycle
@@ -363,7 +367,7 @@ def run_cli_inprocess(argv) -> tuple[int, str]:
 class CliExitError(ArithmeticError):
     """The CLI exited with one of its documented error codes where it should not.
 
-    This is the CLI form of the library's typed failures, e.g. exit 3 when
+    This is the CLI form of the library's typed refusals, e.g. exit 3 when
     the link map breaks down for a mixed U at the oracle's default r0.
     """
 
@@ -376,6 +380,7 @@ def _typed_exit(inp: CliInput, code: int) -> None:
 class CliCold(Workload):
     name = "cli_cold"
     children_rss = True
+    reference = IMPORTS
 
     def __init__(self, seed: int, workdir: Path):
         super().__init__(seed, workdir)
@@ -417,8 +422,8 @@ class CliCold(Workload):
             ("oracle", "--config", paths["isq"]),
             ("gmap", "--config", paths["bad"], "--r0", "0.1"),
         ]
-        # the reference output is the in-process run; an op whose reference failed
-        # still expects success, so the failure is counted rather than expected
+        # the reference output is the in-process run; an op whose reference was refused
+        # still expects success, so the refusal is counted rather than expected
         self.commands = [CliInput(argv, bad_code if argv[2] == paths["bad"] else 0,
                                   run_cli_inprocess(argv)[1]) for argv in commands]
         self.cycle = len(self.commands)
@@ -471,6 +476,6 @@ def fill_accuracy(metrics: dict, seed: int, workdir: Path) -> None:
             try:
                 wl.check(inp, wl.op(inp))
             except (ValueError, ArithmeticError):
-                pass  # a typed failure leaves no figure; the remaining ops still measure
+                pass  # a typed refusal leaves no figure; the remaining ops still measure
         for name, value in wl.accuracy().items():
             metrics.setdefault(name, value)
