@@ -16,8 +16,16 @@ Modules:
     cli         batch front end (JSON configs, CSV/JSON tables)
 """
 
-from . import annulus, channels, cli, dirac, extensions, specfun
+import importlib
 
 __all__ = ["annulus", "channels", "cli", "dirac", "extensions", "specfun"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # submodules load on first access, so `import radext` costs nothing and
+    # `python -m radext.cli` does not find radext.cli already imported
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

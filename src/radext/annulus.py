@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .channels import ChannelSpec, ModelParams
 from .extensions import ExtensionMatrix, deficiency_normalization, unitarity_defect
@@ -49,6 +48,7 @@ __all__ = [
     "AnnulusGrid",
     "BoundaryConditionMatrix",
     "FluxReport",
+    "HermiticityError",
     "LinkBreakdownError",
     "RadialHamiltonian",
     "ScanRow",
@@ -68,6 +68,13 @@ __all__ = [
 _HERMITICITY_TOL = 1e-9
 _BREAKDOWN_TOL = 1e-6
 _COND_LIMIT = 1e12
+
+
+class HermiticityError(ValueError):
+    """Boundary data or an operator failed the 1e-9 Hermiticity gate.
+
+    The CLI reports it as a Hermiticity violation (exit 3).
+    """
 
 
 class LinkBreakdownError(ArithmeticError):
@@ -103,8 +110,8 @@ class BoundaryConditionMatrix:
         if ents.shape != (n, n):
             raise ValueError(f"entries shape {ents.shape} does not match {n} channels")
         if self.validate and self.defect_of(ents) > _HERMITICITY_TOL:
-            raise ValueError(f"boundary matrix is not Hermitian: defect "
-                            f"{self.defect_of(ents):.3e} exceeds {_HERMITICITY_TOL:.1e}")
+            raise HermiticityError(f"boundary matrix is not Hermitian: defect "
+                                   f"{self.defect_of(ents):.3e} exceeds {_HERMITICITY_TOL:.1e}")
         ents.flags.writeable = False
         object.__setattr__(self, "entries", ents)
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -508,7 +515,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
             raise ValueError(f"boundary matrix radius {g.r0} does not match grid r0 {grid.r0}")
         defect = g.hermiticity_defect
         if enforce_hermitian and defect > _HERMITICITY_TOL:
-            raise ValueError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
+            raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
 
     nodes = grid.r0 + h * np.arange(grid.n + 2)  # r0, the n interior points, R
     block = None
@@ -578,11 +585,14 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     must satisfy ||H v - lambda v|| <= 1e-8 ||H||, which guards against a
     silently wrong band assembly as much as against non-convergence.
     """
+    # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
+    import scipy.linalg
+
     if k < 1:
         raise ValueError("k must be at least 1")
     if isinstance(operator, RadialHamiltonian):
         if operator.hermiticity_defect() > _HERMITICITY_TOL:
-            raise ValueError("operator is not Hermitian; refusing to diagonalize")
+            raise HermiticityError("operator is not Hermitian; refusing to diagonalize")
         norm = operator.norm_upper_bound()
         try:
             if operator.bands.shape[0] == 2:
@@ -603,7 +613,7 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("operator must be square")
     if float(np.abs(H - H.conj().T).max()) > _HERMITICITY_TOL * max(1.0, float(np.abs(H).max())):
-        raise ValueError("operator is not Hermitian; refusing to diagonalize")
+        raise HermiticityError("operator is not Hermitian; refusing to diagonalize")
     if k > H.shape[0]:
         raise ValueError("k exceeds matrix dimension")
     try:

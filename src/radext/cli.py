@@ -476,7 +476,8 @@ def _cmd_oracle(args) -> int:
         return 3
 
     # stage two: assembly and eigensolve (failures here are convergence-class, exit 4,
-    # except a link map that cannot be inverted in working precision, exit 3)
+    # except a Hermiticity refusal or a link map that cannot be inverted in working
+    # precision, exit 3)
     rows: list[list] = []
     counter = 0
     try:
@@ -490,6 +491,9 @@ def _cmd_oracle(args) -> int:
                 else:
                     rows.append([counter, v / mu, float("nan"), float("nan")])
                 counter += 1
+    except annulus.HermiticityError as exc:
+        print(f"hermiticity error: {exc}", file=sys.stderr)
+        return 3
     except annulus.LinkBreakdownError as exc:
         print(f"unitarity error: {exc}", file=sys.stderr)
         return 3

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.integrate import quad
-
 from .channels import nu_of
 from .specfun import bessel_j, bessel_k_complex, bessel_y
 
@@ -121,6 +119,9 @@ class DiracRadialSolution:
 
 
 def _tail_integral(sol: DiracRadialSolution, eps: float, upper: float) -> float:
+    # imported here: scipy.integrate costs about 0.35 s of start-up that only this quad needs
+    from scipy.integrate import quad
+
     # integral of |g|^2 r^2 from eps to upper, in log coordinates so the
     # power-law window near the origin is resolved uniformly
     def integrand(t: float) -> float:

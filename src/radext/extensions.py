@@ -252,6 +252,7 @@ def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None
     """Bound-state energy of a diagonal phase e^{i theta} in a channel of order nu.
 
         E = -mu * [(cos(pi nu / 2) + cos theta) / (1 + cos(theta - pi nu / 2))]^(1/nu)
+          = -mu * [cos(theta / 2 + pi nu / 4) / cos(theta / 2 - pi nu / 4)]^(1/nu)
 
     The state exists only while cos theta > -cos(pi nu / 2); at or past the
     threshold (within a 1e-10 band) the spectrum has no negative eigenvalue
@@ -263,7 +264,10 @@ def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None
     c = math.cos(theta)
     if c <= -edge + _THRESHOLD_TOL:
         return None
-    ratio = (edge + c) / (1.0 + math.cos(theta - math.pi * nu / 2.0))
+    # the half-angle form: near the Dirac-consistent phase 1 + cos(theta - pi nu / 2)
+    # rounds to 0, while this quotient does not cancel (and is exactly 1 at theta = 0)
+    half = math.pi * nu / 4.0
+    ratio = math.cos(theta / 2.0 + half) / math.cos(theta / 2.0 - half)
     return -mu * ratio ** (1.0 / nu)
 
 

@@ -20,6 +20,7 @@ from radext.cli import (
     emit_config,
     parse_config,
 )
+from radext.extensions import dirac_consistent_value
 
 NU_EDGE = math.sqrt(2.0) - 0.5
 
@@ -311,6 +312,14 @@ class TestOracleCommand:
                             "oracle": {"n": 150, "R": 10.0, "r0": 0.05}})
         assert cli.main(["oracle", "--config", path]) == 4
         assert "convergence error" in capsys.readouterr().err
+
+    def test_non_hermitian_operator_exit_3(self, make_config, capsys):
+        # at the Dirac-consistent phase the link value keeps a ~1e-10 imaginary part,
+        # which the eigensolver's 1e-9 gate sees scaled by 2 / (mu h)
+        p = cmath.phase(dirac_consistent_value(NU_EDGE))
+        path = make_config({"extension": {"diagonal_thetas": [0.3, p, p, p]}})
+        assert cli.main(["oracle", "--config", path]) == 3
+        assert "hermiticity error" in capsys.readouterr().err
 
     def test_overcritical_exit_2(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 1.0},

@@ -233,6 +233,16 @@ class TestBoundStateFormulas:
                     assert (e_u is None or abs(e_u.imag) > 1e-9 * abs(e_u)
                             or abs(e_u) <= 1e-8 or even_power)
 
+    def test_finite_just_inside_the_dirac_consistent_edge(self):
+        # here 1 + cos(theta - pi nu / 2) rounds to 0; the energy is finite and very
+        # deep, -mu (2 sin(pi nu / 2) / delta)^(1/nu) to first order in delta
+        delta = 1e-9
+        theta = cmath.phase(dirac_consistent_value(NU_EDGE)) + delta
+        e = bound_state_energy_theta(theta, NU_EDGE, 1.0)
+        assert math.isfinite(e) and e < 0.0
+        deep = -(2.0 * math.sin(math.pi * NU_EDGE / 2.0) / delta) ** (1.0 / NU_EDGE)
+        assert abs(e - deep) <= 1e-5 * abs(deep)
+
     def test_u_form_pole_returns_none(self):
         for nu in (0.5, NU_EDGE):
             pole = -cmath.exp(1j * math.pi * nu / 2.0)
