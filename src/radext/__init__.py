@@ -10,7 +10,8 @@ scattering mixing, and Robin boundary data on a small excised sphere.
 Modules:
     specfun     fractional-order Bessel/Macdonald functions and small-r data
     channels    angular channel enumeration and quantum-number arithmetic
-    extensions  the U(4) family: deficiency vectors, bound states, matching
+    extensions  the U(n) family over the singular channels: deficiency
+                vectors, bound states, matching
     dirac       relativistic admissibility of the singular branches
     annulus     boundary matrices, link map, finite-difference oracle
     cli         batch front end (JSON configs, CSV/JSON tables)

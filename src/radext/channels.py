@@ -161,42 +161,49 @@ def nu_of(*, kappa: float | None = None, l: int | None = None, c: float = 0.0) -
     return nu
 
 
+def channel_ladder(params: ModelParams, cutoff: float) -> list[ChannelSpec]:
+    """Every channel, singular or not, up to the angular cutoff (j or l).
+
+    Monopole ordering: ascending j from the bottom sector j = eg - 1/2, then
+    ascending kappa, then ascending m. Inverse-square ordering: (l, m)
+    lexicographic.
+    """
+    out: list[ChannelSpec] = []
+    if params.model == "monopole":
+        j = params.eg - 0.5
+        while j <= cutoff + _TOL:
+            roots = kappa_of(j, params.eg)
+            for kappa in (0.0,) if abs(roots[1]) < _TOL else roots:
+                out.extend(ChannelSpec(m=-j + k, nu_sq=(kappa + 0.5) ** 2, j=j, kappa=kappa)
+                           for k in range(int(round(2 * j)) + 1))
+            j += 1.0
+    else:
+        l = 0
+        while l <= cutoff + _TOL:
+            nu_sq = 0.25 + l * (l + 1) - params.c
+            out.extend(ChannelSpec(m=float(m), nu_sq=nu_sq, l=l) for m in range(-l, l + 1))
+            l += 1
+    return out
+
+
 def singular_channels(params: ModelParams, cutoff: float) -> list[ChannelSpec]:
     """Ordered list of singular channels up to the angular cutoff.
 
-    Monopole ordering: ascending j, then ascending kappa, then ascending m.
-    For eg = 1/2 this yields the canonical four channels
+    The singular members of channel_ladder, in its order. For eg = 1/2
+    this yields the canonical four channels
     (j=0, kappa=0, m=0), (j=1, kappa=-sqrt(2), m=-1, 0, +1).
-    Inverse-square ordering: (l, m) lexicographic over l < l_crit(c).
 
     The cutoff must clear the largest singular sector; that is checked so a
     too-small cutoff cannot silently truncate the set.
     """
-    out: list[ChannelSpec] = []
     if params.model == "monopole":
         # singular kappa lie in (-3/2, 1/2), so j stays below -1/2 + sqrt(9/4 + eg^2)
         j_bound = -0.5 + math.sqrt(2.25 + params.eg**2)
-        j_last = params.eg - 0.5
-        while j_last + 1.0 < j_bound - _TOL:
-            j_last += 1.0
-        if cutoff < j_last - _TOL:
-            raise ValueError(f"cutoff {cutoff} excludes the singular sector at j = {j_last}")
-        j = params.eg - 0.5
-        while j <= j_last + _TOL:
-            roots = kappa_of(j, params.eg)
-            kappas = (0.0,) if abs(roots[1]) < _TOL else roots
-            for kappa in kappas:
-                nu_sq = (kappa + 0.5) ** 2
-                if nu_sq < 1.0:
-                    for k in range(int(round(2 * j)) + 1):
-                        out.append(ChannelSpec(m=-j + k, nu_sq=nu_sq, j=j, kappa=kappa))
-            j += 1.0
+        label, top = "j", params.eg - 0.5
+        while top + 1.0 < j_bound - _TOL:
+            top += 1.0
     else:
-        l_top = int(math.ceil(l_crit(params.c) - _TOL))  # singular l are 0 .. l_top - 1
-        if l_top > 0 and cutoff < l_top - 1 - _TOL:
-            raise ValueError(f"cutoff {cutoff} excludes the singular sector at l = {l_top - 1}")
-        for l in range(l_top):
-            nu_sq = 0.25 + l * (l + 1) - params.c
-            for m in range(-l, l + 1):
-                out.append(ChannelSpec(m=float(m), nu_sq=nu_sq, l=l))
-    return out
+        label, top = "l", math.ceil(l_crit(params.c) - _TOL) - 1  # singular l are 0 .. top
+    if top >= 0 and cutoff < top - _TOL:
+        raise ValueError(f"cutoff {cutoff} excludes the singular sector at {label} = {top}")
+    return [ch for ch in channel_ladder(params, top) if ch.singular]

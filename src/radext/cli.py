@@ -1,8 +1,9 @@
 """Batch front end: JSON configs in, CSV/JSON tables out, deterministic exit codes.
 
 Exit codes: 0 success, 2 config or schema error, 3 unitarity or Hermiticity
-violation, 4 numerical non-convergence. All energies are reported in units
-of mu and lengths in 1/mu; every CSV starts with a "# units:" comment line.
+violation, 4 numerical failure (non-convergence, a value past the float
+range). All energies are reported in units of mu and lengths in 1/mu; every
+CSV starts with a "# units:" comment line.
 
 Config layout (all sections optional except where a subcommand needs them;
 defaults are materialized on parse, so emit_config always writes the full
@@ -12,11 +13,16 @@ canonical form):
       "model": {"type": "monopole", "eg": 0.5, "c": 0.0, "mu": 1.0,
                  "deficiency_scale": 1.0},
       "extension": {"matrix": [[[re, im], ...], ...]}
-                   or {"diagonal_thetas": [t0, t1, t2, t3]},
+                   or {"diagonal_thetas": [t0, ..., t(n-1)]},
       "oracle": {"r0": 0.001, "R": 40.0, "n": 8000, "k": 1},
       "tolerances": {"unitarity": 1e-10, "match": 1e-10, "hermiticity": 1e-9},
       "output": {"format": "csv", "path": null}
     }
+
+The extension acts on the model's n singular channels (singular_channels
+order): an n x n matrix of [re, im] pairs, or n diagonal phases. n is 4 for
+the monopole at eg = 1/2, 2 eg at eg = 1, 3/2, 2, and 1 for a subcritical
+1/r^2 (-3/4 < c < 1/4).
 
 The emitter is canonical: sorted keys, compact separators, floats at 17
 significant digits, so emit -> parse -> emit is byte-identical.
@@ -35,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import annulus, dirac, extensions
-from .channels import ChannelSpec, ModelParams, kappa_of, l_crit, singular_channels
+from .channels import ModelParams, channel_ladder
 
 __all__ = [
     "ConfigError",
@@ -83,11 +89,6 @@ class RunConfig:
     output_format: str
     output_path: str | None
 
-    def singular_channel_list(self) -> tuple[ChannelSpec, ...]:
-        if self.params.model == "monopole":
-            return extensions.canonical_channels(self.params)
-        return tuple(singular_channels(self.params, cutoff=l_crit(self.params.c) + 1.0))
-
     def require_extension(self) -> None:
         if self.matrix is None and self.diagonal_thetas is None:
             raise ConfigError("this subcommand needs an 'extension' section in the config")
@@ -99,20 +100,9 @@ class RunConfig:
         return np.diag(np.exp(1j * np.asarray(self.diagonal_thetas)))
 
     def to_extension(self) -> extensions.ExtensionMatrix:
-        """The validated U(4) member; monopole model only."""
+        """The validated member of the U(n) family over the model's singular channels."""
         return extensions.ExtensionMatrix(self.extension_entries(), self.params,
                                           unitarity_tol=self.tolerances.unitarity)
-
-    def channel_thetas(self) -> tuple[float, ...]:
-        """Diagonal phases per singular channel; requires an unmixed extension."""
-        self.require_extension()
-        if self.diagonal_thetas is not None:
-            return self.diagonal_thetas
-        ents = self.matrix
-        off = ents - np.diag(np.diag(ents))
-        if np.abs(off).max() > 1e-10:
-            raise ConfigError("this subcommand needs a diagonal extension matrix")
-        return tuple(float(cmath.phase(ents[i, i])) for i in range(ents.shape[0]))
 
 
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
@@ -200,10 +190,7 @@ def parse_config(text: str) -> RunConfig:
         _check_keys("extension", ext_raw, _EXT_KEYS)
         if ("matrix" in ext_raw) == ("diagonal_thetas" in ext_raw):
             raise ConfigError("extension needs exactly one of 'matrix' or 'diagonal_thetas'")
-        if params.model == "monopole":
-            n_channels = len(extensions.canonical_channels(params))
-        else:
-            n_channels = len(singular_channels(params, cutoff=l_crit(params.c) + 1.0))
+        n_channels = len(extensions.canonical_channels(params))
         if "matrix" in ext_raw:
             matrix = _parse_matrix(ext_raw["matrix"])
             if matrix.shape != (n_channels, n_channels):
@@ -339,27 +326,17 @@ def _jsonable(obj):
     return str(obj)
 
 
+# per model: the option holding the angular cutoff, and the ChannelSpec labels shown
+_CHANNEL_TABLE = {"monopole": ("jmax", ["j", "m", "kappa"]), "inverse_square": ("lmax", ["l", "m"])}
+
+
 def _cmd_channels(args) -> int:
-    rows: list[list] = []
-    if args.model == "monopole":
-        params = ModelParams(model="monopole", eg=args.eg)
-        j = params.eg - 0.5
-        while j <= args.jmax + 1e-12:
-            roots = kappa_of(j, params.eg)
-            kappas = (0.0,) if abs(roots[1]) < 1e-12 else roots
-            for kappa in kappas:
-                nu = abs(kappa + 0.5)
-                for k in range(int(round(2 * j)) + 1):
-                    rows.append([j, -j + k, kappa, nu, nu < 1.0])
-            j += 1.0
-        columns = ["j", "m", "kappa", "nu", "singular"]
-    else:
-        for l in range(args.lmax + 1):
-            nu_sq = 0.25 + l * (l + 1) - args.c
-            nu = math.sqrt(nu_sq) if nu_sq > 0 else float("nan")
-            for m in range(-l, l + 1):
-                rows.append([l, m, nu, nu_sq < 1.0])
-        columns = ["l", "m", "nu", "singular"]
+    params = ModelParams(model=args.model, eg=args.eg, c=args.c)
+    cutoff, labels = _CHANNEL_TABLE[args.model]
+    rows = [[getattr(ch, k) for k in labels]
+            + [math.sqrt(ch.nu_sq) if ch.nu_sq > 0 else float("nan"), ch.singular]
+            for ch in channel_ladder(params, getattr(args, cutoff))]
+    columns = labels + ["nu", "singular"]
     _write_table(None, "quantum numbers and Bessel orders, dimensionless", columns, rows,
                  path_override=args.output)
     return 0
@@ -368,19 +345,9 @@ def _cmd_channels(args) -> int:
 def _cmd_bound_states(args) -> int:
     cfg = load_config(args.config)
     mu = cfg.params.mu
-    rows: list[list] = []
-    if cfg.params.model == "monopole":
-        ext = cfg.to_extension()
-        for state in extensions.bound_states(ext, mu):
-            idx = ext.channels.index(state.channel)
-            rows.append([idx, state.theta, state.energy / mu, state.lam / mu])
-    else:
-        chans = cfg.singular_channel_list()
-        thetas = cfg.channel_thetas()
-        for idx, (ch, theta) in enumerate(zip(chans, thetas)):
-            energy = extensions.bound_state_energy_theta(theta, ch.nu, mu)
-            if energy is not None:
-                rows.append([idx, theta, energy / mu, math.sqrt(-2.0 * mu * energy) / mu])
+    ext = cfg.to_extension()
+    rows = [[ext.channels.index(state.channel), state.theta, state.energy / mu, state.lam / mu]
+            for state in extensions.bound_states(ext, mu)]
     _write_table(cfg, "E in mu, lambda in mu, theta in radians",
                  ["channel", "theta", "E_over_mu", "lambda_over_mu"], rows)
     return 0
@@ -388,14 +355,12 @@ def _cmd_bound_states(args) -> int:
 
 def _cmd_smatrix(args) -> int:
     cfg = load_config(args.config)
-    if cfg.params.model != "monopole":
-        raise ConfigError("smatrix requires the monopole model (mixing machinery is 4-channel)")
     if not args.E > 0:
         raise ConfigError("--E must be positive (units of mu)")
     mu = cfg.params.mu
     ext = cfg.to_extension()
     rows: list[list] = []
-    for src in range(extensions.N_CHANNELS):
+    for src in range(len(ext.channels)):
         sol = extensions.scattering_eigenstate(ext, args.E * mu, src, mu)
         for ch, (a_n, a_s) in enumerate(sol.amplitudes):
             rows.append([src, ch, a_n.real, a_n.imag, a_s.real, a_s.imag])
@@ -404,38 +369,12 @@ def _cmd_smatrix(args) -> int:
     return 0
 
 
-def _diagonal_channel_data(cfg: RunConfig) -> list[tuple[ChannelSpec, float, float]]:
-    """(channel, theta, nu) triples; overcritical channels fail here, as config errors."""
-    chans = cfg.singular_channel_list()
-    thetas = cfg.channel_thetas()
-    try:
-        return [(ch, theta, ch.nu) for ch, theta in zip(chans, thetas)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _diagonal_g_entries(cfg: RunConfig, r0_phys: float) -> tuple[tuple[ChannelSpec, ...], np.ndarray]:
-    data = _diagonal_channel_data(cfg)
-    vals = [annulus.diagonal_link_value(nu, theta, r0_phys, cfg.params.deficiency_scale)
-            for _, theta, nu in data]
-    return tuple(ch for ch, _, _ in data), np.diag(vals)
-
-
 def _cmd_gmap(args) -> int:
     cfg = load_config(args.config)
     mu = cfg.params.mu
-    r0_phys = args.r0 / mu
-    ext = cfg.to_extension() if cfg.params.model == "monopole" else None
-    if ext is None:
-        data = _diagonal_channel_data(cfg)
+    ext = cfg.to_extension()
     try:
-        if ext is not None:
-            bcm = annulus.g_from_u(ext, r0_phys)
-        else:
-            vals = [annulus.diagonal_link_value(nu, theta, r0_phys, cfg.params.deficiency_scale)
-                    for _, theta, nu in data]
-            bcm = annulus.BoundaryConditionMatrix(r0=r0_phys, channels=tuple(ch for ch, _, _ in data),
-                                                  entries=np.diag(vals))
+        bcm = annulus.g_from_u(ext, args.r0 / mu)
     except (ArithmeticError, ValueError) as exc:
         print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3
@@ -452,25 +391,22 @@ def _cmd_oracle(args) -> int:
     opts = cfg.oracle
     r0 = opts.r0 / mu
     R = opts.R / mu
-    coupled = (cfg.params.model == "monopole" and cfg.matrix is not None
-               and np.abs(cfg.matrix - np.diag(np.diag(cfg.matrix))).max() > 1e-10)
-
-    if coupled:
-        ext = cfg.to_extension()
-    else:
-        data = _diagonal_channel_data(cfg)
+    ext = cfg.to_extension()
+    coupled = np.abs(ext.entries - np.diag(np.diag(ext.entries))).max() > 1e-10
+    # an unmixed U runs channel by channel on the scalar link of its diagonal phase (the
+    # configured phase itself when given, so no rounding enters through cmath.phase)
+    thetas = () if coupled else cfg.diagonal_thetas or [cmath.phase(u) for u in np.diag(ext.entries)]
+    analytic = [extensions.bound_state_energy_theta(t, ch.nu, mu) for ch, t in zip(ext.channels, thetas)]
 
     # stage one: Robin data (failures here are Hermiticity-class, exit 3)
     runs: list[tuple] = []  # (boundary matrix, channel list, analytic E or None)
     try:
         if coupled:
             runs.append((annulus.g_from_u(ext, r0), ext.channels, None))
-        else:
-            for ch, theta, nu in data:
-                gval = annulus.diagonal_link_value(nu, theta, r0, cfg.params.deficiency_scale)
-                bcm = annulus.BoundaryConditionMatrix(r0=r0, channels=(ch,),
-                                                      entries=np.array([[gval]]))
-                runs.append((bcm, (ch,), extensions.bound_state_energy_theta(theta, nu, mu)))
+        for ch, theta, energy in zip(ext.channels, thetas, analytic):
+            gval = annulus.diagonal_link_value(ch.nu, theta, r0, cfg.params.deficiency_scale)
+            bcm = annulus.BoundaryConditionMatrix(r0=r0, channels=(ch,), entries=np.array([[gval]]))
+            runs.append((bcm, (ch,), energy))
     except (ArithmeticError, ValueError) as exc:
         print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3
@@ -509,13 +445,13 @@ def _cmd_dirac_check(args) -> int:
     if cfg.params.model != "monopole":
         raise ConfigError("dirac-check requires the monopole model")
     ext = cfg.to_extension()
+    consistent = extensions.is_dirac_consistent(ext, tol=cfg.tolerances.match)
     rows: list[list] = []
     for idx, ch in enumerate(ext.channels):
         for kind in ("N", "S"):
             coeff, exponent = dirac.lower_exponent(ch.kappa, kind)
             ok = dirac.dirac_normalizable(ch.kappa, kind, mu=cfg.params.mu)
             rows.append([idx, kind, coeff, exponent, ok])
-    consistent = extensions.is_dirac_consistent(ext, tol=cfg.tolerances.match)
     _write_table(cfg, "exponents dimensionless",
                  ["channel", "kind", "cancel_coeff", "exponent", "normalizable"], rows,
                  comments=[f"dirac_consistent: {_fmt(consistent)}"])
@@ -531,19 +467,9 @@ def _cmd_r0scan(args) -> int:
         raise ConfigError(f"--r0-list must be comma-separated numbers: {exc}") from exc
     if not seq or any(not v > 0 for v in seq):
         raise ConfigError("--r0-list needs positive radii")
-    seq_phys = [v / mu for v in seq]
-    comments: list[str] = []
-    rows: list[list] = []
-    if cfg.params.model == "monopole":
-        ext = cfg.to_extension()
-        result = annulus.r0_limit_scan(ext, seq_phys)
-        rows = [[row.r0 * mu, row.gmax / mu, row.offdiag_norm / mu] for row in result.rows]
-        if result.breakdown_r0 is not None:
-            comments.append(f"breakdown_r0: {_fmt(result.breakdown_r0 * mu)}")
-    else:
-        for r0 in seq_phys:
-            chans, entries = _diagonal_g_entries(cfg, r0)
-            rows.append([r0 * mu, float(np.abs(entries).max()) / mu, 0.0])
+    result = annulus.r0_limit_scan(cfg.to_extension(), [v / mu for v in seq])
+    rows = [[row.r0 * mu, row.gmax / mu, row.offdiag_norm / mu] for row in result.rows]
+    comments = [] if result.breakdown_r0 is None else [f"breakdown_r0: {_fmt(result.breakdown_r0 * mu)}"]
     _write_table(cfg, "r0 in 1/mu, g in mu", ["r0", "gmax", "offdiag_norm"], rows,
                  comments=comments)
     return 0
@@ -622,6 +548,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

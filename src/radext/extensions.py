@@ -1,9 +1,10 @@
-"""Self-adjoint extensions of the monopole Pauli Hamiltonian at eg = 1/2.
+"""Self-adjoint extensions of the singular radial Hamiltonians.
 
 The radial operator in each singular channel admits two normalizable
-small-r behaviors, so the minimal operator has deficiency indices (4, 4)
-and the extensions form a U(4) family. This module builds that family
-concretely:
+small-r behaviors, so over n singular channels the minimal operator has
+deficiency indices (n, n) and the extensions form a U(n) family: U(4) for
+the monopole at eg = 1/2; U(2), U(3), U(4) at eg = 1, 3/2, 2; U(1) for a
+subcritical 1/r^2. This module builds that family concretely:
 
   * deficiency vectors phi_+- (Macdonald profiles at complex wavenumber
     (1 -+ i) s, normalized on R^3),
@@ -15,8 +16,10 @@ concretely:
   * the boundary-form (Hermiticity) integral evaluated at finite radius,
   * the distinguished diagonal value forced by the Dirac equation.
 
-Everything is specific to the four-channel eg = 1/2 set; other couplings
-are rejected rather than half-supported.
+The channel set is singular_channels(params) for any model; only
+is_dirac_consistent is tied to the four-channel eg = 1/2 set, whose
+j = 0 / j = 1 structure it encodes. Overcritical channels (nu^2 <= 0) have
+no deficiency vectors, and sets containing one are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -48,7 +51,6 @@ __all__ = [
     "ExtensionMatrix",
     "MixingSolution",
     "RadialChannelFunction",
-    "UnitarityCheck",
     "bound_state_energy_theta",
     "bound_state_energy_u",
     "bound_states",
@@ -64,10 +66,7 @@ __all__ = [
     "random_extension",
     "scattering_eigenstate",
     "unitarity_defect",
-    "validate_unitary",
 ]
-
-N_CHANNELS = 4
 
 _UNITARITY_TOL = 1e-10
 _DIAGONAL_TOL = 1e-10
@@ -76,13 +75,8 @@ _POLE_TOL = 1e-12
 
 
 def canonical_channels(params: ModelParams) -> tuple[ChannelSpec, ...]:
-    """The frozen four-channel set the U(4) machinery acts on."""
-    if params.model != "monopole" or params.eg != 0.5:
-        raise ValueError("extension machinery is implemented for the monopole model at eg = 1/2 only; "
-                         f"got model {params.model!r}, eg = {params.eg} (unsupported)")
-    chans = tuple(singular_channels(params, cutoff=1.0))
-    assert len(chans) == N_CHANNELS
-    return chans
+    """The singular channels the extension family acts on, in enumeration order."""
+    return tuple(singular_channels(params, cutoff=math.inf))
 
 
 def unitarity_defect(entries: np.ndarray) -> float:
@@ -94,43 +88,36 @@ def unitarity_defect(entries: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(entries.shape[0])).max())
 
 
-class UnitarityCheck(NamedTuple):
-    passed: bool
-    defect: float
-
-
-def validate_unitary(entries: np.ndarray, tol: float = _UNITARITY_TOL) -> UnitarityCheck:
-    """Check a candidate 4x4 extension matrix against the unitarity tolerance."""
-    entries = np.asarray(entries, dtype=complex)
-    if entries.shape != (N_CHANNELS, N_CHANNELS):
-        raise ValueError(f"extension matrix must be {N_CHANNELS}x{N_CHANNELS} "
-                         f"over the canonical channels, got shape {entries.shape}")
-    defect = unitarity_defect(entries)
-    return UnitarityCheck(defect <= tol, defect)
-
-
 @dataclass(frozen=True)
 class ExtensionMatrix:
-    """A validated member U of the U(4) extension family.
+    """A validated member U of the U(n) family over canonical_channels(params).
 
     Rows index the source domain vector, columns the deficiency channel it
     couples to: phi^(src) = phi_+^(src) + sum_ch U[src, ch] phi_-^(ch).
-    Construction fails loudly if U is not unitary within tolerance.
+    Construction fails loudly if the channel set is empty or overcritical,
+    if U is not n x n, or if U is not unitary within tolerance.
     """
 
     entries: np.ndarray
     params: ModelParams = field(default_factory=ModelParams)
     unitarity_tol: float = _UNITARITY_TOL
-    channels: tuple[ChannelSpec, ...] = ()
+    channels: tuple[ChannelSpec, ...] = field(init=False)
 
     def __post_init__(self):
         chans = canonical_channels(self.params)
-        if self.channels and tuple(self.channels) != chans:
-            raise ValueError("channels must be the canonical four-channel set")
+        if not chans:
+            raise ValueError("the model has no singular channels: the operator is essentially "
+                             "self-adjoint and has no extension family")
+        for ch in chans:
+            ch.nu  # rejects overcritical channels, which have no deficiency vectors
         object.__setattr__(self, "channels", chans)
+        n = len(chans)
         ents = np.array(self.entries, dtype=complex)
-        ok, defect = validate_unitary(ents, self.unitarity_tol)
-        if not ok:
+        if ents.shape != (n, n):
+            raise ValueError(f"extension matrix must be {n}x{n} over the {n} singular "
+                             f"channel(s), got shape {ents.shape}")
+        defect = unitarity_defect(ents)
+        if defect > self.unitarity_tol:
             raise ValueError(f"extension matrix is not unitary: defect {defect:.3e} "
                              f"exceeds tolerance {self.unitarity_tol:.1e}")
         ents.flags.writeable = False
@@ -138,14 +125,11 @@ class ExtensionMatrix:
 
     @classmethod
     def from_diagonal_thetas(cls, thetas, params: ModelParams | None = None) -> "ExtensionMatrix":
-        """Angular-momentum-conserving member diag(e^{i theta_0}, ..., e^{i theta_3})."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape != (N_CHANNELS,):
-            raise ValueError(f"expected {N_CHANNELS} phases, got shape {thetas.shape}")
-        return cls(np.diag(np.exp(1j * thetas)), params or ModelParams())
+        """Angular-momentum-conserving member diag(e^{i theta_0}, ..., e^{i theta_(n-1)})."""
+        return cls(np.diag(np.exp(1j * np.asarray(thetas, dtype=float))), params or ModelParams())
 
 
-def haar_unitary(seed: int | np.random.Generator, n: int = N_CHANNELS) -> np.ndarray:
+def haar_unitary(seed: int | np.random.Generator, n: int = 4) -> np.ndarray:
     """Haar-distributed random unitary from an explicit 64-bit seed.
 
     QR of a complex Gaussian matrix, with the R-diagonal phases absorbed so
@@ -161,7 +145,8 @@ def haar_unitary(seed: int | np.random.Generator, n: int = N_CHANNELS) -> np.nda
 def random_extension(seed: int | np.random.Generator,
                      params: ModelParams | None = None) -> ExtensionMatrix:
     """A Haar-random member of the extension family."""
-    return ExtensionMatrix(haar_unitary(seed), params or ModelParams())
+    params = params or ModelParams()
+    return ExtensionMatrix(haar_unitary(seed, len(canonical_channels(params))), params)
 
 
 def deficiency_normalization(nu: float, deficiency_scale: float) -> float:
@@ -231,7 +216,7 @@ def domain_vector_smallr(extension: ExtensionMatrix, source: int) -> list[SmallR
     Normalization constants are folded in, so these pairs describe the
     actual function phi_+^(source) + sum_ch U[source, ch] phi_-^(ch).
     """
-    if not 0 <= source < N_CHANNELS:
+    if not 0 <= source < len(extension.channels):
         raise ValueError(f"source index {source} out of range")
     s = extension.params.deficiency_scale
     out: list[SmallRBehavior] = []
@@ -256,7 +241,9 @@ def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None
 
     The state exists only while cos theta > -cos(pi nu / 2); at or past the
     threshold (within a 1e-10 band) the spectrum has no negative eigenvalue
-    and None is returned. E = 0 itself is not a bound state.
+    and None is returned. E = 0 itself is not a bound state. Just inside the
+    threshold |E| grows like delta^(-1/nu) in the distance delta to it, and
+    an energy past the float range raises OverflowError.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
@@ -268,7 +255,12 @@ def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None
     # rounds to 0, while this quotient does not cancel (and is exactly 1 at theta = 0)
     half = math.pi * nu / 4.0
     ratio = math.cos(theta / 2.0 + half) / math.cos(theta / 2.0 - half)
-    return -mu * ratio ** (1.0 / nu)
+    try:
+        return -mu * ratio ** (1.0 / nu)
+    except OverflowError:
+        raise OverflowError(f"bound-state energy leaves the float range for nu = {nu}, "
+                            f"theta = {theta!r}: |E| ~ 1e{math.log10(ratio) / nu:.0f} mu "
+                            f"(mu = {mu})") from None
 
 
 def bound_state_energy_u(u_diag: complex, nu: float, mu: float) -> complex | None:
@@ -316,14 +308,12 @@ def bound_states(extension: ExtensionMatrix, mu: float) -> list[BoundState]:
     A channel contributes only if U leaves it unmixed: its row and column
     must vanish off the diagonal (within 1e-10), leaving a pure phase
     e^{i theta} whose energy formula then applies. Anywhere from zero to
-    four states result.
+    one state per channel results.
     """
     ents = extension.entries
     out: list[BoundState] = []
     for idx, ch in enumerate(extension.channels):
-        others = [k for k in range(N_CHANNELS) if k != idx]
-        coupling = max(np.abs(ents[idx, others]).max(), np.abs(ents[others, idx]).max())
-        if coupling > _DIAGONAL_TOL:
+        if not _unmixed(ents, idx, _DIAGONAL_TOL):
             continue
         theta = cmath.phase(ents[idx, idx])
         energy = bound_state_energy_theta(theta, ch.nu, mu)
@@ -393,18 +383,25 @@ def mixing_matrix(extension: ExtensionMatrix, energy: float,
                   mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Stack scattering_eigenstate over all sources.
 
-    Returns (regular, singular) 4x4 arrays indexed [channel, source]; the
+    Returns (regular, singular) n x n arrays indexed [channel, source]; the
     column for a source is exactly that source's eigenstate amplitudes.
     Off-diagonal entries are the angular-momentum mixing: they vanish for
     diagonal U and not otherwise.
     """
-    regular = np.zeros((N_CHANNELS, N_CHANNELS), dtype=complex)
-    singular = np.zeros((N_CHANNELS, N_CHANNELS), dtype=complex)
-    for src in range(N_CHANNELS):
+    n = len(extension.channels)
+    regular = np.zeros((n, n), dtype=complex)
+    singular = np.zeros((n, n), dtype=complex)
+    for src in range(n):
         sol = scattering_eigenstate(extension, energy, src, mu)
         regular[:, src] = sol.regular_amplitudes
         singular[:, src] = sol.singular_amplitudes
     return regular, singular
+
+
+def _unmixed(entries: np.ndarray, idx: int, tol: float) -> bool:
+    """True iff row and column idx of U vanish off the diagonal within tol."""
+    off = entries - np.diag(np.diag(entries))
+    return bool(max(np.abs(off[idx]).max(), np.abs(off[:, idx]).max()) <= tol)
 
 
 def is_angular_momentum_conserving(extension: ExtensionMatrix, tol: float = 1e-12) -> bool:
@@ -414,7 +411,7 @@ def is_angular_momentum_conserving(extension: ExtensionMatrix, tol: float = 1e-1
 
 
 class RadialChannelFunction(Protocol):
-    """Four-component radial function with an analytic derivative."""
+    """Radial function with one component per channel and an analytic derivative."""
 
     def value(self, r: float) -> np.ndarray: ...
 
@@ -429,7 +426,7 @@ class DomainVector:
     source: int
 
     def _parts(self, r: float, deriv: bool) -> np.ndarray:
-        out = np.zeros(N_CHANNELS, dtype=complex)
+        out = np.zeros(len(self.extension.channels), dtype=complex)
         for idx, ch in enumerate(self.extension.channels):
             plus = DeficiencyVector(ch, +1, self.extension.params.deficiency_scale)
             minus = DeficiencyVector(ch, -1, self.extension.params.deficiency_scale)
@@ -459,7 +456,7 @@ class ChannelWave:
     nu: float
     lam: float
     channel_index: int
-    n_channels: int = N_CHANNELS
+    n_channels: int = 4
 
     def __post_init__(self):
         if self.kind not in ("N", "S"):
@@ -528,14 +525,14 @@ def is_dirac_consistent(extension: ExtensionMatrix, tol: float = 1e-10) -> bool:
 
     Channels 1-3 (the j = 1 triplet) must be unmixed with diagonal entries
     equal to dirac_consistent_value at their order; the j = 0 entry is the
-    surviving free parameter.
+    surviving free parameter. That structure belongs to the monopole at
+    eg = 1/2; any other channel set raises ValueError.
     """
+    params = extension.params
+    if params.model != "monopole" or params.eg != 0.5:
+        raise ValueError("the Dirac-consistency test encodes the j = 0 / j = 1 channels of the "
+                         f"monopole at eg = 1/2; got model {params.model!r}, eg = {params.eg}")
     ents = extension.entries
     u_required = dirac_consistent_value(extension.channels[1].nu)
-    for idx in range(1, N_CHANNELS):
-        others = [k for k in range(N_CHANNELS) if k != idx]
-        if max(np.abs(ents[idx, others]).max(), np.abs(ents[others, idx]).max()) > tol:
-            return False
-        if abs(ents[idx, idx] - u_required) > tol:
-            return False
-    return True
+    return all(_unmixed(ents, idx, tol) and abs(ents[idx, idx] - u_required) <= tol
+               for idx in range(1, len(ents)))

@@ -572,6 +572,28 @@ class TestExtensionReading:
         with pytest.raises(ArithmeticError, match="breakdown"):
             assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=r0, R=1.0, n=100), g, chans)
 
+    @pytest.mark.parametrize("eg", [1.0, 1.5, 2.0])
+    def test_half_order_sets_give_hermitian_links(self, eg):
+        params = ModelParams(eg=eg)
+        for seed in range(5):
+            ext = ExtensionMatrix(haar_unitary(seed, int(2 * eg)), params)
+            for r0 in (0.5, 0.1, 0.01):
+                assert g_from_u(ext, r0).hermiticity_defect <= 1e-12
+
+    @pytest.mark.parametrize("eg, seed", [(1.0, 0), (1.0, 1), (1.5, 0)])
+    def test_half_order_sets_match_the_eigenphase_levels(self, eg, seed):
+        # with one order in every channel the problem splits along U's eigenvectors,
+        # each eigenphase contributing the single-channel level of nu = 1/2
+        params = ModelParams(eg=eg)
+        u = haar_unitary(seed, int(2 * eg))
+        ext = ExtensionMatrix(u, params)
+        energies = (bound_state_energy_theta(t, 0.5, 1.0) for t in np.angle(np.linalg.eigvals(u)))
+        analytic = sorted(e for e in energies if e is not None)
+        assert analytic
+        grid = AnnulusGrid(r0=0.01, R=20.0, n=400)
+        ham = assemble_radial_hamiltonian(params, grid, g_from_u(ext, 0.01), ext.channels)
+        assert_allclose(oracle_spectrum(ham, len(analytic)), analytic, rtol=2e-2)
+
     def test_lost_precision_raises_for_one_channel(self):
         # a single channel's U is unimodular by construction; the rounding bound
         # of the cancelling solve is what flags the radius

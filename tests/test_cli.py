@@ -20,7 +20,7 @@ from radext.cli import (
     emit_config,
     parse_config,
 )
-from radext.extensions import dirac_consistent_value
+from radext.extensions import bound_state_energy_theta, dirac_consistent_value, haar_unitary
 
 NU_EDGE = math.sqrt(2.0) - 0.5
 
@@ -179,6 +179,17 @@ class TestBoundStatesCommand:
         _, rows = _csv_rows(capsys.readouterr().out)
         assert len(rows) == 1 and rows[0][2] == "-1"
 
+    def test_energy_past_float_range_exit_4(self, make_config, capsys):
+        # nu = 0.01 just inside the window edge: |E| ~ 1e450 mu
+        nu = math.sqrt(0.25 - 0.2499)
+        theta = cmath.phase(dirac_consistent_value(nu)) + 1e-6
+        path = make_config({"model": {"type": "inverse_square", "c": 0.2499},
+                            "extension": {"diagonal_thetas": [theta]}})
+        assert cli.main(["bound-states", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "nu = 0.0099" in err
+        assert "Traceback" not in err
+
     def test_missing_extension(self, make_config, capsys):
         path = make_config({})
         assert cli.main(["bound-states", "--config", path]) == 2
@@ -221,9 +232,12 @@ class TestSmatrixCommand:
                 assert max(abs(v) for v in amp) < 1e-12
 
     def test_rejections(self, make_config, capsys):
+        # the single 1/r^2 channel has its own (source, channel) row; only E <= 0 is refused
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},
                             "extension": {"diagonal_thetas": [0.0]}})
-        assert cli.main(["smatrix", "--config", path]) == 2
+        assert cli.main(["smatrix", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert [r[:2] for r in rows] == [["0", "0"]]
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
         assert cli.main(["smatrix", "--config", path, "--E", "-1.0"]) == 2
         capsys.readouterr()
@@ -327,6 +341,18 @@ class TestOracleCommand:
         assert cli.main(["oracle", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_half_order_pair_matches_eigenphase_levels(self, make_config, capsys):
+        # eg = 1: a Haar U(2) over two nu = 1/2 channels, one level per eigenphase
+        u = haar_unitary(0, 2)
+        analytic = sorted(bound_state_energy_theta(t, 0.5, 1.0) for t in np.angle(np.linalg.eigvals(u)))
+        path = make_config({"model": {"eg": 1.0},
+                            "extension": {"matrix": [[[z.real, z.imag] for z in row] for row in u]},
+                            "oracle": {"n": 400, "R": 20.0, "r0": 0.01, "k": 2}})
+        assert cli.main(["oracle", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert_allclose([float(r[1]) for r in rows], analytic, rtol=2e-2)
+        assert [r[2] for r in rows] == ["nan", "nan"]
+
 
 class TestDiracCheckCommand:
     def test_identity_rejected(self, make_config, capsys):
@@ -359,6 +385,11 @@ class TestDiracCheckCommand:
                             "extension": {"diagonal_thetas": [0.0]}})
         assert cli.main(["dirac-check", "--config", path]) == 2
         capsys.readouterr()
+
+    def test_other_monopole_couplings_rejected(self, make_config, capsys):
+        path = make_config({"model": {"eg": 1.0}, "extension": {"diagonal_thetas": [0.0, 0.0]}})
+        assert cli.main(["dirac-check", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestR0ScanCommand:

@@ -31,7 +31,6 @@ from radext.extensions import (
     random_extension,
     scattering_eigenstate,
     unitarity_defect,
-    validate_unitary,
 )
 
 from conftest import SWAP_01
@@ -43,24 +42,24 @@ E_QUARTER_TURN = -(3.0 - 2.0 * SQRT2)  # bound-state energy at theta = pi/2, nu 
 
 class TestUnitarityChecks:
     def test_identity_is_clean(self):
-        ok, defect = validate_unitary(np.eye(4))
-        assert ok and defect == 0.0
+        ExtensionMatrix(np.eye(4))
+        assert unitarity_defect(np.eye(4)) == 0.0
 
     def test_doubled_identity_fails_with_reported_defect(self):
-        ok, defect = validate_unitary(2.0 * np.eye(4))
-        assert not ok
-        assert_allclose(defect, 3.0, rtol=1e-15)
+        with pytest.raises(ValueError, match="defect 3.000e"):
+            ExtensionMatrix(2.0 * np.eye(4))
+        assert_allclose(unitarity_defect(2.0 * np.eye(4)), 3.0, rtol=1e-15)
 
     def test_householder_reflection_passes(self):
         rng = np.random.default_rng(11)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         h = np.eye(4) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
-        ok, defect = validate_unitary(h)
-        assert ok and defect <= 1e-14
+        ExtensionMatrix(h)
+        assert unitarity_defect(h) <= 1e-14
 
     def test_shape_requirements(self):
-        with pytest.raises(ValueError):
-            validate_unitary(np.eye(3))
+        with pytest.raises(ValueError, match="4x4 over the 4 singular"):
+            ExtensionMatrix(np.eye(3))  # the eg = 1/2 set has four channels
         with pytest.raises(ValueError):
             unitarity_defect(np.ones((2, 3)))
         assert unitarity_defect(np.eye(2)) == 0.0  # defect itself is size-agnostic
@@ -80,10 +79,18 @@ class TestExtensionMatrix:
         assert len(identity_ext.channels) == 4
 
     def test_unsupported_coupling_rejected(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            ExtensionMatrix(np.eye(2), ModelParams(eg=1.0))
-        with pytest.raises(ValueError, match="unsupported"):
-            canonical_channels(ModelParams(model="inverse_square"))
+        ext = ExtensionMatrix(np.eye(2), ModelParams(eg=1.0))
+        assert [(ch.j, ch.m, ch.nu) for ch in ext.channels] == [(0.5, -0.5, 0.5), (0.5, 0.5, 0.5)]
+        with pytest.raises(ValueError, match="2x2"):
+            ExtensionMatrix(np.eye(4), ModelParams(eg=1.0))
+        isq = ExtensionMatrix(np.eye(1), ModelParams(model="inverse_square", c=0.1))
+        assert len(isq.channels) == 1 and isq.channels == canonical_channels(isq.params)
+        with pytest.raises(ValueError, match="overcritical"):
+            ExtensionMatrix(np.eye(1), ModelParams(model="inverse_square", c=1.0))
+        with pytest.raises(ValueError, match="no singular channels"):
+            ExtensionMatrix(np.eye(1), ModelParams(model="inverse_square", c=-1.0))
+        with pytest.raises(TypeError):
+            ExtensionMatrix(np.eye(4), channels=canonical_channels(ModelParams()))
 
     def test_from_diagonal_thetas(self):
         thetas = (0.1, -0.4, 0.9, 2.2)
@@ -310,6 +317,25 @@ class TestBoundStateEnumeration:
         assert_allclose(e_new, e_ref, rtol=1e-9)
 
 
+class TestHalfOrderChannelSets:
+    """eg = 1, 3/2, 2: U(2), U(3), U(4) families with every channel at nu = 1/2."""
+
+    @pytest.mark.parametrize("eg", [1.0, 1.5, 2.0])
+    def test_diagonal_u_gives_the_closed_form_levels(self, eg):
+        params = ModelParams(eg=eg)
+        n = int(2 * eg)
+        thetas = np.linspace(-2.0, 2.6, n)  # the last phase sits past the window edge 3 pi / 4
+        ext = ExtensionMatrix.from_diagonal_thetas(thetas, params)
+        assert [ch.nu for ch in ext.channels] == [0.5] * n
+        states = bound_states(ext, 1.0)
+        assert [ext.channels.index(st.channel) for st in states] == list(range(n - 1))
+        for st, theta in zip(states, thetas):
+            assert st.energy == bound_state_energy_theta(cmath.phase(cmath.exp(1j * theta)), 0.5, 1.0)
+        regular, singular = mixing_matrix(ext, 1.0, 1.0)
+        assert regular.shape == singular.shape == (n, n)
+        assert np.abs(regular - np.diag(np.diag(regular))).max() == 0.0
+
+
 class TestScatteringAndMixing:
     def test_diagonal_u_does_not_mix(self):
         ext = ExtensionMatrix.from_diagonal_thetas((0.3, -0.5, 0.8, 0.1))
@@ -414,6 +440,12 @@ class TestDiracConsistency:
         ext = ExtensionMatrix(np.diag([1.0, u1 * cmath.exp(1e-6j), u1, u1]))
         assert not is_dirac_consistent(ext)
         assert is_dirac_consistent(ext, tol=1e-4)
+
+    def test_other_channel_sets_refused(self):
+        # the test encodes the j = 0 / j = 1 structure of the eg = 1/2 set only
+        for params, n in ((ModelParams(eg=1.0), 2), (ModelParams(model="inverse_square", c=0.1), 1)):
+            with pytest.raises(ValueError, match="eg = 1/2"):
+                is_dirac_consistent(ExtensionMatrix(np.eye(n), params))
 
 
 def test_normalization_constant_closed_form():
