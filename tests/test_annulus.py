@@ -7,6 +7,7 @@ finite-difference spectrum it must reproduce. Scan rows are frozen from a
 converged run and serve as regression anchors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from radext.annulus import (
     BoundaryConditionMatrix,
     FluxReport,
     LinkBreakdownError,
+    RadialHamiltonian,
     a_matrix,
     assemble_radial_hamiltonian,
     boundary_flux,
@@ -333,13 +335,43 @@ class TestOracleSpectrum:
         assert_allclose(lowest, -monopole.mu, rtol=1e-2)
 
     def test_banded_matches_dense_solver(self, monopole):
-        ext = random_extension(11)
-        g = g_from_u(ext, 0.1)
-        grid = AnnulusGrid(r0=0.1, R=8.0, n=150)
-        ham = assemble_radial_hamiltonian(monopole, grid, g, ext.channels)
-        banded = oracle_spectrum(ham, 3)
-        full = scipy.linalg.eigh(ham.dense(), eigvals_only=True)[:3]
-        assert_allclose(banded, full, atol=1e-10)
+        # a Haar U at two sizes, the identity (the three j = 1 channels give a triple
+        # ground level) and the Dirac-consistent value in those channels (degenerate
+        # pairs above threshold); the dense solve at n = 400 takes about 1 s, so once
+        haar = random_extension(11).entries
+        u_edge = dirac_consistent_value(NU_EDGE)
+        cases = ((haar, 150), (haar, 400), (np.eye(4), 150), (np.diag([1.0, u_edge, u_edge, u_edge]), 150))
+        for u, n in cases:
+            ext = ExtensionMatrix(u, monopole)
+            grid = AnnulusGrid(r0=0.1, R=8.0, n=n)
+            ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
+            banded = oracle_spectrum(ham, 4)
+            full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 3))
+            assert_allclose(banded, full, atol=1e-10)
+
+    def test_residual_check_guards_the_band_assembly(self, monopole):
+        # a Hermitian boundary block that the band form does not hold: the eigenvalues
+        # come from the bands, the residual from the block, and the two must not pass
+        ext = random_extension(3)
+        grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
+        ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
+        oracle_spectrum(ham, 2)  # the intact operator passes
+        shift = np.zeros((4, 4))
+        shift[0, 1] = shift[1, 0] = 0.1 * ham.norm_upper_bound()
+        broken = dataclasses.replace(ham, boundary_block=ham.boundary_block + shift)
+        assert broken.hermiticity_defect() <= 1e-9  # passes the Hermiticity gate
+        with pytest.raises(ArithmeticError, match="residual"):
+            oracle_spectrum(broken, 2)
+
+    def test_exact_eigenvalue_gets_its_vector(self, monopole):
+        # a diagonal band form: bisection returns each level bit for bit, so H - lambda I
+        # has an exact zero pivot and the inverse iteration has to move lambda off it
+        bands = np.zeros((3, 6), dtype=complex)
+        bands[0] = [5.0, 2.0, 7.0, 3.0, 11.0, 13.0]
+        grid = AnnulusGrid(r0=0.1, R=1.0, n=100)
+        ham = RadialHamiltonian(bands=bands, boundary_block=None, n_channels=2,
+                                radii=np.arange(3.0), grid=grid, mu=monopole.mu)
+        assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
     def test_refuses_broken_operator(self, monopole):
         ext = random_extension(3)
@@ -580,7 +612,7 @@ class TestExtensionReading:
             for r0 in (0.5, 0.1, 0.01):
                 assert g_from_u(ext, r0).hermiticity_defect <= 1e-12
 
-    @pytest.mark.parametrize("eg, seed", [(1.0, 0), (1.0, 1), (1.5, 0)])
+    @pytest.mark.parametrize("eg, seed", [(1.0, 0), (1.0, 1), (1.5, 0), (2.0, 0)])
     def test_half_order_sets_match_the_eigenphase_levels(self, eg, seed):
         # with one order in every channel the problem splits along U's eigenvectors,
         # each eigenphase contributing the single-channel level of nu = 1/2
