@@ -40,9 +40,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, ModelParams
-from .extensions import ExtensionMatrix, deficiency_normalization, unitarity_defect
-from .specfun import bessel_k_complex, small_arg_coeffs
+from .channels import ChannelSpec, ModelParams, per_order
+from .extensions import ExtensionMatrix, origin_pairs, unitarity_defect
+from .specfun import bessel_k_complex
 
 __all__ = [
     "AnnulusGrid",
@@ -226,24 +226,31 @@ def _channel_profiles(channels: Sequence[ChannelSpec], r: float,
     the -1/(2r) prefactor term alongside the Macdonald recurrence.
     """
     a = complex(1.0, -1.0) * scale
-    b = complex(1.0, 1.0) * scale
     rm_half = r ** (-0.5)
-    n = len(channels)
-    vp = np.empty(n, dtype=complex)
-    vm = np.empty(n, dtype=complex)
-    dp = np.empty(n, dtype=complex)
-    dm = np.empty(n, dtype=complex)
-    for idx, ch in enumerate(channels):
-        nu = ch.nu
+
+    def profile(nu):
         kva, kda = _k_pair(nu, a * r)
-        # the (1 + i) s profile is the conjugate of the (1 - i) s one
-        kvb, kdb = kva.conjugate(), kda.conjugate()
         c = 1.0 / math.sqrt(_tail_norm(r, a, kva, kda))
-        vp[idx] = c * rm_half * kva
-        vm[idx] = c * rm_half * kvb
-        dp[idx] = c * rm_half * (a * kda - kva / (2.0 * r))
-        dm[idx] = c * rm_half * (b * kdb - kvb / (2.0 * r))
-    return vp, vm, dp, dm
+        return c * rm_half * kva, c * rm_half * (a * kda - kva / (2.0 * r))
+
+    vp, dp = np.array(per_order(channels, profile)).T
+    # the (1 + i) s profile is the conjugate of the (1 - i) s one
+    return vp, vp.conj(), dp, dp.conj()
+
+
+def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tuple[TransferMatrix, np.ndarray]:
+    """a(r) and (da/dr)(r) from one evaluation of the channel profiles."""
+    if not r > 0.0:
+        raise ValueError("r must be positive")
+    if scale is None:
+        scale = extension.params.deficiency_scale
+    vp, vm, dp, dm = _channel_profiles(extension.channels, r, scale)
+    entries = np.conj(np.diag(vp) + extension.entries * vm[None, :])
+    cond = float(np.linalg.cond(entries))
+    if not cond < _COND_LIMIT:
+        raise ArithmeticError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
+    deriv = np.conj(np.diag(dp) + extension.entries * dm[None, :])
+    return TransferMatrix(r=r, entries=entries, condition_number=cond), deriv
 
 
 def a_matrix(extension: ExtensionMatrix, r: float, scale: float | None = None) -> TransferMatrix:
@@ -252,16 +259,7 @@ def a_matrix(extension: ExtensionMatrix, r: float, scale: float | None = None) -
     Entry [src, ch] is the conjugate of phi_+^ch(r) delta + U[src, ch]
     phi_-^ch(r), each channel profile normalized over the exterior of r.
     """
-    if not r > 0.0:
-        raise ValueError("r must be positive")
-    if scale is None:
-        scale = extension.params.deficiency_scale
-    vp, vm, _, _ = _channel_profiles(extension.channels, r, scale)
-    entries = np.conj(np.diag(vp) + extension.entries * vm[None, :])
-    cond = float(np.linalg.cond(entries))
-    if not cond < _COND_LIMIT:
-        raise ArithmeticError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
-    return TransferMatrix(r=r, entries=entries, condition_number=cond)
+    return _transfer(extension, r, scale)[0]
 
 
 def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) -> BoundaryConditionMatrix:
@@ -274,11 +272,7 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
     working precision) and raises LinkBreakdownError instead of returning
     garbage.
     """
-    if scale is None:
-        scale = extension.params.deficiency_scale
-    amat = a_matrix(extension, r0, scale)
-    _, _, dp, dm = _channel_profiles(extension.channels, r0, scale)
-    a_deriv = np.conj(np.diag(dp) + extension.entries * dm[None, :])
+    amat, a_deriv = _transfer(extension, r0, scale)
     g = np.linalg.solve(amat.entries, a_deriv)
     defect = BoundaryConditionMatrix.defect_of(g)
     if defect > _BREAKDOWN_TOL:
@@ -339,31 +333,6 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
                                  f"unitarity defect {defect:.3e}, rounding bound {rounding:.3e}; "
                                  "the radius is below the working-precision breakdown point")
     return u
-
-
-def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
-                 scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Small-r coefficients (A, B) of the domain of the extension U.
-
-    Near the origin a domain function of the extension behaves per channel
-    as u ~ A r^(1/2 - nu) + B r^(1/2 + nu), u = r psi. Column src of A and B
-    holds these coefficients for the domain vector
-    phi_+^src + sum_ch U[src, ch] phi_-^ch, built from the R^3-normalized
-    deficiency profiles (deficiency_normalization), the normalization
-    under which U is unitary; a combination x of domain vectors has A x
-    and B x. In w = r^(nu - 1/2) u the pair reads w = A + B r^(2 nu), so
-    the extension is the regular condition (r^(1 - 2 nu) w')(0) = Q w(0),
-    Q = diag(2 nu) B A^-1, Hermitian for unitary U. Q is infinite where A
-    is singular, as for the Dirac-consistent value, which is why the pair
-    is returned rather than Q.
-    """
-    nus = np.array([ch.nu for ch in channels])
-    plus = [small_arg_coeffs("DEF+", nu, complex(1.0, -1.0) * scale) for nu in nus]
-    norm = np.array([deficiency_normalization(nu, scale) for nu in nus])
-    lead = np.array([p.c_minus for p in plus]) * norm
-    sub = np.array([p.c_plus for p in plus]) * norm
-    # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
-    return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 _TOL = 1e-12
 _INTEGER_TOL = 1e-9
@@ -207,3 +208,10 @@ def singular_channels(params: ModelParams, cutoff: float) -> list[ChannelSpec]:
     if top >= 0 and cutoff < top - _TOL:
         raise ValueError(f"cutoff {cutoff} excludes the singular sector at {label} = {top}")
     return [ch for ch in channel_ladder(params, top) if ch.singular]
+
+
+def per_order(channels: Sequence[ChannelSpec], fn: Callable[[float], object]) -> list:
+    """[fn(ch.nu) for ch in channels], with fn called once per distinct order."""
+    nus = [ch.nu for ch in channels]
+    values = {nu: fn(nu) for nu in dict.fromkeys(nus)}
+    return [values[nu] for nu in nus]

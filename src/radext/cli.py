@@ -359,11 +359,10 @@ def _cmd_smatrix(args) -> int:
         raise ConfigError("--E must be positive (units of mu)")
     mu = cfg.params.mu
     ext = cfg.to_extension()
-    rows: list[list] = []
-    for src in range(len(ext.channels)):
-        sol = extensions.scattering_eigenstate(ext, args.E * mu, src, mu)
-        for ch, (a_n, a_s) in enumerate(sol.amplitudes):
-            rows.append([src, ch, a_n.real, a_n.imag, a_s.real, a_s.imag])
+    regular, singular = extensions.mixing_matrix(ext, args.E * mu, mu)
+    rows = [[src, ch, a_n.real, a_n.imag, a_s.real, a_s.imag]
+            for src in range(len(ext.channels))
+            for ch, (a_n, a_s) in enumerate(zip(regular[:, src], singular[:, src]))]
     _write_table(cfg, "E in mu; amplitudes dimensionless (source-matched scale)",
                  ["source", "channel", "AN_re", "AN_im", "AS_re", "AS_im"], rows)
     return 0

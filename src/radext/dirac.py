@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .channels import nu_of
 from .specfun import bessel_j, bessel_k_complex, bessel_y
 
@@ -119,17 +121,16 @@ class DiracRadialSolution:
 
 
 def _tail_integral(sol: DiracRadialSolution, eps: float, upper: float) -> float:
-    # imported here: scipy.integrate costs about 0.35 s of start-up that only this quad needs
-    from scipy.integrate import quad
-
     # integral of |g|^2 r^2 from eps to upper, in log coordinates so the
-    # power-law window near the origin is resolved uniformly
-    def integrand(t: float) -> float:
-        r = math.exp(t)
-        return abs(sol.lower(r)) ** 2 * r**3
-
-    val, _ = quad(integrand, math.log(eps), math.log(upper), limit=200)
-    return val
+    # power-law window near the origin is resolved uniformly: composite
+    # Gauss-Legendre with one 20-node panel per unit of ln r
+    lo, hi = math.log(eps), math.log(upper)
+    panels = max(1, math.ceil(hi - lo))
+    half = 0.5 * (hi - lo) / panels
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    r = np.exp(lo + half * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)).ravel()
+    g2 = np.array([abs(sol.lower(x)) ** 2 for x in r.tolist()])
+    return half * float(np.tile(weights, panels) @ (g2 * r**3))
 
 
 def dirac_normalizable(kappa: float, kind: str, mu: float = 1.0) -> bool:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, ModelParams, singular_channels
+from .channels import ChannelSpec, ModelParams, per_order, singular_channels
 from .specfun import (
     SmallRBehavior,
     bessel_j,
@@ -63,6 +63,7 @@ __all__ = [
     "is_angular_momentum_conserving",
     "is_dirac_consistent",
     "mixing_matrix",
+    "origin_pairs",
     "random_extension",
     "scattering_eigenstate",
     "unitarity_defect",
@@ -210,27 +211,44 @@ class DeficiencyVector:
         return SmallRBehavior(raw.nu, n * raw.c_minus, n * raw.c_plus)
 
 
+def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Small-r coefficients (A, B) of the domain of the extension U.
+
+    Near the origin a domain function of the extension behaves per channel
+    as u ~ A r^(1/2 - nu) + B r^(1/2 + nu), u = r psi. Column src of A and B
+    holds these coefficients for the domain vector
+    phi_+^src + sum_ch U[src, ch] phi_-^ch, built from the R^3-normalized
+    deficiency profiles (deficiency_normalization), the normalization
+    under which U is unitary; a combination x of domain vectors has A x
+    and B x. In w = r^(nu - 1/2) u the pair reads w = A + B r^(2 nu), so
+    the extension is the regular condition (r^(1 - 2 nu) w')(0) = Q w(0),
+    Q = diag(2 nu) B A^-1, Hermitian for unitary U. Q is infinite where A
+    is singular, as for the Dirac-consistent value, which is why the pair
+    is returned rather than Q. This is the one small-r pair code path, read
+    by domain_vector_smallr, the matching and the oracle.
+    """
+    def pair(nu):
+        plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
+        norm = deficiency_normalization(nu, scale)
+        return plus.c_minus * norm, plus.c_plus * norm
+
+    lead, sub = np.array(per_order(channels, pair)).T
+    # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
+    return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
+
+
 def domain_vector_smallr(extension: ExtensionMatrix, source: int) -> list[SmallRBehavior]:
     """Small-r coefficient pairs, per channel, of the domain vector phi^(source).
 
-    Normalization constants are folded in, so these pairs describe the
-    actual function phi_+^(source) + sum_ch U[source, ch] phi_-^(ch).
+    Normalization constants are folded in, so these pairs describe the actual
+    function phi_+^(source) + sum_ch U[source, ch] phi_-^(ch): column source of origin_pairs.
     """
     if not 0 <= source < len(extension.channels):
         raise ValueError(f"source index {source} out of range")
-    s = extension.params.deficiency_scale
-    out: list[SmallRBehavior] = []
-    for idx, ch in enumerate(extension.channels):
-        nu = ch.nu
-        n = deficiency_normalization(nu, s)
-        plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, s))
-        minus = small_arg_coeffs("DEF-", nu, _deficiency_arg(-1, s))
-        delta = 1.0 if idx == source else 0.0
-        u = extension.entries[source, idx]
-        out.append(SmallRBehavior(nu,
-                                  n * (delta * plus.c_minus + u * minus.c_minus),
-                                  n * (delta * plus.c_plus + u * minus.c_plus)))
-    return out
+    a, b = origin_pairs(extension.entries, extension.channels, extension.params.deficiency_scale)
+    return [SmallRBehavior(ch.nu, a[idx, source], b[idx, source])
+            for idx, ch in enumerate(extension.channels)]
 
 
 def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None:
@@ -349,6 +367,25 @@ class MixingSolution:
         return np.array([b for _, b in self.amplitudes])
 
 
+def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
+    if not energy > 0.0:
+        raise ValueError(f"scattering states require energy > 0, got {energy}")
+    lam = math.sqrt(2.0 * mu * energy)
+    a, b = origin_pairs(extension.entries, extension.channels, extension.params.deficiency_scale)
+
+    def waves(nu):
+        reg = small_arg_coeffs("N", nu, lam)
+        sing = small_arg_coeffs("S", nu, lam)
+        system = np.array([[sing.c_minus, 0.0], [sing.c_plus, reg.c_plus]])
+        return sing.c_minus, sing.c_plus, reg.c_plus, np.linalg.cond(system)
+
+    sing_minus, sing_plus, reg_plus, cond = np.array(per_order(extension.channels, waves)).T[..., None]
+    singular = a / sing_minus
+    regular = (b - singular * sing_plus) / reg_plus
+    return regular, singular, float(cond.max())
+
+
 def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int,
                           mu: float) -> MixingSolution:
     """Match the energy-E eigenstate whose small-r behavior is phi^(source).
@@ -357,44 +394,29 @@ def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int
     system A_S c_-^S = c_-^phi, A_N c_+^N + A_S c_+^S = c_+^phi; row one is
     exact because only the singular wave carries r^(-1/2-nu). The remaining
     freedom is a domain element of the closed symmetric operator, which
-    vanishes faster at the origin and does not alter the matching.
+    vanishes faster at the origin and does not alter the matching. The
+    result is column source of mixing_matrix.
     """
-    if not energy > 0.0:
-        raise ValueError(f"scattering states require energy > 0, got {energy}")
-    lam = math.sqrt(2.0 * mu * energy)
-    phi = domain_vector_smallr(extension, source)
-    amps: list[tuple[complex, complex]] = []
-    worst_cond = 0.0
-    for idx, ch in enumerate(extension.channels):
-        nu = ch.nu
-        reg = small_arg_coeffs("N", nu, lam)
-        sing = small_arg_coeffs("S", nu, lam)
-        a_s = phi[idx].c_minus / sing.c_minus
-        a_n = (phi[idx].c_plus - a_s * sing.c_plus) / reg.c_plus
-        amps.append((a_n, a_s))
-        system = np.array([[sing.c_minus, 0.0], [sing.c_plus, reg.c_plus]])
-        worst_cond = max(worst_cond, float(np.linalg.cond(system)))
+    # explicit: numpy would read source = -1 as the last column
+    if not 0 <= source < len(extension.channels):
+        raise ValueError(f"source index {source} out of range")
+    regular, singular, cond = _matching(extension, energy, mu)
     return MixingSolution(energy=energy, source_index=source,
                           source_channel=extension.channels[source],
-                          amplitudes=tuple(amps), condition_number=worst_cond)
+                          amplitudes=tuple(zip(regular[:, source], singular[:, source])),
+                          condition_number=cond)
 
 
 def mixing_matrix(extension: ExtensionMatrix, energy: float,
                   mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stack scattering_eigenstate over all sources.
+    """The energy-E eigenstates of every source, matched in one step.
 
     Returns (regular, singular) n x n arrays indexed [channel, source]; the
-    column for a source is exactly that source's eigenstate amplitudes.
-    Off-diagonal entries are the angular-momentum mixing: they vanish for
-    diagonal U and not otherwise.
+    column for a source is exactly scattering_eigenstate's amplitudes for
+    it. Off-diagonal entries are the angular-momentum mixing: they vanish
+    for diagonal U and not otherwise.
     """
-    n = len(extension.channels)
-    regular = np.zeros((n, n), dtype=complex)
-    singular = np.zeros((n, n), dtype=complex)
-    for src in range(n):
-        sol = scattering_eigenstate(extension, energy, src, mu)
-        regular[:, src] = sol.regular_amplitudes
-        singular[:, src] = sol.singular_amplitudes
+    regular, singular, _ = _matching(extension, energy, mu)
     return regular, singular
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 import scipy.linalg
 
 from conftest import SWAP_01
+from radext import annulus
 from radext.annulus import (
     AnnulusGrid,
     BoundaryConditionMatrix,
@@ -194,6 +195,21 @@ class TestLinkMap:
         for idx, (ch, theta) in enumerate(zip(ext.channels, thetas)):
             want = diagonal_link_value(ch.nu, theta, 0.1, monopole.deficiency_scale)
             assert_allclose(g.entries[idx, idx], want, rtol=1e-10)
+
+    def test_each_order_is_evaluated_once(self, monkeypatch):
+        # eg = 1/2 has four channels but two orders: K_nu and K_(nu+1) once per order and radius
+        calls = []
+
+        def counted(nu, z):
+            calls.append(nu)
+            return bessel_k_complex(nu, z)
+
+        monkeypatch.setattr(annulus, "bessel_k_complex", counted)
+        ext = random_extension(3)
+        for r0 in (0.5, 0.1, 0.01):
+            calls.clear()
+            g_from_u(ext, r0)
+            assert sorted(calls) == [0.5, NU_EDGE, 1.5, NU_EDGE + 1.0]
 
     def test_hermitian_across_seeds_and_radii(self):
         for seed in range(10):

@@ -13,6 +13,7 @@ from radext.channels import (
     kappa_of,
     l_crit,
     nu_of,
+    per_order,
     singular_channels,
 )
 
@@ -205,3 +206,11 @@ class TestSingularChannelsInverseSquare:
         with pytest.raises(ValueError):
             singular_channels(params, cutoff=0.0)
         assert len(singular_channels(params, cutoff=1.0)) == 4
+
+
+def test_per_order_evaluates_each_order_once():
+    chans = singular_channels(ModelParams(), math.inf)  # orders 1/2, then sqrt(2) - 1/2 three times
+    calls = []
+    out = per_order(chans, lambda nu: calls.append(nu) or 2.0 * nu)
+    assert calls == [0.5, SQRT2 - 0.5]
+    assert out == [2.0 * ch.nu for ch in chans]

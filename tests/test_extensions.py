@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from radext import extensions
 from radext.channels import ChannelSpec, ModelParams
 from radext.extensions import (
     ChannelWave,
@@ -32,6 +33,7 @@ from radext.extensions import (
     scattering_eigenstate,
     unitarity_defect,
 )
+from radext.specfun import small_arg_coeffs
 
 from conftest import SWAP_01
 
@@ -196,6 +198,22 @@ class TestDomainVectorSmallR:
         with pytest.raises(ValueError):
             domain_vector_smallr(identity_ext, 4)
 
+    @pytest.mark.parametrize("eg", [0.5, 1.0, 1.5])
+    def test_matches_the_deficiency_vectors(self, eg):
+        # the pairs of phi_+^src + sum_ch U[src, ch] phi_-^ch, channel by channel
+        params = ModelParams(eg=eg)
+        for seed in range(3):
+            ext = random_extension(seed, params)
+            for src in range(len(ext.channels)):
+                for idx, (ch, got) in enumerate(zip(ext.channels, domain_vector_smallr(ext, src))):
+                    plus = DeficiencyVector(ch, +1, params.deficiency_scale).small_arg()
+                    minus = DeficiencyVector(ch, -1, params.deficiency_scale).small_arg()
+                    u = ext.entries[src, idx]
+                    delta = 1.0 if idx == src else 0.0
+                    assert got.nu == ch.nu
+                    assert_allclose(got.c_minus, delta * plus.c_minus + u * minus.c_minus, rtol=1e-14)
+                    assert_allclose(got.c_plus, delta * plus.c_plus + u * minus.c_plus, rtol=1e-14)
+
 
 class TestBoundStateFormulas:
     def test_zero_phase_pins_energy_to_minus_mu(self):
@@ -350,11 +368,56 @@ class TestScatteringAndMixing:
         assert sol.condition_number >= 1.0
 
     def test_mixing_columns_are_per_source_solutions(self, swap_ext):
-        regular, singular = mixing_matrix(swap_ext, 1.0, 1.0)
-        for src in range(4):
-            sol = scattering_eigenstate(swap_ext, 1.0, src, 1.0)
-            assert_allclose(regular[:, src], sol.regular_amplitudes, rtol=1e-14)
-            assert_allclose(singular[:, src], sol.singular_amplitudes, rtol=1e-14)
+        cond = scattering_eigenstate(swap_ext, 1.0, 0, 1.0).condition_number
+        for ext in (swap_ext, ExtensionMatrix(haar_unitary(5))):
+            regular, singular = mixing_matrix(ext, 1.0, 1.0)
+            for src in range(4):
+                sol = scattering_eigenstate(ext, 1.0, src, 1.0)
+                assert np.array_equal(regular[:, src], sol.regular_amplitudes)
+                assert np.array_equal(singular[:, src], sol.singular_amplitudes)
+                # the matching system depends on the orders and the energy only
+                assert sol.condition_number == cond
+
+    def test_source_range(self, identity_ext):
+        # -1 would otherwise read the last column
+        for src in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                scattering_eigenstate(identity_ext, 1.0, src, 1.0)
+
+    @pytest.mark.parametrize("eg", [0.5, 1.0, 1.5])
+    def test_matches_the_per_channel_matching(self, eg):
+        params = ModelParams(eg=eg)
+        for seed in range(10):
+            ext = random_extension(seed, params)
+            for energy in (0.5, 1.0, 2.0):
+                regular, singular = mixing_matrix(ext, energy, 1.0)
+                lam = math.sqrt(2.0 * energy)
+                for src in range(len(ext.channels)):
+                    want = []
+                    for ch, phi in zip(ext.channels, domain_vector_smallr(ext, src)):
+                        reg = small_arg_coeffs("N", ch.nu, lam)
+                        sing = small_arg_coeffs("S", ch.nu, lam)
+                        a_s = phi.c_minus / sing.c_minus
+                        want.append(((phi.c_plus - a_s * sing.c_plus) / reg.c_plus, a_s))
+                    want_reg, want_sing = np.array(want).T
+                    for got, ref in ((regular[:, src], want_reg), (singular[:, src], want_sing)):
+                        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_each_order_is_matched_once(self, monkeypatch):
+        # four channels, two orders: the phi_+ pair and the N and S waves once per order;
+        # the phi_- pair is the conjugate of the phi_+ one
+        calls = []
+
+        def counted(kind, nu, scale):
+            calls.append(kind)
+            return small_arg_coeffs(kind, nu, scale)
+
+        monkeypatch.setattr(extensions, "small_arg_coeffs", counted)
+        ext = ExtensionMatrix(haar_unitary(2))
+        for energy in (0.5, 1.0, 2.0):
+            calls.clear()
+            mixing_matrix(ext, energy, 1.0)
+            assert sorted(calls) == ["DEF+", "DEF+", "N", "N", "S", "S"]
 
     def test_positive_energy_required(self, identity_ext):
         with pytest.raises(ValueError):
