@@ -558,7 +558,7 @@ def _band_eigenvectors(bands: np.ndarray, vals: np.ndarray, norm: float) -> np.n
     kd, size = bands.shape[0] - 1, bands.shape[1]
     # general band storage: H[i, j] sits in row 2 kd + i - j; the top kd rows take the LU's fill-in
     ab = np.zeros((3 * kd + 1, size), dtype=complex)
-    ab[2 * kd] = bands[0].real  # the Hermitian band reduction reads only the real diagonal
+    ab[2 * kd] = bands[0].real  # the levels come from the real diagonal too (_schur_levels)
     for d in range(1, kd + 1):
         ab[2 * kd + d, : size - d] = bands[d, : size - d]
         ab[2 * kd - d, d:] = np.conj(bands[d, : size - d])
@@ -580,20 +580,148 @@ def _band_eigenvectors(bands: np.ndarray, vals: np.ndarray, norm: float) -> np.n
     return vecs
 
 
+def _schur_levels(operator: RadialHamiltonian, k: int, norm: float) -> np.ndarray:
+    """k lowest eigenvalues of a coupled operator whose channels meet only at the first node.
+
+    Past node 0 each channel c is its own real tridiagonal tail T_c, joined
+    to the first-node block by the hop t_c. Haynsworth's inertia additivity
+    then counts the eigenvalues below E in O(N):
+
+        count(H - E) = sum_c count(T_c - E) + count(S(E)),
+        S(E) = block - E - diag(|t_c|^2 G_c(E)),   G_c = [(T_c - E)^-1]_11.
+
+    One gtsv solve (T_c - E) x = e_1 per distinct tail gives G_c = x_1 and
+    G_c' = ||x||^2; channels of one order share their tail bit for bit.
+    stebz gives each distinct tail's k lowest levels once: they supply the
+    tail counts and, by Cauchy interlacing, the brackets
+    lambda_(i - n_ch)(tails) <= lambda_i <= lambda_i(tails), which every
+    count then narrows for all k levels at once. Level i is the root of
+    f(E), the (i - P)-th eigenvalue of S(E) with P the tail levels below E:
+    f falls with slope -(1 + sum_c |v_c|^2 |t_c|^2 G_c') <= -1, and it stays
+    continuous across a tail level while i - P stays in range, because the
+    pole there moves eigenvalues of S past it. Newton steps on f are
+    safeguarded as in rtsafe: a step that leaves the bracket or fails to
+    halve the step before last is replaced by bisection of the bracket. A
+    level is taken only once the count brackets it within 2 eps ||H||, so
+    a step shorter than eps ||H|| is stretched to that length. A bracket
+    that closes on a tail level returns the level: that tail state is
+    decoupled to working precision, as where LAPACK splits a tridiagonal
+    at a zero off-diagonal. Every entry is read from the bands (the
+    first-node block from its lower triangle, the diagonal's real part), as
+    LAPACK's band solver reads them.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    bands, n_ch = operator.bands, operator.n_channels
+    size = operator.size
+    if bands.shape[0] != n_ch + 1 or size % n_ch:
+        raise ValueError(f"band form of shape {bands.shape} is not node-major over {n_ch} channels")
+    if k > size:
+        raise ValueError("k exceeds matrix dimension")
+    for d in range(1, n_ch):
+        if np.any(bands[d, n_ch - d: size - d]):
+            raise ValueError("inter-channel band entries past the first node: "
+                             "the channels must meet only in the first-node block")
+    block = operator._band_block()
+    diag = bands[0].real.reshape(-1, n_ch)
+    # the tails' hops enter only through |t|^2: a diagonal unitary makes them real and positive
+    hops = np.abs(bands[n_ch, : size - n_ch]).reshape(-1, n_ch)
+    couple = hops[0] ** 2
+    tails, which = [], []
+    for c in range(n_ch):
+        tail = (np.ascontiguousarray(diag[1:, c]), np.ascontiguousarray(hops[1:, c]))
+        same = [t for t, (a, e) in enumerate(tails)
+                if np.array_equal(a, tail[0]) and np.array_equal(e, tail[1])]
+        which.append(same[0] if same else len(tails))
+        if not same:
+            tails.append(tail)
+    which = np.array(which)
+    length = diag.shape[0] - 1
+    stebz, gtsv = get_lapack_funcs(("stebz", "gtsv"), (diag,))
+    heevd = get_lapack_funcs("heevd", (block,))
+    levels = []
+    for a, e in tails:
+        found, w, _, _, info = stebz(a, e, 2, 0.0, 0.0, 1, min(k, length), 0.0, "E")
+        if info:
+            raise ArithmeticError(f"tail bisection failed (stebz info {info})")
+        levels.append(w[:found])
+    # every channel's levels: while E < union[k - 1], each channel has fewer than k below E,
+    # so the known levels count the tails exactly
+    union = np.sort(np.concatenate([levels[t] for t in which]))
+    rhs = np.zeros((length, 1))
+    rhs[0] = 1.0
+    known = set(union.tolist())
+
+    tol = np.finfo(float).eps * norm
+    lo, hi = np.full(k, -norm), np.full(k, norm)
+    hi[: min(k, union.size)] = union[:k]
+    below_bound = union[: max(0, k - n_ch)]
+    lo[n_ch: n_ch + below_bound.size] = below_bound
+    green, slope = np.empty(len(tails)), np.empty(len(tails))
+
+    def probe(energy: float):
+        # S(E)'s eigenpairs, the tail count P and the slope weights; narrows every bracket
+        for t, (a, e) in enumerate(tails):
+            x, info = gtsv(e, a - energy, e, rhs)[3:]
+            if info:
+                raise ArithmeticError(f"tail solve singular at E = {energy!r}")
+            green[t] = x[0, 0]
+            slope[t] = x[:, 0] @ x[:, 0]
+        sig, vec, info = heevd(block - np.diag(energy + couple * green[which]), lower=1)
+        if info:
+            raise ArithmeticError(f"Schur complement eigensolve failed (heevd info {info})")
+        tail_count = int(union.searchsorted(energy))
+        below = tail_count + int(np.count_nonzero(sig < 0.0))
+        lo[below:] = np.maximum(lo[below:], energy)
+        hi[:below] = np.minimum(hi[:below], energy)
+        return tail_count, sig, np.abs(vec) ** 2, couple * slope[which]
+
+    vals = np.empty(k)
+    energy = 0.5 * (lo[0] + hi[0])
+    state = probe(energy)
+    for i in range(k):
+        # Newton from the last probe, near the level below: its first step may span the bracket
+        step = older = 2.0 * (hi[i] - lo[i])
+        for _ in range(200):
+            tail_count, sig, weight, couple_slope = state
+            j = i - tail_count
+            newton = sig[j] / (1.0 + weight[:, j] @ couple_slope) if 0 <= j < n_ch else np.inf
+            target = energy + newton
+            if hi[i] - lo[i] <= 2.0 * tol:
+                break
+            bisect = not lo[i] <= target <= hi[i] or abs(2.0 * newton) > abs(older)
+            older, step = step, 0.5 * (lo[i] + hi[i]) - energy if bisect else newton
+            # a step below tol proves nothing next to a tail level, where the slope is huge:
+            # step past the root by tol instead, so the count closes the bracket
+            if abs(step) < tol:
+                step = math.copysign(tol, step)
+            energy += step
+            if energy in known:
+                energy = np.nextafter(energy, lo[i])
+            state = probe(energy)
+        else:
+            raise ArithmeticError(f"Schur-Newton iteration for level {i} did not converge")
+        # a bracket that closed on a tail level: that state is decoupled to working precision
+        # otherwise the last Newton target, which rounding can leave just outside the bracket
+        inside = union[(union >= lo[i]) & (union <= hi[i])]
+        vals[i] = inside[0] if inside.size else min(max(target, lo[i]), hi[i])
+    return np.sort(vals)
+
+
 def oracle_spectrum(operator, k: int) -> np.ndarray:
     """k lowest eigenvalues of a Hermitian operator, with residual checks.
 
     Accepts either a dense Hermitian ndarray or a RadialHamiltonian. A
-    single-channel operator is tridiagonal and goes to eigh_tridiagonal. A
-    coupled one goes to the Hermitian band solver without eigenvectors:
-    the band reduction to tridiagonal form then never forms its dense
-    N x N unitary, and bisection picks out the k lowest eigenvalues.
-    Banded inverse iteration then supplies one vector per eigenvalue, and
-    those vectors exist only for the residual check. A dense operator goes
-    to eigh. Every returned pair must satisfy ||H v - lambda v|| <= 1e-8
-    ||H|| with H applied through the full boundary block, which guards
-    against a silently wrong band assembly as much as against
-    non-convergence.
+    single-channel operator is tridiagonal and goes to eigh_tridiagonal. In
+    a coupled one the channels meet only in the first-node block, and the
+    k lowest eigenvalues come from a first-node Schur complement
+    (_schur_levels): an O(N) inertia count per trial energy, bisection
+    and Newton, where LAPACK's band reduction costs O(N^2 kd). Banded
+    inverse iteration then supplies one vector per eigenvalue, and those
+    vectors exist only for the residual check. A dense operator goes to
+    eigh. Every returned pair must satisfy ||H v - lambda v|| <= 1e-8 ||H||
+    with H applied through the full boundary block, which guards against a
+    silently wrong band assembly as much as against non-convergence.
     """
     # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
     import scipy.linalg
@@ -610,8 +738,7 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
                     operator.bands[0].real, operator.bands[1, :-1].real,
                     select="i", select_range=(0, k - 1))
             else:
-                vals = scipy.linalg.eig_banded(operator.bands, lower=True, eigvals_only=True,
-                                               select="i", select_range=(0, k - 1))
+                vals = _schur_levels(operator, k, norm)
                 vecs = _band_eigenvectors(operator.bands, vals, norm)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc

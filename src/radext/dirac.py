@@ -74,14 +74,20 @@ class DiracRadialSolution:
 
     kind selects the upper profile f = Z_nu(lam r)/sqrt(r): "N" regular
     (J), "S" singular (Y), "B" bound (K, decaying). The lower component is
-    always the closed form
+    the closed form
 
         g(r) = -i r^(-3/2) [ (nu + 1/2 + kappa) Z_nu(lam r)
                               - lam r Z_(nu+1)(lam r) ] / (mu + E),
 
     obtained from the transport operator with the recurrence
-    Z_nu' = (nu/x) Z_nu - Z_(nu+1), which all three families satisfy.
-    Finite differences are never involved.
+    Z_nu' = (nu/x) Z_nu - Z_(nu+1), which all three families satisfy. The
+    bracket is evaluated as one term, never as that difference: for
+    kappa > -1/2 the coefficient is 2 nu and the three-term recurrence
+    turns the bracket into x Z_(nu-1)(x) (J and Y) or -x K_(nu-1)(x), whose
+    two terms would otherwise cancel at small x; for kappa < -1/2 the
+    coefficient vanishes and the bracket is -x Z_(nu+1)(x). An order
+    nu - 1 < 0 is reflected to 1 - nu. Finite differences are never
+    involved.
     """
 
     kappa: float
@@ -104,6 +110,14 @@ class DiracRadialSolution:
         return nu_of(kappa=self.kappa)
 
     def _radial(self, order: float, x: float) -> complex:
+        if order < 0.0:
+            # reflection: K_(-a) = K_a, and J, Y of order -a from those of order a
+            a = -order
+            if self.kind == "B":
+                return self._radial(a, x)
+            c, s = math.cos(math.pi * a), math.sin(math.pi * a)
+            j, y = bessel_j(a, x), bessel_y(a, x)
+            return c * j - s * y if self.kind == "N" else s * j + c * y
         if self.kind == "N":
             return bessel_j(order, x)
         if self.kind == "S":
@@ -116,7 +130,10 @@ class DiracRadialSolution:
     def lower(self, r: float) -> complex:
         nu = self.nu
         x = self.lam * r
-        bracket = (nu + 0.5 + self.kappa) * self._radial(nu, x) - x * self._radial(nu + 1.0, x)
+        if self.kappa > -0.5:
+            bracket = (-x if self.kind == "B" else x) * self._radial(nu - 1.0, x)
+        else:
+            bracket = -x * self._radial(nu + 1.0, x)
         return -1j * r ** (-1.5) * bracket / (self.mu + self.energy)
 
 

@@ -250,6 +250,29 @@ def test_criterion_08_oracle_agreement(capsys):
     assert elapsed < 300.0
 
 
+def test_coupled_oracle_at_criterion_8_size():
+    # criterion 8's grid (r0 = 1e-3, n = 8000) for all four channels at once: a diagonal
+    # U must reproduce the union of the single-channel levels, which come from the
+    # independent tridiagonal solver; LAPACK's band reduction needs 40-60 s at this
+    # size (32004 unknowns, one core of a 2-core Xeon)
+    ext = ExtensionMatrix.from_diagonal_thetas([0.3, 1.1, -0.4, 0.9], ModelParams())
+    r0 = 1e-3 / MU
+    g = annulus.g_from_u(ext, r0)
+    grid = annulus.AnnulusGrid(r0=r0, R=40.0 / MU, n=8000)
+    ham = annulus.assemble_radial_hamiltonian(ModelParams(), grid, g, ext.channels)
+    t0 = time.perf_counter()
+    coupled = annulus.oracle_spectrum(ham, 4)
+    elapsed = time.perf_counter() - t0
+    single = []
+    for idx, ch in enumerate(ext.channels):
+        g1 = annulus.BoundaryConditionMatrix(r0=r0, channels=(ch,),
+                                             entries=g.entries[idx:idx + 1, idx:idx + 1])
+        single.extend(annulus.oracle_spectrum(
+            annulus.assemble_radial_hamiltonian(ModelParams(), grid, g1, (ch,)), 4))
+    np.testing.assert_allclose(coupled, np.sort(single)[:4], rtol=1e-8)
+    assert elapsed < 1.0
+
+
 def test_criterion_09_flux_conservation(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)

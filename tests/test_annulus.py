@@ -389,6 +389,47 @@ class TestOracleSpectrum:
                                 radii=np.arange(3.0), grid=grid, mu=monopole.mu)
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
+    def test_schur_solve_matches_dense_across_channel_sets(self):
+        # one order in every channel (eg = 1, 3/2, 2), and the three-point rows: an
+        # overcritical channel under a random Hermitian g, and the Dirichlet wall
+        cases = []
+        for eg in (1.0, 1.5, 2.0):
+            params = ModelParams(eg=eg)
+            ext = ExtensionMatrix(haar_unitary(2, int(2 * eg)), params)
+            grid = AnnulusGrid(r0=0.01, R=20.0, n=150)
+            cases.append(assemble_radial_hamiltonian(params, grid, g_from_u(ext, 0.01), ext.channels))
+        params = ModelParams(model="inverse_square", c=0.6)
+        chans = (ChannelSpec(m=0, nu_sq=-0.35, l=0),) + tuple(
+            ChannelSpec(m=m, nu_sq=1.65, l=1) for m in (-1, 0, 1))
+        grid = AnnulusGrid(r0=0.05, R=10.0, n=150)
+        g = BoundaryConditionMatrix(r0=0.05, channels=chans, entries=_hermitian(3))
+        cases += [assemble_radial_hamiltonian(params, grid, g, chans),
+                  assemble_radial_hamiltonian(params, grid, None, chans)]
+        for ham in cases:
+            full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 5))
+            assert_allclose(oracle_spectrum(ham, 6), full, rtol=0.0, atol=1e-10)
+
+    def test_levels_past_a_nearly_decoupled_tail_level(self):
+        # three nu^2 = 3.5 channels hide a triple tail level behind their barrier, so H has
+        # a level within about eps ||H|| of it; the next levels lie far above, where a Newton
+        # step taken right next to the pole is tiny only because the slope is huge
+        params = ModelParams(model="inverse_square", c=0.6)
+        chans = tuple(ChannelSpec(m=m, nu_sq=nu, l=0) for m, nu in enumerate((3.5, 3.5, 0.09, 3.5)))
+        grid = AnnulusGrid(r0=3e-3, R=10.0, n=177)
+        g = BoundaryConditionMatrix(r0=3e-3, channels=chans, entries=100.0 * _hermitian(2))
+        ham = assemble_radial_hamiltonian(params, grid, g, chans)
+        full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 10))
+        assert np.abs(oracle_spectrum(ham, 11) - full).max() <= 1e-13 * ham.norm_upper_bound()
+
+    def test_channels_meeting_past_the_first_node_are_refused(self, monopole):
+        ext = random_extension(3)
+        grid = AnnulusGrid(r0=0.1, R=5.0, n=100)
+        ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
+        bands = ham.bands.copy()
+        bands[1, 5] = 1e-3  # couples channels 1 and 2 at node 1
+        with pytest.raises(ValueError, match="first node"):
+            oracle_spectrum(dataclasses.replace(ham, bands=bands), 2)
+
     def test_refuses_broken_operator(self, monopole):
         ext = random_extension(3)
         ents = np.array(g_from_u(ext, 0.1).entries, copy=True)
