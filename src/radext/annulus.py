@@ -71,7 +71,10 @@ _COND_LIMIT = 1e12
 
 
 class HermiticityError(ValueError):
-    """Boundary data or an operator failed the 1e-9 Hermiticity gate.
+    """Boundary data or an operator failed its Hermiticity gate.
+
+    Boundary data g is held to a defect max|g - g^dag| <= 1e-9; an operator
+    H to defect <= 1e-9 max(1, ||H||_inf), its own scale (see oracle_spectrum).
 
     The CLI reports it as a Hermiticity violation (exit 3).
     """
@@ -337,7 +340,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialHamiltonian:
-    """Discretized coupled-channel operator, banded Hermitian, node-major.
+    """Discretized coupled-channel operator, node-major, whose channels meet only at node 0.
 
     Two discretizations share this form (see assemble_radial_hamiltonian):
 
@@ -352,72 +355,56 @@ class RadialHamiltonian:
         elimination, then the exact row/column rescaling by 1/sqrt(2) that
         restores symmetry without moving eigenvalues).
 
-    bands holds the lower band form used by the eigensolver; boundary_block
-    keeps the full first-node block so that a deliberately broken g remains
-    observable.
+    block is the full n_ch x n_ch first-node block, stored as built so that
+    a deliberately broken g stays observable (diagonal for a Dirichlet
+    wall). Past node 0 each channel is its own real tridiagonal tail:
+    onsite[i] holds node i + 1, and hops[i] joins node i to node i + 1, so
+    hops[0] links the block to the tails. Component index = node * n_ch +
+    channel.
     """
 
-    bands: np.ndarray
-    boundary_block: np.ndarray | None
-    n_channels: int
+    block: np.ndarray
+    onsite: np.ndarray
+    hops: np.ndarray
     radii: np.ndarray
     grid: AnnulusGrid
     mu: float
 
     @property
+    def n_channels(self) -> int:
+        return self.block.shape[0]
+
+    @property
     def size(self) -> int:
-        return self.bands.shape[1]
+        return self.n_channels + self.onsite.size
 
     def hermiticity_defect(self) -> float:
-        if self.boundary_block is None:
-            return 0.0
-        return float(np.abs(self.boundary_block - self.boundary_block.conj().T).max())
+        # the tails are real symmetric, so only the block can carry a defect
+        return float(np.abs(self.block - self.block.conj().T).max())
 
     def norm_upper_bound(self) -> float:
-        # infinity norm from the band representation (counts each symmetric pair)
-        total = np.abs(self.bands[0]).copy()
-        for d in range(1, self.bands.shape[0]):
-            mags = np.abs(self.bands[d, : self.size - d]) if d < self.size else np.zeros(0)
-            total[d:] += mags
-            total[: self.size - d] += mags
-        return float(total.max())
+        """||H||_inf, the largest absolute row sum."""
+        hops = np.abs(self.hops)
+        rows = np.abs(self.onsite) + hops
+        rows[:-1] += hops[1:]
+        first = np.abs(self.block).sum(axis=1) + hops[0]
+        return float(max(first.max(), rows.max()))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.bands[0] * x
-        for d in range(1, self.bands.shape[0]):
-            if d >= self.size:
-                break
-            band = self.bands[d, : self.size - d]
-            y[d:] += band * x[: self.size - d]
-            y[: self.size - d] += np.conj(band) * x[d:]
-        if self.boundary_block is not None:
-            # the band form stores only the lower triangle of the r0-node block;
-            # re-apply the block exactly so a non-Hermitian injection acts as built
-            nb = self.n_channels
-            y[:nb] += self.boundary_block @ x[:nb] - self._band_block() @ x[:nb]
-        return y
-
-    def _band_block(self) -> np.ndarray:
-        nb = self.n_channels
-        block = np.zeros((nb, nb), dtype=complex)
-        for d in range(0, nb):
-            for col in range(nb - d):
-                block[col + d, col] = self.bands[d, col]
-        return block + np.tril(block, -1).conj().T
+        x = np.reshape(x, (-1, self.n_channels))
+        y = np.empty(x.shape, dtype=np.result_type(x, self.block))
+        y[0] = self.block @ x[0]
+        y[1:] = self.onsite * x[1:] + self.hops * x[:-1]
+        y[:-1] += self.hops * x[1:]
+        return y.reshape(-1)
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=complex)
-        idx = np.arange(self.size)
-        out[idx, idx] = self.bands[0]
-        for d in range(1, self.bands.shape[0]):
-            if d >= self.size:
-                break
-            band = self.bands[d, : self.size - d]
-            out[idx[d:], idx[: self.size - d]] = band
-            out[idx[: self.size - d], idx[d:]] = np.conj(band)
-        if self.boundary_block is not None:
-            nb = self.n_channels
-            out[:nb, :nb] = self.boundary_block
+        n_ch, size = self.n_channels, self.size
+        out = np.zeros((size, size), dtype=complex)
+        out[:n_ch, :n_ch] = self.block
+        idx = np.arange(n_ch, size)
+        out[idx, idx] = self.onsite.reshape(-1)
+        out[idx, idx - n_ch] = out[idx - n_ch, idx] = self.hops.reshape(-1)
         return out
 
 
@@ -487,7 +474,6 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
             raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
 
     nodes = grid.r0 + h * np.arange(grid.n + 2)  # r0, the n interior points, R
-    block = None
     if robin and all(0.0 < ch.nu_sq < 1.0 for ch in channels):
         nodes[0] = nodes[1] / 16.0
         radii = nodes[:-1]
@@ -521,47 +507,38 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         kin = 1.0 / (mu * h * h)
         onsite = kin + coupling[None, :] / (2.0 * mu * radii[:, None] ** 2)
         hops = np.full((radii.size - 1, n_ch), -0.5 * kin)
+        block = np.diag(onsite[0]).astype(complex)
         if robin:
-            b_full = np.eye(n_ch, dtype=complex) / grid.r0 + g.entries
-            block = np.diag(onsite[0]) + b_full / (mu * h)
+            block += (np.eye(n_ch, dtype=complex) / grid.r0 + g.entries) / (mu * h)
             # symmetry-restoring rescale of the r0 node makes its outward hop sqrt(2) * hop
             hops[0] *= math.sqrt(2.0)
 
-    size = radii.size * n_ch
-    bands = np.zeros((n_ch + 1, size), dtype=complex)
-    # node-major layout: component index = node * n_ch + channel
-    bands[0] = onsite.reshape(-1)
-    # node-to-node coupling, diagonal in channel
-    bands[n_ch, : size - n_ch] = hops.reshape(-1)
-    if block is not None:
-        for d in range(0, n_ch):
-            for col in range(n_ch - d):
-                bands[d, col] = block[col + d, col]
-        block.flags.writeable = False
-
-    bands.flags.writeable = False
-    radii.flags.writeable = False
-    return RadialHamiltonian(bands=bands, boundary_block=block, n_channels=n_ch,
-                             radii=radii, grid=grid, mu=mu)
+    onsite = onsite[1:]
+    for arr in (block, onsite, hops, radii):
+        arr.flags.writeable = False
+    return RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=radii, grid=grid, mu=mu)
 
 
-def _band_eigenvectors(bands: np.ndarray, vals: np.ndarray, norm: float) -> np.ndarray:
-    """One unit eigenvector per eigenvalue of the lower band form, by inverse iteration.
+def _band_eigenvectors(operator: RadialHamiltonian, vals: np.ndarray, norm: float) -> np.ndarray:
+    """One unit eigenvector per eigenvalue, by inverse iteration in LAPACK's band form.
 
-    H - lambda I is factored once in LAPACK's general band form (gbtrf,
-    O(N kd^2)) and solved twice from a fixed start vector. An exact zero
-    pivot moves lambda by eps ||H||. Degenerate eigenvalues get the same
-    vector, which is all the residual check needs.
+    H - lambda I, of bandwidth kd = n_ch, is factored once with partial
+    pivoting (gbtrf, O(N kd^2)) and solved twice from a fixed start vector.
+    An exact zero pivot moves lambda by eps ||H||. Degenerate eigenvalues
+    get the same vector, which is all the residual check needs.
     """
     import scipy.linalg
 
-    kd, size = bands.shape[0] - 1, bands.shape[1]
+    kd, size = operator.n_channels, operator.size
     # general band storage: H[i, j] sits in row 2 kd + i - j; the top kd rows take the LU's fill-in
     ab = np.zeros((3 * kd + 1, size), dtype=complex)
-    ab[2 * kd] = bands[0].real  # the levels come from the real diagonal too (_schur_levels)
-    for d in range(1, kd + 1):
-        ab[2 * kd + d, : size - d] = bands[d, : size - d]
-        ab[2 * kd - d, d:] = np.conj(bands[d, : size - d])
+    i, j = np.indices((kd, kd))
+    ab[2 * kd + i - j, j] = operator.block
+    # the levels come from the real diagonal too (_schur_levels)
+    ab[2 * kd] = np.concatenate((np.diag(operator.block).real, operator.onsite.reshape(-1)))
+    hops = operator.hops.reshape(-1)
+    ab[3 * kd, : size - kd] = hops
+    ab[kd, kd:] = hops
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     start = np.ones(size, dtype=complex)
     vecs = np.empty((size, len(vals)), dtype=complex)
@@ -606,37 +583,26 @@ def _schur_levels(operator: RadialHamiltonian, k: int, norm: float) -> np.ndarra
     a step shorter than eps ||H|| is stretched to that length. A bracket
     that closes on a tail level returns the level: that tail state is
     decoupled to working precision, as where LAPACK splits a tridiagonal
-    at a zero off-diagonal. Every entry is read from the bands (the
-    first-node block from its lower triangle, the diagonal's real part), as
-    LAPACK's band solver reads them.
+    at a zero off-diagonal. The block enters through its lower triangle
+    (heevd reads no more, and the diagonal's imaginary part not at all),
+    the tails through their onsite entries and the magnitudes of their hops.
     """
     from scipy.linalg import get_lapack_funcs
 
-    bands, n_ch = operator.bands, operator.n_channels
-    size = operator.size
-    if bands.shape[0] != n_ch + 1 or size % n_ch:
-        raise ValueError(f"band form of shape {bands.shape} is not node-major over {n_ch} channels")
-    if k > size:
-        raise ValueError("k exceeds matrix dimension")
-    for d in range(1, n_ch):
-        if np.any(bands[d, n_ch - d: size - d]):
-            raise ValueError("inter-channel band entries past the first node: "
-                             "the channels must meet only in the first-node block")
-    block = operator._band_block()
-    diag = bands[0].real.reshape(-1, n_ch)
+    n_ch, block, diag = operator.n_channels, operator.block, operator.onsite
     # the tails' hops enter only through |t|^2: a diagonal unitary makes them real and positive
-    hops = np.abs(bands[n_ch, : size - n_ch]).reshape(-1, n_ch)
+    hops = np.abs(operator.hops)
     couple = hops[0] ** 2
     tails, which = [], []
     for c in range(n_ch):
-        tail = (np.ascontiguousarray(diag[1:, c]), np.ascontiguousarray(hops[1:, c]))
+        tail = (np.ascontiguousarray(diag[:, c]), np.ascontiguousarray(hops[1:, c]))
         same = [t for t, (a, e) in enumerate(tails)
                 if np.array_equal(a, tail[0]) and np.array_equal(e, tail[1])]
         which.append(same[0] if same else len(tails))
         if not same:
             tails.append(tail)
     which = np.array(which)
-    length = diag.shape[0] - 1
+    length = diag.shape[0]
     stebz, gtsv = get_lapack_funcs(("stebz", "gtsv"), (diag,))
     heevd = get_lapack_funcs("heevd", (block,))
     levels = []
@@ -711,57 +677,57 @@ def _schur_levels(operator: RadialHamiltonian, k: int, norm: float) -> np.ndarra
 def oracle_spectrum(operator, k: int) -> np.ndarray:
     """k lowest eigenvalues of a Hermitian operator, with residual checks.
 
-    Accepts either a dense Hermitian ndarray or a RadialHamiltonian. A
-    single-channel operator is tridiagonal and goes to eigh_tridiagonal. In
-    a coupled one the channels meet only in the first-node block, and the
-    k lowest eigenvalues come from a first-node Schur complement
-    (_schur_levels): an O(N) inertia count per trial energy, bisection
-    and Newton, where LAPACK's band reduction costs O(N^2 kd). Banded
-    inverse iteration then supplies one vector per eigenvalue, and those
-    vectors exist only for the residual check. A dense operator goes to
-    eigh. Every returned pair must satisfy ||H v - lambda v|| <= 1e-8 ||H||
-    with H applied through the full boundary block, which guards against a
-    silently wrong band assembly as much as against non-convergence.
+    Takes a dense Hermitian ndarray or a RadialHamiltonian through one flow:
+    1 <= k <= size, then the Hermiticity gate defect <= 1e-9 max(1,
+    ||H||_inf). The gate is on the operator's own scale: a g that passes
+    BoundaryConditionMatrix's 1e-9 gate puts at most 1e-9 / (mu h) into the
+    first-node block, and ||H||_inf >= 1 / (mu h^2), so for h <= 1 the two
+    gates agree. A dense operator goes to eigh, a single-channel one
+    (tridiagonal) to eigh_tridiagonal. In a coupled one the channels meet
+    only in the first-node block, and the levels come from its Schur
+    complement (_schur_levels): an O(N) inertia count per trial energy,
+    bisection and Newton, where LAPACK's band reduction costs O(N^2 kd).
+    Banded inverse iteration then supplies one vector per level, for the
+    residual check only. Every pair must satisfy ||H v - lambda v|| <=
+    1e-8 ||H||_inf with H applied as built, which catches wrong levels as
+    much as non-convergence; a NaN residual fails.
     """
     # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
     import scipy.linalg
 
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if isinstance(operator, RadialHamiltonian):
-        if operator.hermiticity_defect() > _HERMITICITY_TOL:
-            raise HermiticityError("operator is not Hermitian; refusing to diagonalize")
-        norm = operator.norm_upper_bound()
-        try:
-            if operator.bands.shape[0] == 2:
-                vals, vecs = scipy.linalg.eigh_tridiagonal(
-                    operator.bands[0].real, operator.bands[1, :-1].real,
-                    select="i", select_range=(0, k - 1))
-            else:
-                vals = _schur_levels(operator, k, norm)
-                vecs = _band_eigenvectors(operator.bands, vals, norm)
-        except scipy.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-        for i in range(k):
-            res = np.linalg.norm(operator.matvec(vecs[:, i].astype(complex)) - vals[i] * vecs[:, i])
-            if not res <= 1e-8 * norm:  # a NaN residual fails too
-                raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds 1e-8 * ||H|| = {1e-8 * norm:.3e}")
-        return vals[:k]
-    H = np.asarray(operator)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("operator must be square")
-    if float(np.abs(H - H.conj().T).max()) > _HERMITICITY_TOL * max(1.0, float(np.abs(H).max())):
-        raise HermiticityError("operator is not Hermitian; refusing to diagonalize")
-    if k > H.shape[0]:
-        raise ValueError("k exceeds matrix dimension")
+    structured = isinstance(operator, RadialHamiltonian)
+    if structured:
+        size = operator.size
+    else:
+        H = np.asarray(operator)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("operator must be square")
+        size = H.shape[0]
+    if not 1 <= k <= size:
+        raise ValueError(f"k = {k} must lie between 1 and the matrix dimension {size}")
+    if structured:
+        apply, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
+    else:
+        apply, defect, norm = H.__matmul__, float(np.abs(H - H.conj().T).max()), float(np.linalg.norm(H, np.inf))
+    gate = _HERMITICITY_TOL * max(1.0, norm)
+    if not defect <= gate:
+        raise HermiticityError(f"operator is not Hermitian: defect {defect:.3e} exceeds "
+                               f"{_HERMITICITY_TOL:.0e} * max(1, ||H||) = {gate:.3e}; refusing to diagonalize")
     try:
-        vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
+        if not structured:
+            vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
+        elif operator.n_channels == 1:
+            diag = np.concatenate((operator.block[0].real, operator.onsite[:, 0]))
+            vals, vecs = scipy.linalg.eigh_tridiagonal(diag, operator.hops[:, 0],
+                                                       select="i", select_range=(0, k - 1))
+        else:
+            vals = _schur_levels(operator, k, norm)
+            vecs = _band_eigenvectors(operator, vals, norm)
     except scipy.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    norm = float(np.linalg.norm(H, np.inf))
     for i in range(k):
-        res = np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])
-        if res > 1e-8 * norm:
+        res = np.linalg.norm(apply(vecs[:, i]) - vals[i] * vecs[:, i])
+        if not res <= 1e-8 * norm:  # a NaN residual fails too
             raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds 1e-8 * ||H|| = {1e-8 * norm:.3e}")
     return vals[:k]
 

@@ -15,7 +15,7 @@ canonical form):
       "extension": {"matrix": [[[re, im], ...], ...]}
                    or {"diagonal_thetas": [t0, ..., t(n-1)]},
       "oracle": {"r0": 0.001, "R": 40.0, "n": 8000, "k": 1},
-      "tolerances": {"unitarity": 1e-10, "match": 1e-10, "hermiticity": 1e-9},
+      "tolerances": {"unitarity": 1e-10, "match": 1e-10},
       "output": {"format": "csv", "path": null}
     }
 
@@ -76,7 +76,6 @@ class OracleParams:
 class Tolerances:
     unitarity: float = 1e-10
     match: float = 1e-10
-    hermiticity: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class RunConfig:
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
 _EXT_KEYS = {"matrix", "diagonal_thetas"}
 _ORACLE_KEYS = {"r0", "R", "n", "k"}
-_TOL_KEYS = {"unitarity", "match", "hermiticity"}
+_TOL_KEYS = {"unitarity", "match"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOP_KEYS = {"model", "extension", "oracle", "tolerances", "output"}
 
@@ -180,8 +179,7 @@ def parse_config(text: str) -> RunConfig:
     tol_raw = data.get("tolerances", {})
     _check_keys("tolerances", tol_raw, _TOL_KEYS)
     tols = Tolerances(unitarity=_as_float("tolerances", "unitarity", tol_raw.get("unitarity", 1e-10)),
-                      match=_as_float("tolerances", "match", tol_raw.get("match", 1e-10)),
-                      hermiticity=_as_float("tolerances", "hermiticity", tol_raw.get("hermiticity", 1e-9)))
+                      match=_as_float("tolerances", "match", tol_raw.get("match", 1e-10)))
 
     matrix = None
     thetas = None
@@ -285,8 +283,7 @@ def emit_config(cfg: RunConfig) -> str:
                   "mu": cfg.params.mu, "deficiency_scale": cfg.params.deficiency_scale},
         "extension": ext,
         "oracle": {"r0": cfg.oracle.r0, "R": cfg.oracle.R, "n": cfg.oracle.n, "k": cfg.oracle.k},
-        "tolerances": {"unitarity": cfg.tolerances.unitarity, "match": cfg.tolerances.match,
-                       "hermiticity": cfg.tolerances.hermiticity},
+        "tolerances": {"unitarity": cfg.tolerances.unitarity, "match": cfg.tolerances.match},
         "output": {"format": cfg.output_format, "path": cfg.output_path},
     }
     return _canon(doc) + "\n"

@@ -7,7 +7,6 @@ finite-difference spectrum it must reproduce. Scan rows are frozen from a
 converged run and serve as regression anchors.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +320,58 @@ class TestAssembly:
             assemble_radial_hamiltonian(monopole, grid, None, ())
 
 
+def _operator(kind: str) -> RadialHamiltonian:
+    """One operator from each assembly branch."""
+    monopole = ModelParams()
+    if kind == "extension-reading":
+        # with a broken g, so the block carries a defect
+        ext = random_extension(11)
+        ents = np.array(g_from_u(ext, 0.1).entries, copy=True)
+        ents[0, 1] += 1e-3
+        g = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=ents, validate=False)
+        return assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=0.1, R=5.0, n=150), g,
+                                           ext.channels, enforce_hermitian=False)
+    if kind == "single-channel":
+        ch = ChannelSpec(m=0, nu_sq=0.25, j=0, kappa=0.0)
+        g = BoundaryConditionMatrix(r0=0.01, channels=(ch,),
+                                    entries=np.array([[diagonal_link_value(0.5, 0.3, 0.01, 1.0)]]))
+        return assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=0.01, R=10.0, n=100), g, (ch,))
+    # three-point rows: an overcritical channel and three regular ones
+    params = ModelParams(model="inverse_square", c=0.6)
+    chans = (ChannelSpec(m=0, nu_sq=-0.35, l=0),) + tuple(
+        ChannelSpec(m=m, nu_sq=1.65, l=1) for m in (-1, 0, 1))
+    grid = AnnulusGrid(r0=0.05, R=10.0, n=120)
+    g = BoundaryConditionMatrix(r0=0.05, channels=chans, entries=_hermitian(3)) if kind == "robin-rows" else None
+    return assemble_radial_hamiltonian(params, grid, g, chans)
+
+
+class TestOperatorContract:
+    """matvec, dense, the norm and the defect describe one operator, in every assembly branch."""
+
+    @pytest.fixture(params=["extension-reading", "robin-rows", "dirichlet-wall", "single-channel"])
+    def ham(self, request) -> RadialHamiltonian:
+        return _operator(request.param)
+
+    def test_matvec_norm_and_defect_match_dense(self, ham):
+        dense = ham.dense()
+        assert dense.shape == (ham.size, ham.size) == (ham.radii.size * ham.n_channels,) * 2
+        norm = float(np.linalg.norm(dense, np.inf))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=ham.size) + 1j * rng.normal(size=ham.size)
+        eps = np.finfo(float).eps
+        assert_allclose(ham.matvec(x), dense @ x, rtol=0.0, atol=8 * eps * norm * np.abs(x).max())
+        assert_allclose(ham.norm_upper_bound(), norm, rtol=4 * eps)
+        assert ham.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
+
+    def test_k_range_has_one_message(self, ham):
+        for k in (0, ham.size + 1):
+            with pytest.raises(ValueError, match="dimension") as structured:
+                oracle_spectrum(ham, k)
+            with pytest.raises(ValueError, match="dimension") as dense:
+                oracle_spectrum(ham.dense(), k)
+            assert str(structured.value) == str(dense.value)
+
+
 class TestOracleSpectrum:
     def test_dense_diagonal(self):
         got = oracle_spectrum(np.diag([3.0, 1.0]), 2)
@@ -365,27 +416,24 @@ class TestOracleSpectrum:
             full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 3))
             assert_allclose(banded, full, atol=1e-10)
 
-    def test_residual_check_guards_the_band_assembly(self, monopole):
-        # a Hermitian boundary block that the band form does not hold: the eigenvalues
-        # come from the bands, the residual from the block, and the two must not pass
+    def test_residual_check_catches_wrong_levels(self, monopole, monkeypatch):
+        # levels 0.1 ||H|| below the spectrum: no unit vector has a residual under 0.1 ||H||
         ext = random_extension(3)
         grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
         ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
-        oracle_spectrum(ham, 2)  # the intact operator passes
-        shift = np.zeros((4, 4))
-        shift[0, 1] = shift[1, 0] = 0.1 * ham.norm_upper_bound()
-        broken = dataclasses.replace(ham, boundary_block=ham.boundary_block + shift)
-        assert broken.hermiticity_defect() <= 1e-9  # passes the Hermiticity gate
+        right = oracle_spectrum(ham, 2)  # the true levels pass
+        wrong = right - 0.1 * ham.norm_upper_bound()
+        assert wrong.max() < right[0]
+        monkeypatch.setattr(annulus, "_schur_levels", lambda operator, k, norm: wrong)
         with pytest.raises(ArithmeticError, match="residual"):
-            oracle_spectrum(broken, 2)
+            oracle_spectrum(ham, 2)
 
     def test_exact_eigenvalue_gets_its_vector(self, monopole):
-        # a diagonal band form: bisection returns each level bit for bit, so H - lambda I
-        # has an exact zero pivot and the inverse iteration has to move lambda off it
-        bands = np.zeros((3, 6), dtype=complex)
-        bands[0] = [5.0, 2.0, 7.0, 3.0, 11.0, 13.0]
+        # zero hops and a diagonal block: bisection returns each level bit for bit, so
+        # H - lambda I has an exact zero pivot and the inverse iteration has to move lambda off it
         grid = AnnulusGrid(r0=0.1, R=1.0, n=100)
-        ham = RadialHamiltonian(bands=bands, boundary_block=None, n_channels=2,
+        ham = RadialHamiltonian(block=np.diag([5.0, 2.0]).astype(complex),
+                                onsite=np.array([[7.0, 3.0], [11.0, 13.0]]), hops=np.zeros((2, 2)),
                                 radii=np.arange(3.0), grid=grid, mu=monopole.mu)
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
@@ -420,15 +468,6 @@ class TestOracleSpectrum:
         ham = assemble_radial_hamiltonian(params, grid, g, chans)
         full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 10))
         assert np.abs(oracle_spectrum(ham, 11) - full).max() <= 1e-13 * ham.norm_upper_bound()
-
-    def test_channels_meeting_past_the_first_node_are_refused(self, monopole):
-        ext = random_extension(3)
-        grid = AnnulusGrid(r0=0.1, R=5.0, n=100)
-        ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
-        bands = ham.bands.copy()
-        bands[1, 5] = 1e-3  # couples channels 1 and 2 at node 1
-        with pytest.raises(ValueError, match="first node"):
-            oracle_spectrum(dataclasses.replace(ham, bands=bands), 2)
 
     def test_refuses_broken_operator(self, monopole):
         ext = random_extension(3)
