@@ -519,79 +519,60 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     return RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=radii, grid=grid, mu=mu)
 
 
-def _band_eigenvectors(operator: RadialHamiltonian, vals: np.ndarray, norm: float) -> np.ndarray:
-    """One unit eigenvector per eigenvalue, by inverse iteration in LAPACK's band form.
-
-    H - lambda I, of bandwidth kd = n_ch, is factored once with partial
-    pivoting (gbtrf, O(N kd^2)) and solved twice from a fixed start vector.
-    An exact zero pivot moves lambda by eps ||H||. Degenerate eigenvalues
-    get the same vector, which is all the residual check needs.
-    """
-    import scipy.linalg
-
-    kd, size = operator.n_channels, operator.size
-    # general band storage: H[i, j] sits in row 2 kd + i - j; the top kd rows take the LU's fill-in
-    ab = np.zeros((3 * kd + 1, size), dtype=complex)
-    i, j = np.indices((kd, kd))
-    ab[2 * kd + i - j, j] = operator.block
-    # the levels come from the real diagonal too (_schur_levels)
-    ab[2 * kd] = np.concatenate((np.diag(operator.block).real, operator.onsite.reshape(-1)))
-    hops = operator.hops.reshape(-1)
-    ab[3 * kd, : size - kd] = hops
-    ab[kd, kd:] = hops
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    start = np.ones(size, dtype=complex)
-    vecs = np.empty((size, len(vals)), dtype=complex)
-    for i, lam in enumerate(vals):
-        for shift in (lam, lam + np.finfo(float).eps * norm):
-            shifted = ab.copy()
-            shifted[2 * kd] -= shift
-            lu, piv, info = gbtrf(shifted, kd, kd)
-            if info == 0:
-                break
-        v = start
-        for _ in range(2):
-            v, _ = gbtrs(lu, kd, kd, v, piv)
-            v /= np.linalg.norm(v)
-        vecs[:, i] = v
-    return vecs
-
-
-def _schur_levels(operator: RadialHamiltonian, k: int, norm: float) -> np.ndarray:
-    """k lowest eigenvalues of a coupled operator whose channels meet only at the first node.
+def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of an operator whose channels meet only at the first node.
 
     Past node 0 each channel c is its own real tridiagonal tail T_c, joined
-    to the first-node block by the hop t_c. Haynsworth's inertia additivity
-    then counts the eigenvalues below E in O(N):
+    to the first-node block by the hop t_c; one channel is the 1 x 1 case.
+    Haynsworth's inertia additivity counts the eigenvalues below E in O(N):
 
         count(H - E) = sum_c count(T_c - E) + count(S(E)),
-        S(E) = block - E - diag(|t_c|^2 G_c(E)),   G_c = [(T_c - E)^-1]_11.
+        S(E) = block - E - diag(t_c^2 G_c(E)),   G_c = [(T_c - E)^-1]_11.
 
-    One gtsv solve (T_c - E) x = e_1 per distinct tail gives G_c = x_1 and
-    G_c' = ||x||^2; channels of one order share their tail bit for bit.
-    stebz gives each distinct tail's k lowest levels once: they supply the
-    tail counts and, by Cauchy interlacing, the brackets
-    lambda_(i - n_ch)(tails) <= lambda_i <= lambda_i(tails), which every
-    count then narrows for all k levels at once. Level i is the root of
-    f(E), the (i - P)-th eigenvalue of S(E) with P the tail levels below E:
-    f falls with slope -(1 + sum_c |v_c|^2 |t_c|^2 G_c') <= -1, and it stays
-    continuous across a tail level while i - P stays in range, because the
-    pole there moves eigenvalues of S past it. Newton steps on f are
-    safeguarded as in rtsafe: a step that leaves the bracket or fails to
-    halve the step before last is replaced by bisection of the bracket. A
-    level is taken only once the count brackets it within 2 eps ||H||, so
-    a step shorter than eps ||H|| is stretched to that length. A bracket
-    that closes on a tail level returns the level: that tail state is
-    decoupled to working precision, as where LAPACK splits a tridiagonal
-    at a zero off-diagonal. The block enters through its lower triangle
-    (heevd reads no more, and the diagonal's imaginary part not at all),
-    the tails through their onsite entries and the magnitudes of their hops.
+    A probe E factors each distinct tail with pttrf (channels of one order
+    share their tail bit for bit), which succeeds exactly below the tail's
+    lowest level; then the tail count is 0 and pttrs gives x = (T_c -
+    E)^-1 e_1, G_c = x_1 and G_c' = ||x||^2. By Cauchy interlacing,
+    lambda_(i - n_ch)(tails) <= lambda_i <= lambda_i(tails), so a probe
+    where a tail fails to factor lies above level 0 and only lowers its
+    bracket. The tails' k lowest levels (stebz) are looked up once, when a
+    level i >= 1 needs a count at such a probe (gtsv then solves the
+    tails) or a bracket closes where a tail failed to factor: a k = 1
+    solve normally never bisects a tail. Each count narrows the brackets
+    of all k levels, which start at [-||H||, ||H||].
+
+    Level i is the root of f(E), the (i - P)-th eigenvalue of S(E) with P
+    the tail levels below E. f falls with slope -(1 + sum_c |v_c|^2 t_c^2
+    G_c') <= -1 and stays continuous across a tail level while i - P stays
+    in range, because the pole there moves eigenvalues of S past it.
+    Newton starts at the midpoint of level 0's bracket; below the first
+    pole f is concave, so from the right of the level Newton converges
+    monotonically, even where its first steps grow (from far left it would
+    overshoot past the pole). A step that leaves the bracket is replaced
+    by bisection, as is one that turns back without halving the step
+    before last: rtsafe's test, which applied to every step would throw
+    that monotone approach to the far end of the bracket. A level is taken
+    once the count brackets it within 2 eps ||H||, so shorter steps are
+    stretched to eps ||H||. A bracket that closes on a tail level returns
+    it: that tail state is decoupled to working precision, as where LAPACK
+    splits a tridiagonal at a zero off-diagonal. The block enters through
+    its lower triangle (heevd reads no more, and the diagonal's imaginary
+    part not at all).
+
+    Each unit vector, node-major like matvec's argument, comes from its
+    level alone in O(N): v = [z; -t_c z_c (T_c - lambda)^-1 e_1], with z
+    the eigenvector of S(lambda) for its eigenvalue sigma nearest 0 and the
+    hops signed as stored, so that (H - lambda) v = [sigma z; 0]. A
+    residual |sigma| / ||v|| above 1e-10 ||H|| marks a tail state that the
+    complement does not see (pttrf's rounding can let the count close next
+    to it rather than on it). There S(lambda) is well conditioned, and one
+    inverse-iteration step, (H - lambda) v = 1 by the same block
+    elimination, gives that state. An exactly singular tail moves lambda
+    by eps ||H||. Degenerate levels may share a vector.
     """
     from scipy.linalg import get_lapack_funcs
 
-    n_ch, block, diag = operator.n_channels, operator.block, operator.onsite
-    # the tails' hops enter only through |t|^2: a diagonal unitary makes them real and positive
-    hops = np.abs(operator.hops)
+    n_ch, block, diag, hops = operator.n_channels, operator.block, operator.onsite, operator.hops
     couple = hops[0] ** 2
     tails, which = [], []
     for c in range(n_ch):
@@ -603,75 +584,159 @@ def _schur_levels(operator: RadialHamiltonian, k: int, norm: float) -> np.ndarra
             tails.append(tail)
     which = np.array(which)
     length = diag.shape[0]
-    stebz, gtsv = get_lapack_funcs(("stebz", "gtsv"), (diag,))
+    pttrf, pttrs, gtsv = get_lapack_funcs(("pttrf", "pttrs", "gtsv"), (diag,))
     heevd = get_lapack_funcs("heevd", (block,))
-    levels = []
-    for a, e in tails:
-        found, w, _, _, info = stebz(a, e, 2, 0.0, 0.0, 1, min(k, length), 0.0, "E")
-        if info:
-            raise ArithmeticError(f"tail bisection failed (stebz info {info})")
-        levels.append(w[:found])
-    # every channel's levels: while E < union[k - 1], each channel has fewer than k below E,
-    # so the known levels count the tails exactly
-    union = np.sort(np.concatenate([levels[t] for t in which]))
     rhs = np.zeros((length, 1))
     rhs[0] = 1.0
-    known = set(union.tolist())
 
     tol = np.finfo(float).eps * norm
     lo, hi = np.full(k, -norm), np.full(k, norm)
-    hi[: min(k, union.size)] = union[:k]
-    below_bound = union[: max(0, k - n_ch)]
-    lo[n_ch: n_ch + below_bound.size] = below_bound
-    green, slope = np.empty(len(tails)), np.empty(len(tails))
+    # every tail factored at clear and some tail failed at blocked: the lowest tail level lies
+    # between them, to rounding
+    clear, blocked = -np.inf, np.inf
+    # the tails' lowest levels, per channel and sorted: looked up on first need
+    union = known = None
 
-    def probe(energy: float):
-        # S(E)'s eigenpairs, the tail count P and the slope weights; narrows every bracket
-        for t, (a, e) in enumerate(tails):
-            x, info = gtsv(e, a - energy, e, rhs)[3:]
+    def tail_levels():
+        nonlocal union, known
+        stebz = get_lapack_funcs("stebz", (diag,))
+        levels = []
+        for a, e in tails:
+            found, w, _, _, info = stebz(a, e, 2, 0.0, 0.0, 1, min(k, length), 0.0, "E")
             if info:
-                raise ArithmeticError(f"tail solve singular at E = {energy!r}")
-            green[t] = x[0, 0]
-            slope[t] = x[:, 0] @ x[:, 0]
-        sig, vec, info = heevd(block - np.diag(energy + couple * green[which]), lower=1)
+                raise ArithmeticError(f"tail bisection failed (stebz info {info})")
+            levels.append(w[:found])
+        union = np.sort(np.concatenate([levels[t] for t in which]))
+        known = set(union.tolist())
+        # while E < union[k - 1], each channel has fewer than k below E, so the known levels count
+        # the tails exactly; past it the count may miss tail levels but still reaches k, which
+        # tells no level anything its bracket does not already hold
+        top = min(k, union.size)
+        hi[:top] = np.minimum(hi[:top], union[:k])
+        below_bound = union[: max(0, k - n_ch)]
+        lo[n_ch: n_ch + below_bound.size] = np.maximum(lo[n_ch: n_ch + below_bound.size], below_bound)
+
+    def factor(energy: float):
+        nonlocal blocked
+        if energy >= blocked:
+            return None
+        out = []
+        for a, e in tails:
+            d, l, info = pttrf(a - energy, e)
+            if info:
+                blocked = energy
+                return None
+            out.append((d, l))
+        return out
+
+    def solve(energy: float, factors, b: np.ndarray) -> list | None:
+        # (T_c - E)^-1 b per distinct tail, from the pttrf factors or else by gtsv; None if singular
+        if factors is not None:
+            return [pttrs(d, l, b)[0] for d, l in factors]
+        xs = []
+        for a, e in tails:
+            x, info = gtsv(e, a - energy, e, b)[3:]
+            if info:
+                return None
+            xs.append(x)
+        return xs
+
+    def schur(energy: float, xs: list):
+        green = np.array([x[0, 0] for x in xs])[which]
+        sig, vec, info = heevd(block - np.diag(energy + couple * green), lower=1)
         if info:
             raise ArithmeticError(f"Schur complement eigensolve failed (heevd info {info})")
-        tail_count = int(union.searchsorted(energy))
+        return sig, vec
+
+    def probe(energy: float, i: int):
+        # S(E)'s eigenpairs, the tail count P and the slope weights, narrowing every bracket;
+        # None where the count is not needed or not known
+        nonlocal clear
+        factors = factor(energy)
+        if factors is None:
+            hi[0] = min(hi[0], energy)
+            if i == 0:
+                return None
+            if union is None:
+                tail_levels()
+            if energy in known:
+                return None
+            tail_count = int(union.searchsorted(energy))
+        else:
+            clear = max(clear, energy)
+            tail_count = 0
+        xs = solve(energy, factors, rhs)
+        if xs is None:
+            raise ArithmeticError(f"tail solve singular at E = {energy!r}")
+        sig, vec = schur(energy, xs)
         below = tail_count + int(np.count_nonzero(sig < 0.0))
         lo[below:] = np.maximum(lo[below:], energy)
         hi[:below] = np.minimum(hi[:below], energy)
-        return tail_count, sig, np.abs(vec) ** 2, couple * slope[which]
+        return tail_count, sig, np.abs(vec) ** 2, couple * np.array([x[:, 0] @ x[:, 0] for x in xs])[which]
 
     vals = np.empty(k)
     energy = 0.5 * (lo[0] + hi[0])
-    state = probe(energy)
+    state = probe(energy, 0)
     for i in range(k):
         # Newton from the last probe, near the level below: its first step may span the bracket
         step = older = 2.0 * (hi[i] - lo[i])
         for _ in range(200):
-            tail_count, sig, weight, couple_slope = state
-            j = i - tail_count
-            newton = sig[j] / (1.0 + weight[:, j] @ couple_slope) if 0 <= j < n_ch else np.inf
+            newton = np.inf
+            if state is not None:
+                tail_count, sig, weight, couple_slope = state
+                j = i - tail_count
+                if 0 <= j < n_ch:
+                    newton = sig[j] / (1.0 + weight[:, j] @ couple_slope)
             target = energy + newton
             if hi[i] - lo[i] <= 2.0 * tol:
                 break
-            bisect = not lo[i] <= target <= hi[i] or abs(2.0 * newton) > abs(older)
+            # a step that keeps its direction is a monotone approach; one that turns back must
+            # halve the step before last
+            turned = newton * step < 0.0
+            bisect = not lo[i] <= target <= hi[i] or turned and abs(2.0 * newton) > abs(older)
             older, step = step, 0.5 * (lo[i] + hi[i]) - energy if bisect else newton
             # a step below tol proves nothing next to a tail level, where the slope is huge:
             # step past the root by tol instead, so the count closes the bracket
             if abs(step) < tol:
                 step = math.copysign(tol, step)
             energy += step
-            if energy in known:
-                energy = np.nextafter(energy, lo[i])
-            state = probe(energy)
+            # never probe at a tail level, and never back onto the probe just left
+            if known is not None and energy in known:
+                energy = np.nextafter(energy, energy + step)
+            state = probe(energy, i)
         else:
             raise ArithmeticError(f"Schur-Newton iteration for level {i} did not converge")
-        # a bracket that closed on a tail level: that state is decoupled to working precision
+        # a bracket that closed on a tail level: that state is decoupled to working precision;
         # otherwise the last Newton target, which rounding can leave just outside the bracket
-        inside = union[(union >= lo[i]) & (union <= hi[i])]
-        vals[i] = inside[0] if inside.size else min(max(target, lo[i]), hi[i])
-    return np.sort(vals)
+        if union is None and hi[i] > clear:
+            tail_levels()
+        inside = union[(union >= lo[i]) & (union <= hi[i])] if union is not None else ()
+        vals[i] = inside[0] if len(inside) else min(max(target, lo[i]), hi[i])
+
+    ones = np.ones((length, 1))
+    vecs = np.empty((length + 1, n_ch, k), dtype=complex)
+    for i, lam in enumerate(vals):
+        for shift in (lam, lam + tol):
+            factors = factor(shift)
+            xs = solve(shift, factors, rhs)
+            if xs is not None:
+                break
+        else:
+            raise ArithmeticError(f"tail solve singular at E = {lam!r}")
+        sig, vec = schur(shift, xs)
+        x = np.hstack([xs[t] for t in which])
+        j = np.argmin(np.abs(sig))
+        v = np.vstack((vec[:, j], -hops[0] * vec[:, j] * x))
+        # (H - shift) v = [sigma z; 0], a residual |sigma| / ||v||
+        if abs(sig[j]) > 1e-10 * norm * np.linalg.norm(v):
+            ws = solve(shift, factors, ones)
+            w = np.hstack([ws[t] for t in which])
+            top = vec @ ((vec.conj().T @ (1.0 - hops[0] * w[0])) / sig)
+            v = np.vstack((top, w - hops[0] * top * x))
+        vecs[:, :, i] = v / np.linalg.norm(v)
+    vecs = vecs.reshape(-1, k)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 def oracle_spectrum(operator, k: int) -> np.ndarray:
@@ -682,15 +747,16 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     ||H||_inf). The gate is on the operator's own scale: a g that passes
     BoundaryConditionMatrix's 1e-9 gate puts at most 1e-9 / (mu h) into the
     first-node block, and ||H||_inf >= 1 / (mu h^2), so for h <= 1 the two
-    gates agree. A dense operator goes to eigh, a single-channel one
-    (tridiagonal) to eigh_tridiagonal. In a coupled one the channels meet
-    only in the first-node block, and the levels come from its Schur
-    complement (_schur_levels): an O(N) inertia count per trial energy,
-    bisection and Newton, where LAPACK's band reduction costs O(N^2 kd).
-    Banded inverse iteration then supplies one vector per level, for the
-    residual check only. Every pair must satisfy ||H v - lambda v|| <=
-    1e-8 ||H||_inf with H applied as built, which catches wrong levels as
-    much as non-convergence; a NaN residual fails.
+    gates agree. A dense operator goes to eigh. In a RadialHamiltonian,
+    with one channel or several, the channels meet only in the first-node
+    block, and one O(N) solve on its Schur complement gives each level and
+    its vector (_schur_eigenpairs): Newton on the complement's eigenvalues,
+    safeguarded by an inertia count, where LAPACK's band reduction costs
+    O(N^2 kd) and tridiagonal bisection some 45 Sturm passes per level.
+    The vector is built from the level alone, so the residual check stays
+    an independent test of it: every pair must satisfy ||H v - lambda v||
+    <= 1e-8 ||H||_inf with H applied as built, which catches wrong levels
+    as much as non-convergence; a NaN residual fails.
     """
     # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
     import scipy.linalg
@@ -714,15 +780,10 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
         raise HermiticityError(f"operator is not Hermitian: defect {defect:.3e} exceeds "
                                f"{_HERMITICITY_TOL:.0e} * max(1, ||H||) = {gate:.3e}; refusing to diagonalize")
     try:
-        if not structured:
-            vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
-        elif operator.n_channels == 1:
-            diag = np.concatenate((operator.block[0].real, operator.onsite[:, 0]))
-            vals, vecs = scipy.linalg.eigh_tridiagonal(diag, operator.hops[:, 0],
-                                                       select="i", select_range=(0, k - 1))
+        if structured:
+            vals, vecs = _schur_eigenpairs(operator, k, norm)
         else:
-            vals = _schur_levels(operator, k, norm)
-            vecs = _band_eigenvectors(operator, vals, norm)
+            vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
     for i in range(k):

@@ -345,6 +345,42 @@ def _operator(kind: str) -> RadialHamiltonian:
     return assemble_radial_hamiltonian(params, grid, g, chans)
 
 
+def _criterion_8_operator(nu: float, frac: float, n: int) -> tuple[RadialHamiltonian, float]:
+    """Criterion 8's single-channel operator at theta = frac * window edge, and its analytic level."""
+    r0 = 1e-3
+    theta = frac * math.acos(-math.cos(math.pi * nu / 2.0))
+    analytic = bound_state_energy_theta(theta, nu, 1.0)
+    ch = (ChannelSpec(m=0, nu_sq=0.25, j=0, kappa=0.0) if nu == 0.5
+          else ChannelSpec(m=0, nu_sq=nu * nu, j=1, kappa=-math.sqrt(2.0)))
+    g = BoundaryConditionMatrix(r0=r0, channels=(ch,), entries=np.array([[diagonal_link_value(nu, theta, r0, 1.0)]]))
+    grid = AnnulusGrid(r0=r0, R=40.0 / math.sqrt(-2.0 * analytic), n=n)
+    return assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,)), analytic
+
+
+def _longdouble_lowest_level(ham: RadialHamiltonian) -> np.longdouble:
+    """Lowest level of a single-channel operator by multisection of a Sturm count in np.longdouble.
+
+    An energy lies above the lowest level exactly when some pivot of the LDL^T
+    factorization of H - E is negative (a zero pivot counts as negative).
+    """
+    diag = np.concatenate((ham.block[0].real, ham.onsite[:, 0])).astype(np.longdouble)
+    off2 = ham.hops[:, 0].astype(np.longdouble) ** 2
+    norm = ham.norm_upper_bound()
+    lo, hi = np.longdouble(-norm), np.longdouble(norm)
+    while hi - lo > 4 * np.finfo(np.longdouble).eps * norm:
+        energies = np.linspace(lo, hi, 33)[1:-1]
+        pivot = diag[0] - energies
+        above = pivot <= 0
+        with np.errstate(divide="ignore"):
+            for d, e2 in zip(diag[1:], off2):
+                pivot = d - energies - e2 / pivot
+                above |= pivot <= 0
+        first = int(np.argmax(above)) if above.any() else energies.size
+        lo = energies[first - 1] if first else lo
+        hi = energies[first] if first < energies.size else hi
+    return 0.5 * (lo + hi)
+
+
 class TestOperatorContract:
     """matvec, dense, the norm and the defect describe one operator, in every assembly branch."""
 
@@ -362,6 +398,16 @@ class TestOperatorContract:
         assert_allclose(ham.matvec(x), dense @ x, rtol=0.0, atol=8 * eps * norm * np.abs(x).max())
         assert_allclose(ham.norm_upper_bound(), norm, rtol=4 * eps)
         assert ham.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
+
+    def test_solver_vectors_are_unit_eigenvectors(self, ham):
+        # the solver reads the block's lower triangle and the real part of its diagonal
+        dense = ham.dense()
+        seen = np.tril(dense, -1)
+        seen += seen.conj().T + np.diag(dense.diagonal().real)
+        norm = ham.norm_upper_bound()
+        vals, vecs = annulus._schur_eigenpairs(ham, 5, norm)
+        assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(seen @ vecs - vecs * vals, axis=0).max() <= 1e-12 * norm
 
     def test_k_range_has_one_message(self, ham):
         for k in (0, ham.size + 1):
@@ -421,21 +467,62 @@ class TestOracleSpectrum:
         ext = random_extension(3)
         grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
         ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
-        right = oracle_spectrum(ham, 2)  # the true levels pass
+        right, vecs = annulus._schur_eigenpairs(ham, 2, ham.norm_upper_bound())
+        assert_allclose(oracle_spectrum(ham, 2), right, rtol=0.0, atol=0.0)  # the true pairs pass
         wrong = right - 0.1 * ham.norm_upper_bound()
         assert wrong.max() < right[0]
-        monkeypatch.setattr(annulus, "_schur_levels", lambda operator, k, norm: wrong)
+        monkeypatch.setattr(annulus, "_schur_eigenpairs", lambda operator, k, norm: (wrong, vecs))
         with pytest.raises(ArithmeticError, match="residual"):
             oracle_spectrum(ham, 2)
 
     def test_exact_eigenvalue_gets_its_vector(self, monopole):
-        # zero hops and a diagonal block: bisection returns each level bit for bit, so
-        # H - lambda I has an exact zero pivot and the inverse iteration has to move lambda off it
+        # zero hops and a diagonal block: 2 and 5 are roots of the Schur complement and 3 is
+        # a tail level, which the bracket closes on; the complement does not see that level, so
+        # its vector comes from inverse iteration, moved off the exact zero pivot of T - 3
         grid = AnnulusGrid(r0=0.1, R=1.0, n=100)
         ham = RadialHamiltonian(block=np.diag([5.0, 2.0]).astype(complex),
                                 onsite=np.array([[7.0, 3.0], [11.0, 13.0]]), hops=np.zeros((2, 2)),
                                 radii=np.arange(3.0), grid=grid, mu=monopole.mu)
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
+
+    def test_single_channel_levels_match_dense(self):
+        # levels past the lowest tail level, where the tails' levels supply the count
+        params = ModelParams(model="inverse_square", c=0.6)
+        ch = ChannelSpec(m=0, nu_sq=1.65, l=1)
+        g = BoundaryConditionMatrix(r0=0.05, channels=(ch,), entries=np.array([[0.7]]))
+        three_point = assemble_radial_hamiltonian(params, AnnulusGrid(r0=0.05, R=10.0, n=120), g, (ch,))
+        for ham in (_operator("single-channel"), three_point):
+            full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 4))
+            assert_allclose(oracle_spectrum(ham, 5), full, rtol=0.0, atol=1e-10)
+
+    def test_single_channel_tail_level_is_returned_exactly(self, monopole):
+        # zero hops: the lowest level is the tail's 3, below the block's 5
+        ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[3.0], [7.0]]),
+                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=monopole.mu)
+        assert oracle_spectrum(ham, 1)[0] == 3.0
+        assert_allclose(oracle_spectrum(ham, 3), [3.0, 5.0, 7.0], rtol=0.0, atol=0.0)
+
+    def test_lowest_level_needs_no_tail_bisection(self, monkeypatch):
+        # every probe below the lowest tail level factors that tail, so no tail level is needed
+        ham, analytic = _criterion_8_operator(0.5, 0.4, 2000)
+        lookup = scipy.linalg.get_lapack_funcs
+
+        def no_stebz(names, *args, **kwargs):
+            assert "stebz" not in ([names] if isinstance(names, str) else names)
+            return lookup(names, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_stebz)
+        assert_allclose(oracle_spectrum(ham, 1), analytic, rtol=1e-3)
+
+    @pytest.mark.parametrize("nu", [0.5, NU_EDGE])
+    def test_lowest_level_against_extended_precision_bisection(self, nu):
+        # criterion 8's operator at theta = 0.4 edge; the reference bisects a Sturm count in
+        # np.longdouble, a wider type than the solve's doubles where the platform has one
+        ham, _ = _criterion_8_operator(nu, 0.4, 8000)
+        norm = ham.norm_upper_bound()
+        lowest = oracle_spectrum(ham, 1)[0]
+        assert abs(lowest - _longdouble_lowest_level(ham)) <= 2 * np.finfo(float).eps * norm
 
     def test_schur_solve_matches_dense_across_channel_sets(self):
         # one order in every channel (eg = 1, 3/2, 2), and the three-point rows: an
@@ -468,6 +555,23 @@ class TestOracleSpectrum:
         ham = assemble_radial_hamiltonian(params, grid, g, chans)
         full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 10))
         assert np.abs(oracle_spectrum(ham, 11) - full).max() <= 1e-13 * ham.norm_upper_bound()
+
+    @pytest.mark.parametrize("n_ch", [1, 2])
+    def test_tail_states_decoupled_to_working_precision(self, n_ch):
+        # hops down to 1e-8 split each tail into nearly isolated pieces, whose states reach
+        # node 0 below working precision: the Schur complement does not see them
+        rng = np.random.default_rng(n_ch)
+        block = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
+        hops = rng.normal(size=(120, n_ch)) * 10.0 ** rng.uniform(-8.0, 0.0, size=(120, n_ch))
+        ham = RadialHamiltonian(block=block + block.conj().T, onsite=3.0 * rng.normal(size=(120, n_ch)),
+                                hops=hops, radii=np.arange(121.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100),
+                                mu=1.0)
+        norm = ham.norm_upper_bound()
+        vals, vecs = annulus._schur_eigenpairs(ham, 6, norm)
+        dense = ham.dense()
+        full = scipy.linalg.eigh(dense, eigvals_only=True, subset_by_index=(0, 5))
+        assert np.abs(vals - full).max() <= 16 * np.finfo(float).eps * norm
+        assert np.linalg.norm(dense @ vecs - vecs * vals, axis=0).max() <= 1e-10 * norm
 
     def test_refuses_broken_operator(self, monopole):
         ext = random_extension(3)
