@@ -529,164 +529,210 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         count(H - E) = sum_c count(T_c - E) + count(S(E)),
         S(E) = block - E - diag(t_c^2 G_c(E)),   G_c = [(T_c - E)^-1]_11.
 
-    A probe E factors each distinct tail with pttrf (channels of one order
-    share their tail bit for bit), which succeeds exactly below the tail's
-    lowest level; then the tail count is 0 and pttrs gives x = (T_c -
-    E)^-1 e_1, G_c = x_1 and G_c' = ||x||^2. By Cauchy interlacing,
-    lambda_(i - n_ch)(tails) <= lambda_i <= lambda_i(tails), so a probe
-    where a tail fails to factor lies above level 0 and only lowers its
-    bracket. The tails' k lowest levels (stebz) are looked up once, when a
-    level i >= 1 needs a count at such a probe (gtsv then solves the
-    tails) or a bracket closes where a tail failed to factor: a k = 1
-    solve normally never bisects a tail. Each count narrows the brackets
-    of all k levels, which start at [-||H||, ||H||].
+    A probe E factors the distinct tails (channels of one order share their
+    tail bit for bit), each node-reversed and all side by side as one
+    tridiagonal, as L D L^T from the far ends without pivoting: pttrf,
+    restarted past each nonpositive pivot, so the negative pivots are a
+    Sturm count of the tail levels below E. The count stops once it alone
+    puts all k levels below E, and a vanishing pivot (under dstebz's
+    pivmin) moves the probe off that tail level by eps ||H|| / 2. The same
+    factors give x = (T_c - E)^-1 e_1 as the running product of the
+    multipliers from the first node (what pttrs forms for e_1, free of
+    cancellation), G_c = x_1 and G_c' = ||x||^2. Below every tail
+    level this is one plain Cholesky call. No tail level is computed: each
+    count narrows the brackets of all k levels, which start at [-||H||,
+    ||H||], and records the tail count at the bracket ends.
 
     Level i is the root of f(E), the (i - P)-th eigenvalue of S(E) with P
     the tail levels below E. f falls with slope -(1 + sum_c |v_c|^2 t_c^2
     G_c') <= -1 and stays continuous across a tail level while i - P stays
     in range, because the pole there moves eigenvalues of S past it.
-    Newton starts at the midpoint of level 0's bracket; below the first
-    pole f is concave, so from the right of the level Newton converges
+    Newton starts at the middle of level 0's bracket; below the first pole
+    f is concave, so from the right of the level Newton converges
     monotonically, even where its first steps grow (from far left it would
-    overshoot past the pole). A step that leaves the bracket is replaced
-    by bisection, as is one that turns back without halving the step
+    overshoot past the pole). Above a tail level S's top eigenvalue comes
+    down from +infinity, and there the step is the root of the one-pole
+    model a + b / (E - p) through f and f'. Its pole p is fitted through f
+    at the last probe with the same tail count (for one channel, where S is
+    one function across its poles, at the last probe), or else is the
+    bracket's lower end, where the counts put a tail level between it and
+    E. The step never passes p; it is shorter than Newton's from the right
+    and longer from the left, as the pole's curvature asks. For one channel
+    a probe below the tail level that level i lies above takes the fitted
+    model's root past the pole. A step that leaves the bracket is replaced
+    by its middle, as is one that turns back without halving the step
     before last: rtsafe's test, which applied to every step would throw
-    that monotone approach to the far end of the bracket. A level is taken
-    once the count brackets it within 2 eps ||H||, so shorter steps are
-    stretched to eps ||H||. A bracket that closes on a tail level returns
-    it: that tail state is decoupled to working precision, as where LAPACK
-    splits a tridiagonal at a zero off-diagonal. The block enters through
-    its lower triangle (heevd reads no more, and the diagonal's imaginary
-    part not at all).
+    that monotone approach to the far end of the bracket. The middle is 0
+    for a bracket across 0, else geometric where the bracket spans more
+    than a factor 4 (its end nearer 0 floored at eps ||H||): a level near
+    0 in a bracket as wide as ||H|| takes a few halvings of the exponent
+    rather than some 50 of the interval. A level is taken once the count
+    brackets it within 2 eps ||H||, so shorter steps are stretched to eps
+    ||H||. A bracket whose ends differ in tail count holds a tail level, and
+    stebz on that bracket alone returns it: that tail state is decoupled to
+    working precision, as where LAPACK splits a tridiagonal at a zero
+    off-diagonal. The block enters through its lower triangle (heevd reads
+    no more, and the diagonal's imaginary part not at all).
 
     Each unit vector, node-major like matvec's argument, comes from its
     level alone in O(N): v = [z; -t_c z_c (T_c - lambda)^-1 e_1], with z
     the eigenvector of S(lambda) for its eigenvalue sigma nearest 0 and the
     hops signed as stored, so that (H - lambda) v = [sigma z; 0]. A
-    residual |sigma| / ||v|| above 1e-10 ||H|| marks a tail state that the
-    complement does not see (pttrf's rounding can let the count close next
-    to it rather than on it). There S(lambda) is well conditioned, and one
+    residual bound (|sigma| + eps ||S||) / ||v|| above 1e-10 ||H|| (heevd
+    resolves sigma only to eps ||S||, and next to a tail level S is huge)
+    marks a tail state that the complement does not see: rounding can let
+    the count close next to it rather than on it, and a channel that the
+    block does not couple carries its tail levels unseen. There one
     inverse-iteration step, (H - lambda) v = 1 by the same block
-    elimination, gives that state. An exactly singular tail moves lambda
-    by eps ||H||. Degenerate levels may share a vector.
+    elimination, gives that state, with S's eigenvalues below eps ||S||
+    taken at that size. An exactly singular tail moves lambda by eps ||H||.
+    Degenerate levels may share a vector.
     """
     from scipy.linalg import get_lapack_funcs
 
     n_ch, block, diag, hops = operator.n_channels, operator.block, operator.onsite, operator.hops
     couple = hops[0] ** 2
+    # the distinct tails, each node-reversed so that its factors run from the far end to its
+    # first node, side by side as the blocks of one tridiagonal (a zero hop between blocks)
     tails, which = [], []
     for c in range(n_ch):
-        tail = (np.ascontiguousarray(diag[:, c]), np.ascontiguousarray(hops[1:, c]))
+        tail = (diag[::-1, c], np.append(hops[:0:-1, c], 0.0))
         same = [t for t, (a, e) in enumerate(tails)
                 if np.array_equal(a, tail[0]) and np.array_equal(e, tail[1])]
         which.append(same[0] if same else len(tails))
         if not same:
             tails.append(tail)
     which = np.array(which)
+    shared = np.bincount(which)
     length = diag.shape[0]
-    pttrf, pttrs, gtsv = get_lapack_funcs(("pttrf", "pttrs", "gtsv"), (diag,))
+    rev = np.concatenate([a for a, _ in tails])
+    rev_hops = np.concatenate([e for _, e in tails])
+    size = rev.size
+    # each tail's first node
+    ends = np.arange(length - 1, size, length)
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (diag,))
     heevd = get_lapack_funcs("heevd", (block,))
-    rhs = np.zeros((length, 1))
-    rhs[0] = 1.0
+    # LAPACK's pivot floor for Sturm counts (dstebz's pivmin)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(rev_hops ** 2)))
 
     tol = np.finfo(float).eps * norm
     lo, hi = np.full(k, -norm), np.full(k, norm)
-    # every tail factored at clear and some tail failed at blocked: the lowest tail level lies
-    # between them, to rounding
-    clear, blocked = -np.inf, np.inf
-    # the tails' lowest levels, per channel and sorted: looked up on first need
-    union = known = None
+    # the tail count at each bracket end (k for the unprobed top): a bracket whose ends
+    # differ holds a tail level
+    lo_tails, hi_tails = np.zeros(k, dtype=int), np.full(k, k)
 
-    def tail_levels():
-        nonlocal union, known
-        stebz = get_lapack_funcs("stebz", (diag,))
-        levels = []
-        for a, e in tails:
-            found, w, _, _, info = stebz(a, e, 2, 0.0, 0.0, 1, min(k, length), 0.0, "E")
-            if info:
-                raise ArithmeticError(f"tail bisection failed (stebz info {info})")
-            levels.append(w[:found])
-        union = np.sort(np.concatenate([levels[t] for t in which]))
-        known = set(union.tolist())
-        # while E < union[k - 1], each channel has fewer than k below E, so the known levels count
-        # the tails exactly; past it the count may miss tail levels but still reaches k, which
-        # tells no level anything its bracket does not already hold
-        top = min(k, union.size)
-        hi[:top] = np.minimum(hi[:top], union[:k])
-        below_bound = union[: max(0, k - n_ch)]
-        lo[n_ch: n_ch + below_bound.size] = np.maximum(lo[n_ch: n_ch + below_bound.size], below_bound)
+    def factor(energy: float, cap: float):
+        # (tail count P, factors (d, l)); (P, None) once P reaches cap, (None, None) where a
+        # pivot vanishes, as at a tail level; l carries a trailing 0 for the blocks' shape
+        d, l = rev - energy, rev_hops.copy()
+        total = start = 0
+        while True:
+            if start < size - 1:
+                # pttrf writes the pivots over d and the multipliers over l, in place
+                info = pttrf(d[start:], l[start:-1], overwrite_d=1, overwrite_e=1)[2]
+                j = start + info - 1
+            else:
+                # pttrf takes no 1 x 1 matrix: the last pivot, alone, is already in d
+                info, j = d[start] <= 0.0, start
+            if not info:
+                break
+            if d[j] > -pivmin:
+                return None, None
+            total += shared[j // length]
+            if total >= cap:
+                return total, None
+            if j == size - 1:
+                break
+            l[j] = rev_hops[j] / d[j]
+            d[j + 1] -= l[j] * rev_hops[j]
+            start = j + 1
+        if (np.abs(d[ends]) <= pivmin).any():
+            return None, None
+        return total, (d, l)
 
-    def factor(energy: float):
-        nonlocal blocked
-        if energy >= blocked:
-            return None
-        out = []
-        for a, e in tails:
-            d, l, info = pttrf(a - energy, e)
-            if info:
-                blocked = energy
-                return None
-            out.append((d, l))
-        return out
+    def solve(factors) -> np.ndarray:
+        # x_c = (T_c - E)^-1 e_1 for every distinct tail, one per row in node order: from the
+        # first node on, the running product of the multipliers, as pttrs would form it
+        d, l = factors
+        x = -l.reshape(-1, length)[:, ::-1]
+        x[:, 0] = 1.0 / d[ends]
+        return np.multiply.accumulate(x, axis=1, out=x)
 
-    def solve(energy: float, factors, b: np.ndarray) -> list | None:
-        # (T_c - E)^-1 b per distinct tail, from the pttrf factors or else by gtsv; None if singular
-        if factors is not None:
-            return [pttrs(d, l, b)[0] for d, l in factors]
-        xs = []
-        for a, e in tails:
-            x, info = gtsv(e, a - energy, e, b)[3:]
-            if info:
-                return None
-            xs.append(x)
-        return xs
-
-    def schur(energy: float, xs: list):
-        green = np.array([x[0, 0] for x in xs])[which]
-        sig, vec, info = heevd(block - np.diag(energy + couple * green), lower=1)
+    def schur(energy: float, x: np.ndarray):
+        sig, vec, info = heevd(block - np.diag(energy + couple * x[which, 0]), lower=1)
         if info:
             raise ArithmeticError(f"Schur complement eigensolve failed (heevd info {info})")
         return sig, vec
 
-    def probe(energy: float, i: int):
-        # S(E)'s eigenpairs, the tail count P and the slope weights, narrowing every bracket;
-        # None where the count is not needed or not known
-        nonlocal clear
-        factors = factor(energy)
+    def probe(energy: float, step: float):
+        # the probe's energy (moved off a tail level), and S's eigenpairs, the tail count P and
+        # the slopes, narrowing every bracket; no state where the count alone reaches k
+        tail_count, factors = factor(energy, k)
+        while tail_count is None:
+            # half the width at which a bracket closes: a bracket still open holds the move
+            energy += math.copysign(max(0.5 * tol, np.spacing(abs(energy)), 2.0 * pivmin), step)
+            tail_count, factors = factor(energy, k)
         if factors is None:
-            hi[0] = min(hi[0], energy)
-            if i == 0:
-                return None
-            if union is None:
-                tail_levels()
-            if energy in known:
-                return None
-            tail_count = int(union.searchsorted(energy))
+            state, below = None, tail_count
         else:
-            clear = max(clear, energy)
-            tail_count = 0
-        xs = solve(energy, factors, rhs)
-        if xs is None:
-            raise ArithmeticError(f"tail solve singular at E = {energy!r}")
-        sig, vec = schur(energy, xs)
-        below = tail_count + int(np.count_nonzero(sig < 0.0))
-        lo[below:] = np.maximum(lo[below:], energy)
-        hi[:below] = np.minimum(hi[:below], energy)
-        return tail_count, sig, np.abs(vec) ** 2, couple * np.array([x[:, 0] @ x[:, 0] for x in xs])[which]
+            x = solve(factors)
+            sig, vec = schur(energy, x)
+            below = tail_count + int(np.count_nonzero(sig < 0.0))
+            slopes = 1.0 + (couple * np.einsum("ij,ij->i", x, x)[which]) @ np.abs(vec) ** 2
+            state = tail_count, sig, slopes
+        # lo and hi stay sorted, so the ends a probe moves are one run each
+        up, down = lo.searchsorted(energy), hi.searchsorted(energy, "right")
+        lo[below:up], lo_tails[below:up] = energy, tail_count
+        hi[down:below], hi_tails[down:below] = energy, tail_count
+        return energy, state
+
+    def middle(i: int) -> float:
+        a, b = lo[i], hi[i]
+        if a < -tol and b > tol:
+            return 0.0
+        near, far = sorted((abs(a), abs(b)))
+        near = max(near, tol)
+        return math.copysign(math.sqrt(near * far), a + b) if far > 4.0 * near else 0.5 * (a + b)
 
     vals = np.empty(k)
-    energy = 0.5 * (lo[0] + hi[0])
-    state = probe(energy, 0)
+    energy, state = probe(middle(0), 1.0)
+    last = None
     for i in range(k):
         # Newton from the last probe, near the level below: its first step may span the bracket
         step = older = 2.0 * (hi[i] - lo[i])
         for _ in range(200):
             newton = np.inf
             if state is not None:
-                tail_count, sig, weight, couple_slope = state
+                tail_count, sig, slopes = state
                 j = i - tail_count
                 if 0 <= j < n_ch:
-                    newton = sig[j] / (1.0 + weight[:, j] @ couple_slope)
+                    newton = sig[j] / slopes[j]
+                # above a tail level S's top eigenvalue comes down from +inf; E - p of the pole
+                # of a + b / (E - p) through it and its slope here and its value at the last
+                # probe with the same tail count, or for one channel, where S is one function
+                # across its poles, at the last probe
+                pole_gap = np.nan
+                if (j >= n_ch - 1 and last is not None and last[1] is not None
+                        and (n_ch == 1 or last[1][0] == tail_count)):
+                    span = last[0] - energy
+                    chord = (last[1][1][-1] - sig[-1]) / span
+                    # a straight line has no pole
+                    if chord != -slopes[-1]:
+                        pole_gap = span * chord / (-slopes[-1] - chord)
+                if j == n_ch - 1 and tail_count:
+                    # a tail level lies below E, in (lo, E) if the count says so: the model's
+                    # root, with that pole, else with lo for it
+                    gap = energy - lo[i] if lo_tails[i] < tail_count else np.inf
+                    if 0.0 < pole_gap < gap:
+                        gap = pole_gap
+                    if newton < gap < np.inf:
+                        newton *= gap / (gap - newton)
+                elif j == n_ch == 1 and pole_gap < 0.0:
+                    # below the tail level that level i lies above: the model's root past it
+                    b = slopes[-1] * pole_gap ** 2
+                    a = sig[-1] - b / pole_gap
+                    if a < 0.0:
+                        newton = -pole_gap - b / a
             target = energy + newton
             if hi[i] - lo[i] <= 2.0 * tol:
                 break
@@ -694,43 +740,47 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
             # halve the step before last
             turned = newton * step < 0.0
             bisect = not lo[i] <= target <= hi[i] or turned and abs(2.0 * newton) > abs(older)
-            older, step = step, 0.5 * (lo[i] + hi[i]) - energy if bisect else newton
+            older, step = step, middle(i) - energy if bisect else newton
             # a step below tol proves nothing next to a tail level, where the slope is huge:
             # step past the root by tol instead, so the count closes the bracket
             if abs(step) < tol:
                 step = math.copysign(tol, step)
-            energy += step
-            # never probe at a tail level, and never back onto the probe just left
-            if known is not None and energy in known:
-                energy = np.nextafter(energy, energy + step)
-            state = probe(energy, i)
+            last = energy, state
+            energy, state = probe(energy + step, step)
         else:
             raise ArithmeticError(f"Schur-Newton iteration for level {i} did not converge")
-        # a bracket that closed on a tail level: that state is decoupled to working precision;
-        # otherwise the last Newton target, which rounding can leave just outside the bracket
-        if union is None and hi[i] > clear:
-            tail_levels()
-        inside = union[(union >= lo[i]) & (union <= hi[i])] if union is not None else ()
-        vals[i] = inside[0] if len(inside) else min(max(target, lo[i]), hi[i])
+        # a bracket that closed across a tail level returns it: that state is decoupled to
+        # working precision; otherwise the last Newton target, which rounding can leave just
+        # outside the bracket (or the count's rounding can leave the ends crossed)
+        vals[i] = min(max(target, lo[i]), hi[i])
+        if hi_tails[i] > lo_tails[i] and lo[i] < hi[i]:
+            stebz = get_lapack_funcs("stebz", (diag,))
+            found, w, _, _, info = stebz(rev, rev_hops[:-1], 1, lo[i], hi[i], 0, 0, 0.0, "E")
+            if info:
+                raise ArithmeticError(f"tail bisection failed (stebz info {info})")
+            if found:
+                vals[i] = w[0]
 
-    ones = np.ones((length, 1))
     vecs = np.empty((length + 1, n_ch, k), dtype=complex)
     for i, lam in enumerate(vals):
-        for shift in (lam, lam + tol):
-            factors = factor(shift)
-            xs = solve(shift, factors, rhs)
-            if xs is not None:
+        for shift in (lam, lam + max(tol, 2.0 * pivmin)):
+            _, factors = factor(shift, np.inf)
+            if factors is not None:
                 break
         else:
             raise ArithmeticError(f"tail solve singular at E = {lam!r}")
-        sig, vec = schur(shift, xs)
-        x = np.hstack([xs[t] for t in which])
+        x = solve(factors)
+        sig, vec = schur(shift, x)
+        x = x[which].T
         j = np.argmin(np.abs(sig))
         v = np.vstack((vec[:, j], -hops[0] * vec[:, j] * x))
-        # (H - shift) v = [sigma z; 0], a residual |sigma| / ||v||
-        if abs(sig[j]) > 1e-10 * norm * np.linalg.norm(v):
-            ws = solve(shift, factors, ones)
-            w = np.hstack([ws[t] for t in which])
+        # (H - shift) v = [sigma z; 0], a residual |sigma| / ||v||, with sigma good to eps ||S||
+        floor = np.finfo(float).eps * np.abs(sig).max()
+        if abs(sig[j]) + floor > 1e-10 * norm * np.linalg.norm(v):
+            d, l = factors
+            w = pttrs(d, l[:-1], np.ones(size))[0].reshape(-1, length)[which, ::-1].T
+            # an eigenvalue of S below its resolution divides as that resolution
+            sig = np.where(np.abs(sig) < floor, np.copysign(floor, sig), sig)
             top = vec @ ((vec.conj().T @ (1.0 - hops[0] * w[0])) / sig)
             v = np.vstack((top, w - hops[0] * top * x))
         vecs[:, :, i] = v / np.linalg.norm(v)

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from conftest import SWAP_01
@@ -252,9 +253,10 @@ def test_criterion_08_oracle_agreement(capsys):
 
 def test_coupled_oracle_at_criterion_8_size():
     # criterion 8's grid (r0 = 1e-3, n = 8000) for all four channels at once: a diagonal
-    # U must reproduce the union of the single-channel levels, which come from the
-    # independent tridiagonal solver; LAPACK's band reduction needs 40-60 s at this
-    # size (32004 unknowns, one core of a 2-core Xeon)
+    # U must reproduce the union of the single-channel levels, which come from scipy's
+    # tridiagonal bisection on each channel's own operator, independent of the Schur
+    # solve; LAPACK's band reduction needs 40-60 s at this size (32004 unknowns, one core
+    # of a 2-core Xeon)
     ext = ExtensionMatrix.from_diagonal_thetas([0.3, 1.1, -0.4, 0.9], ModelParams())
     r0 = 1e-3 / MU
     g = annulus.g_from_u(ext, r0)
@@ -267,8 +269,10 @@ def test_coupled_oracle_at_criterion_8_size():
     for idx, ch in enumerate(ext.channels):
         g1 = annulus.BoundaryConditionMatrix(r0=r0, channels=(ch,),
                                              entries=g.entries[idx:idx + 1, idx:idx + 1])
-        single.extend(annulus.oracle_spectrum(
-            annulus.assemble_radial_hamiltonian(ModelParams(), grid, g1, (ch,)), 4))
+        h1 = annulus.assemble_radial_hamiltonian(ModelParams(), grid, g1, (ch,))
+        single.extend(scipy.linalg.eigh_tridiagonal(
+            np.concatenate((h1.block[0].real, h1.onsite[:, 0])), h1.hops[:, 0],
+            eigvals_only=True, select="i", select_range=(0, 3)))
     np.testing.assert_allclose(coupled, np.sort(single)[:4], rtol=1e-8)
     assert elapsed < 1.0
 

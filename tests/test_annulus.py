@@ -357,6 +357,49 @@ def _criterion_8_operator(nu: float, frac: float, n: int) -> tuple[RadialHamilto
     return assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,)), analytic
 
 
+def _no_stebz(lookup, heevd_calls: list | None = None):
+    """scipy.linalg.get_lapack_funcs that fails the test when stebz, LAPACK's bisection, is looked up.
+
+    Each call of a heevd it hands out appends to heevd_calls: one per probe of the Schur
+    solve, and one per vector.
+    """
+    def no_stebz(names, *args, **kwargs):
+        assert "stebz" not in ([names] if isinstance(names, str) else names)
+        funcs = lookup(names, *args, **kwargs)
+        if names != "heevd" or heevd_calls is None:
+            return funcs
+
+        def heevd(*a, **kw):
+            heevd_calls.append(1)
+            return funcs(*a, **kw)
+        return heevd
+    return no_stebz
+
+
+def _laplacian_like_operator(seed: int) -> tuple[RadialHamiltonian, int]:
+    """A random operator of the assembled shape (1-4 channels, tails like a scaled Laplacian
+    row), with near-degenerate, uncoupled or weakly coupled channels; and a level count k."""
+    rng = np.random.default_rng(seed)
+    n_ch, length, kind = int(rng.integers(1, 5)), int(rng.integers(2, 120)), int(rng.integers(4))
+    scale = 10 ** rng.uniform(-2, 4)
+    base = 2.0 * scale + rng.normal(size=length) * scale * 10 ** rng.uniform(-3, 0)
+    onsite = np.repeat(base[:, None], n_ch, axis=1)
+    hops = np.full((length, n_ch), -scale)
+    if kind == 0:
+        onsite += rng.normal(size=onsite.shape) * scale * 10 ** rng.uniform(-14, -6)
+    elif kind == 1:
+        hops[0, rng.random(n_ch) < 0.5] = 0.0
+    elif kind == 2:
+        hops[0] *= 10 ** rng.uniform(-10, -3)
+    m = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
+    block = (m + m.conj().T) * scale * 10 ** rng.uniform(-2, 3)
+    if rng.random() < 0.3:
+        block = np.diag(np.diag(block).real).astype(complex)
+    ham = RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=np.arange(length + 1.0),
+                            grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=1.0)
+    return ham, int(rng.integers(1, min(6, ham.size) + 1))
+
+
 def _longdouble_lowest_level(ham: RadialHamiltonian) -> np.longdouble:
     """Lowest level of a single-channel operator by multisection of a Sturm count in np.longdouble.
 
@@ -486,7 +529,7 @@ class TestOracleSpectrum:
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
     def test_single_channel_levels_match_dense(self):
-        # levels past the lowest tail level, where the tails' levels supply the count
+        # levels past the lowest tail level, where the count restarts past negative pivots
         params = ModelParams(model="inverse_square", c=0.6)
         ch = ChannelSpec(m=0, nu_sq=1.65, l=1)
         g = BoundaryConditionMatrix(r0=0.05, channels=(ch,), entries=np.array([[0.7]]))
@@ -503,17 +546,32 @@ class TestOracleSpectrum:
         assert oracle_spectrum(ham, 1)[0] == 3.0
         assert_allclose(oracle_spectrum(ham, 3), [3.0, 5.0, 7.0], rtol=0.0, atol=0.0)
 
+    def test_probe_on_a_tail_level_moves_off_it(self, monopole):
+        # zero hops and a tail level at 0, where the first probe lands: its pivot vanishes
+        ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[0.0], [7.0]]),
+                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=monopole.mu)
+        assert_allclose(oracle_spectrum(ham, 3), [0.0, 5.0, 7.0], rtol=0.0, atol=0.0)
+
     def test_lowest_level_needs_no_tail_bisection(self, monkeypatch):
-        # every probe below the lowest tail level factors that tail, so no tail level is needed
+        # the count is a Sturm count of the factorization's pivots, so no tail level is needed
         ham, analytic = _criterion_8_operator(0.5, 0.4, 2000)
-        lookup = scipy.linalg.get_lapack_funcs
-
-        def no_stebz(names, *args, **kwargs):
-            assert "stebz" not in ([names] if isinstance(names, str) else names)
-            return lookup(names, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_stebz)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", _no_stebz(scipy.linalg.get_lapack_funcs))
         assert_allclose(oracle_spectrum(ham, 1), analytic, rtol=1e-3)
+
+    @pytest.mark.parametrize("nu", [0.5, NU_EDGE])
+    def test_excited_levels_need_no_tail_bisection(self, nu, monkeypatch):
+        # each level past the first lies just above a tail level, and the pole model steps to it
+        ham, _ = _criterion_8_operator(nu, 0.8, 2000)
+        norm = ham.norm_upper_bound()
+        full = scipy.linalg.eigh_tridiagonal(
+            np.concatenate((ham.block[0].real, ham.onsite[:, 0])), ham.hops[:, 0],
+            eigvals_only=True, select="i", select_range=(0, 3))
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", _no_stebz(scipy.linalg.get_lapack_funcs, calls))
+        assert_allclose(oracle_spectrum(ham, 4), full, rtol=0.0, atol=2 * np.finfo(float).eps * norm)
+        # at most 10 probes a level and the 4 vectors; bisecting to each level takes about 50
+        assert len(calls) <= 44
 
     @pytest.mark.parametrize("nu", [0.5, NU_EDGE])
     def test_lowest_level_against_extended_precision_bisection(self, nu):
@@ -543,6 +601,16 @@ class TestOracleSpectrum:
         for ham in cases:
             full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 5))
             assert_allclose(oracle_spectrum(ham, 6), full, rtol=0.0, atol=1e-10)
+
+    # 871: a bracket that the count's rounding closed to zero width on a tail level; 1622: a
+    # level on the tail level of a channel the block does not couple, where S is huge; 2624:
+    # a probe on a tail level of near-degenerate channels
+    @pytest.mark.parametrize("seed", [871, 1622, 2624, *range(20)])
+    def test_random_operators_match_dense(self, seed):
+        ham, k = _laplacian_like_operator(seed)
+        full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, k - 1))
+        tol = 32 * np.finfo(float).eps * ham.norm_upper_bound()
+        assert np.abs(oracle_spectrum(ham, k) - full).max() <= tol
 
     def test_levels_past_a_nearly_decoupled_tail_level(self):
         # three nu^2 = 3.5 channels hide a triple tail level behind their barrier, so H has
