@@ -249,7 +249,9 @@ def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tupl
         scale = extension.params.deficiency_scale
     vp, vm, dp, dm = _channel_profiles(extension.channels, r, scale)
     entries = np.conj(np.diag(vp) + extension.entries * vm[None, :])
-    cond = float(np.linalg.cond(entries))
+    # s[0] / s[-1] is what np.linalg.cond computes, without its wrapper's overhead
+    s = np.linalg.svd(entries, compute_uv=False)
+    cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
         raise ArithmeticError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
     deriv = np.conj(np.diag(dp) + extension.entries * dm[None, :])

@@ -1,9 +1,10 @@
 """Batch front end: JSON configs in, CSV/JSON tables out, deterministic exit codes.
 
-Exit codes: 0 success, 2 config or schema error, 3 unitarity or Hermiticity
-violation, 4 numerical failure (non-convergence, a value past the float
-range). All energies are reported in units of mu and lengths in 1/mu; every
-CSV starts with a "# units:" comment line.
+Exit codes: 0 success, 2 config or schema error (an unreadable config or an
+unwritable output path included), 3 unitarity or Hermiticity violation, 4
+numerical failure (non-convergence, a value past the float range). All
+energies are reported in units of mu and lengths in 1/mu; every CSV starts
+with a "# units:" comment line.
 
 Config layout (all sections optional except where a subcommand needs them;
 defaults are materialized on parse, so emit_config always writes the full
@@ -236,8 +237,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a config file; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    return parse_config(text)
 
 
 def _fmt(value) -> str:
@@ -305,8 +311,11 @@ def _write_table(cfg: RunConfig | None, units: str, columns: list[str],
         lines.extend(f"# {c}" for c in (comments or []))
         text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -367,6 +376,8 @@ def _cmd_smatrix(args) -> int:
 
 def _cmd_gmap(args) -> int:
     cfg = load_config(args.config)
+    if not args.r0 > 0:
+        raise ConfigError("--r0 must be positive (units of 1/mu)")
     mu = cfg.params.mu
     ext = cfg.to_extension()
     try:
@@ -538,9 +549,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnitarityError as exc:
         print(f"unitarity error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ no deficiency vectors, and sets containing one are refused.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -75,8 +76,13 @@ _THRESHOLD_TOL = 1e-10
 _POLE_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=64)
 def canonical_channels(params: ModelParams) -> tuple[ChannelSpec, ...]:
-    """The singular channels the extension family acts on, in enumeration order."""
+    """The singular channels the extension family acts on, in enumeration order.
+
+    Memoized per ModelParams (frozen, hashable) in a bounded LRU cache; the
+    tuple of frozen ChannelSpec it returns is immutable.
+    """
     return tuple(singular_channels(params, cutoff=math.inf))
 
 
@@ -123,6 +129,14 @@ class ExtensionMatrix:
                              f"exceeds tolerance {self.unitarity_tol:.1e}")
         ents.flags.writeable = False
         object.__setattr__(self, "entries", ents)
+
+    @functools.cached_property
+    def small_r_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """origin_pairs of this extension, built once and read-only."""
+        pairs = origin_pairs(self.entries, self.channels, self.params.deficiency_scale)
+        for arr in pairs:
+            arr.flags.writeable = False
+        return pairs
 
     @classmethod
     def from_diagonal_thetas(cls, thetas, params: ModelParams | None = None) -> "ExtensionMatrix":
@@ -226,7 +240,8 @@ def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
     Q = diag(2 nu) B A^-1, Hermitian for unitary U. Q is infinite where A
     is singular, as for the Dirac-consistent value, which is why the pair
     is returned rather than Q. This is the one small-r pair code path, read
-    by domain_vector_smallr, the matching and the oracle.
+    by the oracle and, through ExtensionMatrix.small_r_pairs, by
+    domain_vector_smallr and the matching.
     """
     def pair(nu):
         plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
@@ -246,7 +261,7 @@ def domain_vector_smallr(extension: ExtensionMatrix, source: int) -> list[SmallR
     """
     if not 0 <= source < len(extension.channels):
         raise ValueError(f"source index {source} out of range")
-    a, b = origin_pairs(extension.entries, extension.channels, extension.params.deficiency_scale)
+    a, b = extension.small_r_pairs
     return [SmallRBehavior(ch.nu, a[idx, source], b[idx, source])
             for idx, ch in enumerate(extension.channels)]
 
@@ -367,18 +382,33 @@ class MixingSolution:
         return np.array([b for _, b in self.amplitudes])
 
 
+def _triangular_cond(a: complex, b: complex, c: complex) -> float:
+    """2-norm condition number of [[a, 0], [b, c]] in closed form.
+
+    With F = |a|^2 + |b|^2 + |c|^2 and |det| = |a c| = sigma_max sigma_min,
+    sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2 and cond = sigma_max^2 / |det|.
+    The discriminant is factored as ((|a| - |c|)^2 + |b|^2) ((|a| + |c|)^2 + |b|^2),
+    so it does not cancel.
+    """
+    a, b, c = abs(a), abs(b), abs(c)
+    det = a * c
+    if det == 0.0:
+        return math.inf
+    root = math.hypot(a - c, b) * math.hypot(a + c, b)
+    return 0.5 * (a * a + b * b + c * c + root) / det
+
+
 def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
     """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
     if not energy > 0.0:
         raise ValueError(f"scattering states require energy > 0, got {energy}")
     lam = math.sqrt(2.0 * mu * energy)
-    a, b = origin_pairs(extension.entries, extension.channels, extension.params.deficiency_scale)
+    a, b = extension.small_r_pairs
 
     def waves(nu):
         reg = small_arg_coeffs("N", nu, lam)
         sing = small_arg_coeffs("S", nu, lam)
-        system = np.array([[sing.c_minus, 0.0], [sing.c_plus, reg.c_plus]])
-        return sing.c_minus, sing.c_plus, reg.c_plus, np.linalg.cond(system)
+        return sing.c_minus, sing.c_plus, reg.c_plus, _triangular_cond(sing.c_minus, sing.c_plus, reg.c_plus)
 
     sing_minus, sing_plus, reg_plus, cond = np.array(per_order(extension.channels, waves)).T[..., None]
     singular = a / sing_minus

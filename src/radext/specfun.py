@@ -6,7 +6,8 @@ evaluators here use only elementary operations so that every downstream number
 can be traced to an explicit series, recurrence, or quadrature:
 
   gamma_fn          Lanczos approximation (g = 607/128, 15 terms), reflection
-                    formula for arguments below 1/2.
+                    formula for arguments below 1/2; memoized per argument,
+                    since every caller passes an order-derived +-nu + k.
   bessel_j          ascending series for x < 5, backward (Miller) recurrence
                     for 5 <= x <= 15, Hankel asymptotic expansion for x > 15.
   bessel_y          connection formula (J_nu cos(nu pi) - J_{-nu}) / sin(nu pi)
@@ -27,6 +28,7 @@ construction: arguments in the lower half-plane are folded onto the upper.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,12 +78,20 @@ def gamma_fn(x: float) -> float:
     Lanczos approximation for x >= 1/2; the reflection formula
     Gamma(x) Gamma(1-x) = pi / sin(pi x) extends it to negative x.
     Raises ValueError at the poles (non-positive integers).
+
+    Values are memoized on float(x) in a bounded LRU cache (256 entries):
+    the callers pass a few order-derived arguments +-nu + k over and over,
+    and a repeat returns the same float without recomputing it.
     """
-    x = float(x)
+    return _gamma_memo(float(x))
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_memo(x: float) -> float:
     if x <= 0.0 and abs(x - round(x)) < _INTEGER_TOL:
         raise ValueError(f"gamma_fn pole at x = {x}")
     if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
+        return math.pi / (math.sin(math.pi * x) * _gamma_memo(1.0 - x))
     w = x - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
@@ -264,12 +274,21 @@ def _k_connection(nu: float, z: complex) -> complex:
     return math.pi * (_i_series(-nu, z) - _i_series(nu, z)) / (2.0 * math.sin(math.pi * nu))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
+@functools.lru_cache(maxsize=1)
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 80-node Gauss-Legendre rule, built on first use.
+
+    Only the rotated-contour band of bessel_k_complex reads it; building it at
+    import would cost every process the numpy.polynomial import and an
+    80 x 80 eigensolve.
+    """
+    return np.polynomial.legendre.leggauss(80)
 
 
 def _gauss_legendre(f, a: float, b: float) -> complex:
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (b + a)
-    return 0.5 * (b - a) * complex(np.sum(_GL_WEIGHTS * f(x)))
+    nodes, weights = _gl_rule()
+    x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
+    return 0.5 * (b - a) * complex(np.sum(weights * f(x)))
 
 
 def _k_rotated_contour(nu: float, z: complex) -> complex:

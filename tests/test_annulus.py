@@ -183,6 +183,13 @@ class TestTransferMatrix:
         with pytest.raises(ValueError, match="positive"):
             a_matrix(identity_ext, 0.0)
 
+    def test_condition_number_is_numpy_cond(self):
+        for seed in range(10):
+            ext = ExtensionMatrix(haar_unitary(seed))
+            for r in (0.5, 0.01):
+                amat = a_matrix(ext, r)
+                assert amat.condition_number == np.linalg.cond(amat.entries)
+
 
 class TestLinkMap:
     def test_diagonal_extension_gives_diagonal_g(self, monopole):

@@ -200,6 +200,18 @@ class TestBoundStatesCommand:
         assert cli.main(["bound-states", "--config", "/nonexistent.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unreadable_config_and_unwritable_output(self, make_config, tmp_path, capsys):
+        # a directory where a file is expected: any OSError on either side is a config error
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
+                            "output": {"path": str(tmp_path)}})
+        for argv in (["bound-states", "--config", str(tmp_path)],
+                     ["bound-states", "--config", path],
+                     ["channels", "--output", str(tmp_path)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_json_format(self, make_config, capsys):
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
                             "output": {"format": "json"}})
@@ -261,6 +273,13 @@ class TestGmapCommand:
         path = make_config({"extension": {"matrix": SWAP_JSON}})
         assert cli.main(["gmap", "--config", path, "--r0", "1e-8"]) == 3
         assert "hermiticity error" in capsys.readouterr().err
+
+    def test_non_positive_radius_is_config_error(self, make_config, capsys):
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        for r0 in ("0", "-0.1", "nan"):
+            assert cli.main(["gmap", "--config", path, "--r0", r0]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "--r0" in err
 
     def test_overcritical_is_config_error(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 1.0},

@@ -79,6 +79,16 @@ class TestExtensionMatrix:
     def test_channels_are_canonical(self, identity_ext, monopole):
         assert identity_ext.channels == canonical_channels(monopole)
         assert len(identity_ext.channels) == 4
+        # one channel set per (frozen, hashable) ModelParams
+        assert canonical_channels(ModelParams()) is canonical_channels(ModelParams())
+
+    def test_small_r_pairs_are_built_once_and_frozen(self, swap_ext):
+        pairs = swap_ext.small_r_pairs
+        assert pairs is swap_ext.small_r_pairs
+        for got, ref in zip(pairs, extensions.origin_pairs(swap_ext.entries, swap_ext.channels, 1.0)):
+            assert np.array_equal(got, ref)
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
 
     def test_unsupported_coupling_rejected(self):
         ext = ExtensionMatrix(np.eye(2), ModelParams(eg=1.0))
@@ -378,6 +388,26 @@ class TestScatteringAndMixing:
                 # the matching system depends on the orders and the energy only
                 assert sol.condition_number == cond
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(),  # nu = 1/2 and sqrt(2) - 1/2
+        ModelParams(model="inverse_square", c=0.25 - 0.1**2),
+        ModelParams(model="inverse_square", c=0.25 - 0.99**2),
+    ], ids=["monopole", "nu0.1", "nu0.99"])
+    def test_condition_number_against_numpy(self, params):
+        # closed form against the SVD of each channel's 2x2 system; where they differ the
+        # SVD's sigma_min is the less accurate side, off by up to eps cond relative
+        ext = ExtensionMatrix(np.eye(len(canonical_channels(params))), params)
+        eps = np.finfo(float).eps
+        for lam in np.logspace(-3.0, 3.0, 25):
+            ref = 0.0
+            for ch in ext.channels:
+                reg = small_arg_coeffs("N", ch.nu, lam)
+                sing = small_arg_coeffs("S", ch.nu, lam)
+                ref = max(ref, np.linalg.cond(np.array([[sing.c_minus, 0.0],
+                                                        [sing.c_plus, reg.c_plus]])))
+            cond = scattering_eigenstate(ext, 0.5 * lam * lam, 0, 1.0).condition_number
+            assert abs(cond - ref) <= 32.0 * eps * ref * ref
+
     def test_source_range(self, identity_ext):
         # -1 would otherwise read the last column
         for src in (-1, 4):
@@ -404,8 +434,8 @@ class TestScatteringAndMixing:
                         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_each_order_is_matched_once(self, monkeypatch):
-        # four channels, two orders: the phi_+ pair and the N and S waves once per order;
-        # the phi_- pair is the conjugate of the phi_+ one
+        # four channels, two orders: the phi_+ pair once per order and extension, the N and
+        # S waves once per order and energy; the phi_- pair is the conjugate of the phi_+ one
         calls = []
 
         def counted(kind, nu, scale):
@@ -414,10 +444,15 @@ class TestScatteringAndMixing:
 
         monkeypatch.setattr(extensions, "small_arg_coeffs", counted)
         ext = ExtensionMatrix(haar_unitary(2))
+        expected = ["DEF+", "DEF+", "N", "N", "S", "S"]
         for energy in (0.5, 1.0, 2.0):
             calls.clear()
             mixing_matrix(ext, energy, 1.0)
-            assert sorted(calls) == ["DEF+", "DEF+", "N", "N", "S", "S"]
+            assert sorted(calls) == expected
+            expected = ["N", "N", "S", "S"]
+        calls.clear()
+        domain_vector_smallr(ext, 0)
+        assert calls == []
 
     def test_positive_energy_required(self, identity_ext):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""Import hygiene: scipy is loaded only by the subcommands that use it.
+"""Import hygiene: scipy and numpy.polynomial are loaded only where they are used.
 
 Every subcommand runs as a fresh process, so start-up cost is part of each
 run: scipy.linalg is needed only by the oracle's eigensolve, and no other
 subcommand loads any scipy (the Dirac check's quadrature is a numpy
-Gauss-Legendre rule). Each check runs in a fresh interpreter and asserts on
-the modules loaded, never on wall time.
+Gauss-Legendre rule). numpy.polynomial builds that rule and the one of the
+rotated-contour K band, which no subcommand but dirac-check reaches. Each
+check runs in a fresh interpreter and asserts on the modules loaded, never
+on wall time.
 """
 
 import json
@@ -19,13 +21,23 @@ import radext
 
 SRC = str(Path(radext.__file__).resolve().parents[1])
 
-# runs cli.main on argv and prints the exit code and every scipy module loaded
-RUN_MAIN = """
-import contextlib, io, json, sys
+# the numpy.polynomial modules loaded since numpy itself was imported (numpy < 2 loads them)
+NUMPY_FIRST = """
+import json, sys
+import numpy
+preloaded = set(sys.modules)
+def polynomial():
+    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial") and m not in preloaded)
+"""
+
+# runs cli.main on argv and prints the exit code and every scipy and new numpy.polynomial module
+RUN_MAIN = NUMPY_FIRST + """
+import contextlib, io
 from radext import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "polynomial": polynomial()}))
 """
 
 
@@ -50,9 +62,11 @@ def config(tmp_path):
 
 
 def test_import_cli_loads_no_scipy():
-    out = _scipy_after("import json, sys, radext.cli; "
-                       "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))")
+    out = _scipy_after(NUMPY_FIRST + "import radext.cli\n"
+                       "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+                       " 'polynomial': polynomial()}))")
     assert out["scipy"] == []
+    assert out["polynomial"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,6 +84,8 @@ def test_subcommand_loads_no_scipy(argv, config):
     out = _scipy_after(RUN_MAIN, *argv)
     assert out["code"] == 0
     assert out["scipy"] == []
+    if argv[0] != "dirac-check":  # its quadrature is numpy's Gauss-Legendre rule
+        assert out["polynomial"] == []
 
 
 @pytest.mark.parametrize("command, module", [

@@ -195,7 +195,39 @@ _GAMMA_REF = [
 ]
 
 
+# (x, Gamma(x)) at the arguments the link map and the matching use, 1 +- nu, 2 +- nu and
+# +-nu for nu = 1/2 and sqrt(2) - 1/2: mpmath at mp.dps = 40 on the double x, 25 digits kept
+_GAMMA_ORDER_REF = [
+    (1.5, 0.8862269254527580136490837),
+    (0.5, 1.772453850905516027298167),
+    (2.5, 1.329340388179137020473626),
+    (-0.5, -3.544907701811032054596335),
+    (1.0 + NU_EDGE, 0.9667142250402891325457388),
+    (1.0 - NU_EDGE, 11.15837861064926607121935),
+    (2.0 + NU_EDGE, 1.850497480511117473337787),
+    (2.0 - NU_EDGE, 0.9572375506998525125630653),
+    (NU_EDGE, 1.05742713172063859954816),
+    (-NU_EDGE, -12.20543981177067216715062),
+]
+
+
 class TestGamma:
+    def test_order_arguments_against_mpmath(self):
+        for x, ref in _GAMMA_ORDER_REF:
+            assert abs(gamma_fn(x) - ref) <= 1e-14 * abs(ref)
+
+    def test_memo_contract(self):
+        # a repeat, a numpy scalar and a 0-d array all return the same float as the first call
+        for x, _ in _GAMMA_ORDER_REF:
+            first = gamma_fn(x)
+            assert type(first) is float
+            for again in (gamma_fn(x), gamma_fn(np.float64(x)), gamma_fn(np.array(x))):
+                assert type(again) is float and again == first
+        for x in (0.0, -3.0, np.float64(-2.0), np.array(-1.0)):
+            for _ in range(2):  # a pole is never cached as a value
+                with pytest.raises(ValueError, match="pole"):
+                    gamma_fn(x)
+
     def test_against_stdlib(self):
         xs = np.concatenate([np.linspace(0.1, 30.0, 67),
                              [-0.3, -0.7, -1.5, -2.5, -3.3, -6.7, -11.1]])
