@@ -60,7 +60,6 @@ __all__ = [
     "exterior_tail_norm",
     "g_from_u",
     "oracle_spectrum",
-    "origin_pairs",
     "r0_limit_scan",
     "u_from_g",
 ]
@@ -73,8 +72,10 @@ _COND_LIMIT = 1e12
 class HermiticityError(ValueError):
     """Boundary data or an operator failed its Hermiticity gate.
 
-    Boundary data g is held to a defect max|g - g^dag| <= 1e-9; an operator
-    H to defect <= 1e-9 max(1, ||H||_inf), its own scale (see oracle_spectrum).
+    Boundary data g is held to a defect max|g - g^dag| <= 1e-9, by
+    BoundaryConditionMatrix and again by assemble_radial_hamiltonian; an
+    operator H to defect <= 1e-9 max(1, ||H||_inf), its own scale (see
+    oracle_spectrum). Each gate refuses a NaN defect.
 
     The CLI reports it as a Hermiticity violation (exit 3).
     """
@@ -97,7 +98,7 @@ class BoundaryConditionMatrix:
     assemble_radial_hamiltonian).
 
     validate=False skips the Hermiticity gate; it exists only so tests can
-    probe the downstream guards with deliberately broken input.
+    probe the gate of assemble_radial_hamiltonian with broken input.
     """
 
     r0: float
@@ -112,7 +113,7 @@ class BoundaryConditionMatrix:
         n = len(self.channels)
         if ents.shape != (n, n):
             raise ValueError(f"entries shape {ents.shape} does not match {n} channels")
-        if self.validate and self.defect_of(ents) > _HERMITICITY_TOL:
+        if self.validate and not self.defect_of(ents) <= _HERMITICITY_TOL:
             raise HermiticityError(f"boundary matrix is not Hermitian: defect "
                                    f"{self.defect_of(ents):.3e} exceeds {_HERMITICITY_TOL:.1e}")
         ents.flags.writeable = False
@@ -136,6 +137,8 @@ class AnnulusGrid:
     elimination), a Dirichlet boundary drops it; the outer wall at R is
     always Dirichlet. The extension reading over singular channels puts
     its first node at (r0 + h)/16 instead (see assemble_radial_hamiltonian).
+    No resolution rule is imposed: the standard bound-state runs (r0 = 1e-3,
+    R = 40, n = 8000) have h far above r0 and meet their stated accuracy.
     """
 
     r0: float
@@ -151,20 +154,6 @@ class AnnulusGrid:
     @property
     def h(self) -> float:
         return (self.R - self.r0) / (self.n + 1)
-
-    def validate_for(self, lambda_max: float) -> None:
-        """Check the resolution rule h <= min(0.01/lambda_max, r0/10).
-
-        Satisfying it resolves both the oscillation scale and the boundary
-        layer at r0. It is deliberately not enforced at assembly: standard
-        bound-state runs (r0 = 1e-3, R = 40, n = 8000) violate the r0/10
-        clause yet meet their stated accuracy; callers wanting guaranteed
-        spectral resolution opt in here.
-        """
-        limit = min(0.01 / lambda_max, self.r0 / 10.0)
-        if self.h > limit:
-            raise ValueError(f"grid spacing h = {self.h:.3e} exceeds resolution "
-                             f"limit {limit:.3e} for lambda_max = {lambda_max}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +269,7 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
     amat, a_deriv = _transfer(extension, r0, scale)
     g = np.linalg.solve(amat.entries, a_deriv)
     defect = BoundaryConditionMatrix.defect_of(g)
-    if defect > _BREAKDOWN_TOL:
+    if not defect <= _BREAKDOWN_TOL:
         raise LinkBreakdownError(f"link map lost Hermiticity at r0 = {r0}: defect {defect:.3e}; "
                                  "the radius is below the working-precision breakdown point")
     return BoundaryConditionMatrix(r0=r0, channels=extension.channels, entries=g)
@@ -318,9 +307,10 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     unitary U. In working precision the diagonal of
     diag(phi_-') - diag(phi_-) conj(g) cancels down to a relative r0^(2 nu)
     as r0 -> 0, and the rounding of g grows by that factor. When that
-    rounding bound or the unitarity defect of U exceeds 1e-6, the radius is
-    past working precision and LinkBreakdownError is raised; a single
-    channel's U is unimodular by construction, so only the bound sees it.
+    rounding bound or the unitarity defect of U exceeds 1e-6 (or is NaN),
+    the radius is past working precision and LinkBreakdownError is raised;
+    a single channel's U is unimodular by construction, so only the bound
+    sees it.
     """
     vp, vm, dp, dm = _channel_profiles(g.channels, g.r0, scale)
     gc = 0.5 * (g.entries.T + g.entries.conj())  # conj of the Hermitian part
@@ -333,7 +323,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     gap = np.maximum(np.abs(np.diag(lhs)), np.finfo(float).tiny)
     rounding = np.finfo(float).eps * float(np.max(np.abs(vm * np.diag(gc)) / gap))
     defect = unitarity_defect(u)
-    if max(rounding, defect) > _BREAKDOWN_TOL:
+    if not (rounding <= _BREAKDOWN_TOL and defect <= _BREAKDOWN_TOL):
         raise LinkBreakdownError(f"extension matrix recovered at r0 = {g.r0} is not reliable: "
                                  f"unitarity defect {defect:.3e}, rounding bound {rounding:.3e}; "
                                  "the radius is below the working-precision breakdown point")
@@ -357,12 +347,11 @@ class RadialHamiltonian:
         elimination, then the exact row/column rescaling by 1/sqrt(2) that
         restores symmetry without moving eigenvalues).
 
-    block is the full n_ch x n_ch first-node block, stored as built so that
-    a deliberately broken g stays observable (diagonal for a Dirichlet
-    wall). Past node 0 each channel is its own real tridiagonal tail:
-    onsite[i] holds node i + 1, and hops[i] joins node i to node i + 1, so
-    hops[0] links the block to the tails. Component index = node * n_ch +
-    channel.
+    block is the full n_ch x n_ch first-node block (diagonal for a
+    Dirichlet wall). Past node 0 each channel is its own real tridiagonal
+    tail: onsite[i] holds node i + 1, and hops[i] joins node i to node
+    i + 1, so hops[0] links the block to the tails. Component index =
+    node * n_ch + channel.
     """
 
     block: np.ndarray
@@ -370,7 +359,6 @@ class RadialHamiltonian:
     hops: np.ndarray
     radii: np.ndarray
     grid: AnnulusGrid
-    mu: float
 
     @property
     def n_channels(self) -> int:
@@ -412,15 +400,16 @@ class RadialHamiltonian:
 
 def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
                                 g: BoundaryConditionMatrix | None,
-                                channels: Sequence[ChannelSpec],
-                                enforce_hermitian: bool = True) -> RadialHamiltonian:
+                                channels: Sequence[ChannelSpec]) -> RadialHamiltonian:
     """Finite-difference operator of the coupled radial problem.
 
     g is the Robin data at r0 (None means a Dirichlet wall there, the
-    plain box); the outer wall at R is always Dirichlet. The assembled
-    matrix is Hermitian exactly when g is; non-Hermitian g is refused
-    unless enforce_hermitian=False, the hook stress tests use to verify
-    the defect actually propagates into the discrete operator.
+    plain box); the outer wall at R is always Dirichlet. A g whose defect
+    max|g - g^dag| exceeds 1e-9 (or is NaN) is refused with
+    HermiticityError, whatever its validate flag said. That is the one
+    Hermiticity decision on the boundary data: past it, the extension
+    reading's block is Hermitian by construction, and the three-point
+    rows carry g as it is.
 
     When every channel is singular (0 < nu < 1), g is read as the link
     value of the extension that induces it, with params.deficiency_scale,
@@ -449,9 +438,10 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     under 10% from those of a node at the origin, and D exceeds the first
     full cell's coupling about 16^(2 nu) times (159 for nu = sqrt(2) - 1/2).
     A node at r0 as well would add a cell of width r0 << h whose coupling
-    inflates the operator's norm by about (h / r0)^2. The anti-Hermitian
-    part of g enters the first-node block as (g - g^dag)/(2 mu h), its size
-    in the ghost-point row, so broken data stays visible.
+    inflates the operator's norm by about (h / r0)^2. The extension is
+    fixed by U alone, and the first-node block is diag(onsite) plus the
+    Hermitian part of that boundary term: Hermitian by construction, so
+    the anti-Hermitian rounding of g never reaches the operator.
 
     Otherwise (Dirichlet wall, or a regular or overcritical channel in the
     set) the three-point rows on the grid's nodes apply: u = r psi with
@@ -472,7 +462,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         if abs(g.r0 - grid.r0) > 1e-12 * grid.r0:
             raise ValueError(f"boundary matrix radius {g.r0} does not match grid r0 {grid.r0}")
         defect = g.hermiticity_defect
-        if enforce_hermitian and defect > _HERMITICITY_TOL:
+        if not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
 
     nodes = grid.r0 + h * np.arange(grid.n + 2)  # r0, the n interior points, R
@@ -501,8 +491,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         b = t * b
         edge = b @ np.linalg.solve(inner[:, None] * a + b, np.diag(inner))
         edge /= np.sqrt(mass[:, :1] * mass[:, 0])
-        anti = 0.5 * (g.entries - g.entries.conj().T)
-        block = np.diag(onsite[0]) + 0.5 * (edge + edge.conj().T) + anti / (mu * h)
+        block = np.diag(onsite[0]) + 0.5 * (edge + edge.conj().T)
     else:
         radii = nodes[:-1] if robin else nodes[1:-1]
         coupling = np.array([ch.coupling for ch in channels])
@@ -518,7 +507,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     onsite = onsite[1:]
     for arr in (block, onsite, hops, radii):
         arr.flags.writeable = False
-    return RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=radii, grid=grid, mu=mu)
+    return RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=radii, grid=grid)
 
 
 def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -797,14 +786,15 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     Takes a dense Hermitian ndarray or a RadialHamiltonian through one flow:
     1 <= k <= size, then the Hermiticity gate defect <= 1e-9 max(1,
     ||H||_inf). The gate is on the operator's own scale: a g that passes
-    BoundaryConditionMatrix's 1e-9 gate puts at most 1e-9 / (mu h) into the
-    first-node block, and ||H||_inf >= 1 / (mu h^2), so for h <= 1 the two
-    gates agree. A dense operator goes to eigh. In a RadialHamiltonian,
-    with one channel or several, the channels meet only in the first-node
-    block, and one O(N) solve on its Schur complement gives each level and
-    its vector (_schur_eigenpairs): Newton on the complement's eigenvalues,
-    safeguarded by an inertia count, where LAPACK's band reduction costs
-    O(N^2 kd) and tridiagonal bisection some 45 Sturm passes per level.
+    the 1e-9 boundary-data gate puts at most 1e-9 / (mu h) into the
+    first-node block of the three-point rows, and ||H||_inf >= 1 / (mu h^2),
+    so for h <= 1 the two gates agree. A dense operator goes to eigh. In a
+    RadialHamiltonian, with one channel or several, the channels meet only
+    in the first-node block, and one O(N) solve on its Schur complement
+    gives each level and its vector (_schur_eigenpairs): Newton on the
+    complement's eigenvalues, safeguarded by an inertia count, where
+    LAPACK's band reduction costs O(N^2 kd) and tridiagonal bisection some
+    45 Sturm passes per level.
     The vector is built from the level alone, so the residual check stays
     an independent test of it: every pair must satisfy ||H v - lambda v||
     <= 1e-8 ||H||_inf with H applied as built, which catches wrong levels
@@ -884,8 +874,8 @@ def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float],
     """
     rows: list[ScanRow] = []
     for r0 in r0_sequence:
-        if not r0 > 0.0:
-            raise ValueError("all scan radii must be positive")
+        if not 0.0 < r0 < math.inf:
+            raise ValueError("all scan radii must be positive and finite")
         try:
             g = g_from_u(extension, r0, scale)
         except (ArithmeticError, ValueError):

@@ -57,6 +57,8 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if not all(map(math.isfinite, (self.eg, self.c, self.mu, self.deficiency_scale))):
+            raise ValueError(f"model parameters must be finite, got {self}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.deficiency_scale == 0.0:
@@ -167,8 +169,11 @@ def channel_ladder(params: ModelParams, cutoff: float) -> list[ChannelSpec]:
 
     Monopole ordering: ascending j from the bottom sector j = eg - 1/2, then
     ascending kappa, then ascending m. Inverse-square ordering: (l, m)
-    lexicographic.
+    lexicographic. A non-finite cutoff raises ValueError: the ladder
+    would never end.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     out: list[ChannelSpec] = []
     if params.model == "monopole":
         j = params.eg - 0.5

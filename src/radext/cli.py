@@ -113,9 +113,16 @@ _OUTPUT_KEYS = {"format", "path"}
 _TOP_KEYS = {"model", "extension", "oracle", "tolerances", "output"}
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: json reads NaN and Infinity, which no field accepts."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _as_float(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -142,9 +149,8 @@ def _parse_matrix(raw) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"extension.matrix row {i} must have {n} entries")
         for j, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)):
-                raise ConfigError(f"extension.matrix[{i}][{j}] must be a [re, im] pair")
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+                raise ConfigError(f"extension.matrix[{i}][{j}] must be a [re, im] pair of finite numbers")
             out[i, j] = complex(float(pair[0]), float(pair[1]))
     return out
 
@@ -181,6 +187,8 @@ def parse_config(text: str) -> RunConfig:
     _check_keys("tolerances", tol_raw, _TOL_KEYS)
     tols = Tolerances(unitarity=_as_float("tolerances", "unitarity", tol_raw.get("unitarity", 1e-10)),
                       match=_as_float("tolerances", "match", tol_raw.get("match", 1e-10)))
+    if not (tols.unitarity > 0.0 and tols.match > 0.0):
+        raise ConfigError("tolerances must be positive")
 
     matrix = None
     thetas = None
@@ -197,15 +205,14 @@ def parse_config(text: str) -> RunConfig:
                                   f"{matrix.shape[0]}x{matrix.shape[1]} but the model has "
                                   f"{n_channels} singular channel(s)")
             defect = extensions.unitarity_defect(matrix)
-            if defect > tols.unitarity:
+            if not defect <= tols.unitarity:
                 raise UnitarityError(f"extension matrix is not unitary: defect {defect:.6e} "
                                      f"exceeds tolerance {tols.unitarity:.1e}")
             matrix.flags.writeable = False
         else:
             raw = ext_raw["diagonal_thetas"]
-            if (not isinstance(raw, list)
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)):
-                raise ConfigError("extension.diagonal_thetas must be a list of numbers")
+            if not isinstance(raw, list) or not all(map(_is_number, raw)):
+                raise ConfigError("extension.diagonal_thetas must be a list of finite numbers")
             if len(raw) != n_channels:
                 raise ConfigError(f"channel-count mismatch: {len(raw)} phases but the model "
                                   f"has {n_channels} singular channel(s)")
@@ -361,8 +368,8 @@ def _cmd_bound_states(args) -> int:
 
 def _cmd_smatrix(args) -> int:
     cfg = load_config(args.config)
-    if not args.E > 0:
-        raise ConfigError("--E must be positive (units of mu)")
+    if not 0.0 < args.E < math.inf:
+        raise ConfigError("--E must be positive and finite (units of mu)")
     mu = cfg.params.mu
     ext = cfg.to_extension()
     regular, singular = extensions.mixing_matrix(ext, args.E * mu, mu)
@@ -376,8 +383,8 @@ def _cmd_smatrix(args) -> int:
 
 def _cmd_gmap(args) -> int:
     cfg = load_config(args.config)
-    if not args.r0 > 0:
-        raise ConfigError("--r0 must be positive (units of 1/mu)")
+    if not 0.0 < args.r0 < math.inf:
+        raise ConfigError("--r0 must be positive and finite (units of 1/mu)")
     mu = cfg.params.mu
     ext = cfg.to_extension()
     try:
@@ -472,8 +479,8 @@ def _cmd_r0scan(args) -> int:
         seq = [float(tok) for tok in args.r0_list.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--r0-list must be comma-separated numbers: {exc}") from exc
-    if not seq or any(not v > 0 for v in seq):
-        raise ConfigError("--r0-list needs positive radii")
+    if not seq or any(not 0.0 < v < math.inf for v in seq):
+        raise ConfigError("--r0-list needs positive finite radii")
     result = annulus.r0_limit_scan(cfg.to_extension(), [v / mu for v in seq])
     rows = [[row.r0 * mu, row.gmax / mu, row.offdiag_norm / mu] for row in result.rows]
     comments = [] if result.breakdown_r0 is None else [f"breakdown_r0: {_fmt(result.breakdown_r0 * mu)}"]

@@ -102,7 +102,8 @@ class ExtensionMatrix:
     Rows index the source domain vector, columns the deficiency channel it
     couples to: phi^(src) = phi_+^(src) + sum_ch U[src, ch] phi_-^(ch).
     Construction fails loudly if the channel set is empty or overcritical,
-    if U is not n x n, or if U is not unitary within tolerance.
+    if U is not n x n, or if U is not unitary within tolerance (a NaN
+    defect fails too).
     """
 
     entries: np.ndarray
@@ -124,7 +125,7 @@ class ExtensionMatrix:
             raise ValueError(f"extension matrix must be {n}x{n} over the {n} singular "
                              f"channel(s), got shape {ents.shape}")
         defect = unitarity_defect(ents)
-        if defect > self.unitarity_tol:
+        if not defect <= self.unitarity_tol:
             raise ValueError(f"extension matrix is not unitary: defect {defect:.3e} "
                              f"exceeds tolerance {self.unitarity_tol:.1e}")
         ents.flags.writeable = False

@@ -7,6 +7,7 @@ finite-difference spectrum it must reproduce. Scan rows are frozen from a
 converged run and serve as regression anchors.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,12 +32,11 @@ from radext.annulus import (
     exterior_tail_norm,
     g_from_u,
     oracle_spectrum,
-    origin_pairs,
     r0_limit_scan,
     u_from_g,
 )
 from radext.channels import ChannelSpec, ModelParams
-from radext.extensions import ExtensionMatrix, random_extension
+from radext.extensions import ExtensionMatrix, origin_pairs, random_extension
 from radext.extensions import bound_state_energy_theta, dirac_consistent_value, haar_unitary
 from radext.specfun import bessel_j, gamma_fn
 from radext.specfun import bessel_k_complex
@@ -73,6 +73,10 @@ class TestBoundaryConditionMatrix:
         # the test hook lets deliberately broken data through
         g = BoundaryConditionMatrix(r0=0.1, channels=chans, entries=ents, validate=False)
         assert g.hermiticity_defect > 1e-4
+        # a NaN defect fails the gate too
+        ents[0, 1] = np.nan
+        with pytest.raises(annulus.HermiticityError, match="not Hermitian"):
+            BoundaryConditionMatrix(r0=0.1, channels=chans, entries=ents)
 
     def test_shape_and_radius_validation(self, monopole):
         from radext.extensions import canonical_channels
@@ -102,14 +106,6 @@ class TestAnnulusGrid:
             AnnulusGrid(r0=1.0, R=0.5, n=500)
         with pytest.raises(ValueError, match="0 < r0 < R"):
             AnnulusGrid(r0=0.0, R=1.0, n=500)
-
-    def test_resolution_rule_is_opt_in(self):
-        # the standard bound-state grid violates the r0/10 clause on purpose
-        coarse = AnnulusGrid(r0=1e-3, R=40.0, n=8000)
-        with pytest.raises(ValueError, match="resolution"):
-            coarse.validate_for(1.0)
-        fine = AnnulusGrid(r0=0.1, R=1.0, n=1000)
-        fine.validate_for(1.0)
 
 
 class TestExteriorTailNorm:
@@ -228,7 +224,7 @@ class TestLinkMap:
         vals = [abs(g_from_u(identity_ext, r0).entries[0, 0]) for r0 in (1e-1, 1e-2, 1e-3)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_breakdown_radii_raise(self):
+    def test_breakdown_radii_raise(self, monkeypatch):
         ext = random_extension(7)
         # just past working precision the Hermiticity gate trips first,
         # far past it the explicit breakdown threshold does
@@ -236,6 +232,12 @@ class TestLinkMap:
             g_from_u(ext, 1e-6)
         with pytest.raises(ArithmeticError, match="breakdown"):
             g_from_u(ext, 1e-8)
+        # a NaN link value, here from NaN derivatives, fails the breakdown gate too
+        transfer = annulus._transfer
+        monkeypatch.setattr(annulus, "_transfer",
+                            lambda *args: (transfer(*args)[0], np.full((4, 4), np.nan)))
+        with pytest.raises(LinkBreakdownError, match="breakdown"):
+            g_from_u(ext, 0.1)
 
     def test_diagonal_link_is_real(self):
         for nu in (0.5, NU_EDGE):
@@ -262,16 +264,20 @@ class TestAssembly:
         assert_allclose(got, exact, rtol=1e-5)
 
     def test_hermitian_data_gives_exactly_hermitian_operator(self, monopole):
-        ext = random_extension(3)
-        g = g_from_u(ext, 0.1)
-        # symmetrized entries make the input exactly Hermitian
-        sym = 0.5 * (g.entries + g.entries.conj().T)
-        gs = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=sym)
-        grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
-        ham = assemble_radial_hamiltonian(monopole, grid, gs, ext.channels)
-        dense = ham.dense()
-        assert np.abs(dense - dense.conj().T).max() == 0.0
-        assert ham.hermiticity_defect() == 0.0
+        # the extension reading reads g only through U, so the raw g_from_u output, with its
+        # anti-Hermitian rounding, gives an exactly Hermitian operator, as the symmetrized g does
+        for seed in range(10):
+            ext = random_extension(seed)
+            for r0 in (0.1, 0.01):
+                g = g_from_u(ext, r0)
+                sym = BoundaryConditionMatrix(r0=r0, channels=ext.channels,
+                                              entries=0.5 * (g.entries + g.entries.conj().T))
+                grid = AnnulusGrid(r0=r0, R=5.0, n=100)
+                for data in (g, sym):
+                    ham = assemble_radial_hamiltonian(monopole, grid, data, ext.channels)
+                    dense = ham.dense()
+                    assert np.array_equal(dense, dense.conj().T)
+                    assert ham.hermiticity_defect() == 0.0
 
     def test_non_hermitian_refused_by_default(self, monopole):
         ext = random_extension(3)
@@ -282,34 +288,13 @@ class TestAssembly:
         grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
         with pytest.raises(ValueError, match="refusing"):
             assemble_radial_hamiltonian(monopole, grid, gb, ext.channels)
-
-    def test_injected_defect_propagates_linearly(self, monopole):
-        ext = random_extension(3)
-        base = np.array(g_from_u(ext, 0.1).entries, copy=True)
-        grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
-        defects = []
-        for eps in (1e-3, 1e-2):
-            ents = base.copy()
-            ents[0, 1] += eps
-            gb = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=ents,
-                                         validate=False)
-            ham = assemble_radial_hamiltonian(monopole, grid, gb, ext.channels,
-                                              enforce_hermitian=False)
-            # the r0-node block carries B/(mu h), so the defect is eps/(mu h)
-            assert_allclose(ham.hermiticity_defect(),
-                            eps / (monopole.mu * grid.h), rtol=1e-9)
-            defects.append(ham.hermiticity_defect())
-        assert_allclose(defects[1] / defects[0], 10.0, rtol=1e-9)
-
-    def test_matvec_matches_dense(self, monopole):
-        ext = random_extension(11)
-        ents = np.array(g_from_u(ext, 0.1).entries, copy=True)
-        ents[0, 1] += 1e-3
-        gb = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=ents,
+        gb = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=np.full((4, 4), np.nan),
                                      validate=False)
-        grid = AnnulusGrid(r0=0.1, R=5.0, n=150)
-        ham = assemble_radial_hamiltonian(monopole, grid, gb, ext.channels,
-                                          enforce_hermitian=False)
+        with pytest.raises(annulus.HermiticityError, match="refusing"):
+            assemble_radial_hamiltonian(monopole, grid, gb, ext.channels)
+
+    def test_matvec_matches_dense(self):
+        ham = _operator("extension-reading")
         rng = np.random.default_rng(5)
         x = rng.normal(size=ham.size) + 1j * rng.normal(size=ham.size)
         assert_allclose(ham.matvec(x), ham.dense() @ x, atol=1e-10)
@@ -327,17 +312,21 @@ class TestAssembly:
             assemble_radial_hamiltonian(monopole, grid, None, ())
 
 
+def _broken(ham: RadialHamiltonian) -> RadialHamiltonian:
+    """ham with 1e-3 added to one off-diagonal entry of its first-node block: not Hermitian."""
+    block = ham.block.copy()
+    block[0, 1] += 1e-3
+    return dataclasses.replace(ham, block=block)
+
+
 def _operator(kind: str) -> RadialHamiltonian:
     """One operator from each assembly branch."""
     monopole = ModelParams()
     if kind == "extension-reading":
-        # with a broken g, so the block carries a defect
+        # with a broken block, so that it carries a defect
         ext = random_extension(11)
-        ents = np.array(g_from_u(ext, 0.1).entries, copy=True)
-        ents[0, 1] += 1e-3
-        g = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=ents, validate=False)
-        return assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=0.1, R=5.0, n=150), g,
-                                           ext.channels, enforce_hermitian=False)
+        return _broken(assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=0.1, R=5.0, n=150),
+                                                   g_from_u(ext, 0.1), ext.channels))
     if kind == "single-channel":
         ch = ChannelSpec(m=0, nu_sq=0.25, j=0, kappa=0.0)
         g = BoundaryConditionMatrix(r0=0.01, channels=(ch,),
@@ -403,7 +392,7 @@ def _laplacian_like_operator(seed: int) -> tuple[RadialHamiltonian, int]:
     if rng.random() < 0.3:
         block = np.diag(np.diag(block).real).astype(complex)
     ham = RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=np.arange(length + 1.0),
-                            grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=1.0)
+                            grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
     return ham, int(rng.integers(1, min(6, ham.size) + 1))
 
 
@@ -525,14 +514,14 @@ class TestOracleSpectrum:
         with pytest.raises(ArithmeticError, match="residual"):
             oracle_spectrum(ham, 2)
 
-    def test_exact_eigenvalue_gets_its_vector(self, monopole):
+    def test_exact_eigenvalue_gets_its_vector(self):
         # zero hops and a diagonal block: 2 and 5 are roots of the Schur complement and 3 is
         # a tail level, which the bracket closes on; the complement does not see that level, so
         # its vector comes from inverse iteration, moved off the exact zero pivot of T - 3
         grid = AnnulusGrid(r0=0.1, R=1.0, n=100)
         ham = RadialHamiltonian(block=np.diag([5.0, 2.0]).astype(complex),
                                 onsite=np.array([[7.0, 3.0], [11.0, 13.0]]), hops=np.zeros((2, 2)),
-                                radii=np.arange(3.0), grid=grid, mu=monopole.mu)
+                                radii=np.arange(3.0), grid=grid)
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
     def test_single_channel_levels_match_dense(self):
@@ -545,19 +534,19 @@ class TestOracleSpectrum:
             full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 4))
             assert_allclose(oracle_spectrum(ham, 5), full, rtol=0.0, atol=1e-10)
 
-    def test_single_channel_tail_level_is_returned_exactly(self, monopole):
+    def test_single_channel_tail_level_is_returned_exactly(self):
         # zero hops: the lowest level is the tail's 3, below the block's 5
         ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[3.0], [7.0]]),
                                 hops=np.zeros((2, 1)), radii=np.arange(3.0),
-                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=monopole.mu)
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert oracle_spectrum(ham, 1)[0] == 3.0
         assert_allclose(oracle_spectrum(ham, 3), [3.0, 5.0, 7.0], rtol=0.0, atol=0.0)
 
-    def test_probe_on_a_tail_level_moves_off_it(self, monopole):
+    def test_probe_on_a_tail_level_moves_off_it(self):
         # zero hops and a tail level at 0, where the first probe lands: its pivot vanishes
         ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[0.0], [7.0]]),
                                 hops=np.zeros((2, 1)), radii=np.arange(3.0),
-                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100), mu=monopole.mu)
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert_allclose(oracle_spectrum(ham, 3), [0.0, 5.0, 7.0], rtol=0.0, atol=0.0)
 
     def test_lowest_level_needs_no_tail_bisection(self, monkeypatch):
@@ -639,8 +628,7 @@ class TestOracleSpectrum:
         block = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         hops = rng.normal(size=(120, n_ch)) * 10.0 ** rng.uniform(-8.0, 0.0, size=(120, n_ch))
         ham = RadialHamiltonian(block=block + block.conj().T, onsite=3.0 * rng.normal(size=(120, n_ch)),
-                                hops=hops, radii=np.arange(121.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100),
-                                mu=1.0)
+                                hops=hops, radii=np.arange(121.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         norm = ham.norm_upper_bound()
         vals, vecs = annulus._schur_eigenpairs(ham, 6, norm)
         dense = ham.dense()
@@ -650,13 +638,8 @@ class TestOracleSpectrum:
 
     def test_refuses_broken_operator(self, monopole):
         ext = random_extension(3)
-        ents = np.array(g_from_u(ext, 0.1).entries, copy=True)
-        ents[0, 1] += 1e-3
-        gb = BoundaryConditionMatrix(r0=0.1, channels=ext.channels, entries=ents,
-                                     validate=False)
         grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
-        ham = assemble_radial_hamiltonian(monopole, grid, gb, ext.channels,
-                                          enforce_hermitian=False)
+        ham = _broken(assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels))
         with pytest.raises(ValueError, match="Hermitian"):
             oracle_spectrum(ham, 1)
 
@@ -753,6 +736,9 @@ class TestR0LimitScan:
     def test_radius_validation(self, identity_ext):
         with pytest.raises(ValueError, match="positive"):
             r0_limit_scan(identity_ext, [0.1, -0.2])
+        # an infinite radius is refused, not recorded as the breakdown radius
+        with pytest.raises(ValueError, match="finite"):
+            r0_limit_scan(identity_ext, [0.1, math.inf])
 
 
 class TestExtensionReading:
@@ -876,6 +862,11 @@ class TestExtensionReading:
         g = BoundaryConditionMatrix(r0=r0, channels=chans, entries=ents)
         with pytest.raises(LinkBreakdownError, match="unitarity defect"):
             u_from_g(g, 1.0)
+        # NaN data gives a NaN rounding bound and defect, and each fails its own gate
+        nan_g = BoundaryConditionMatrix(r0=0.1, channels=chans, entries=np.full((4, 4), np.nan),
+                                        validate=False)
+        with pytest.raises(LinkBreakdownError, match="not reliable"):
+            u_from_g(nan_g, 1.0)
         with pytest.raises(ArithmeticError, match="breakdown"):
             assemble_radial_hamiltonian(monopole, AnnulusGrid(r0=r0, R=1.0, n=100), g, chans)
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from radext.channels import (
     ChannelSpec,
     ModelParams,
+    channel_ladder,
     kappa_of,
     l_crit,
     nu_of,
@@ -39,6 +40,10 @@ class TestModelParams:
             ModelParams(mu=-1.0)
         with pytest.raises(ValueError):
             ModelParams(deficiency_scale=-2.0)
+        for bad in ({"mu": math.inf}, {"deficiency_scale": math.inf}, {"eg": math.inf},
+                    {"model": "inverse_square", "c": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(**bad)
         # Dirac quantization: 2 eg must be a positive integer
         with pytest.raises(ValueError):
             ModelParams(eg=0.3)
@@ -206,6 +211,14 @@ class TestSingularChannelsInverseSquare:
         with pytest.raises(ValueError):
             singular_channels(params, cutoff=0.0)
         assert len(singular_channels(params, cutoff=1.0)) == 4
+
+
+def test_channel_ladder_needs_a_finite_cutoff():
+    # an infinite cutoff would never end the ladder, and a NaN one would end it empty
+    for params in (ModelParams(), ModelParams(model="inverse_square", c=0.5)):
+        for cutoff in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                channel_ladder(params, cutoff)
 
 
 def test_per_order_evaluates_each_order_once():

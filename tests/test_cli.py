@@ -66,6 +66,11 @@ class TestParseConfig:
         assert cfg.params.deficiency_scale == 2.0
 
     def test_schema_rejections(self):
+        # json reads NaN and Infinity; a unitarity tolerance of NaN would pass a matrix with 2
+        # on its diagonal
+        diag2 = [[[2.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        nan_entry = [row[:] for row in SWAP_JSON]
+        nan_entry[0] = [[math.nan, 0.0]] + nan_entry[0][1:]
         for text, frag in [
             ("not json", "valid JSON"),
             ('{"bogus": {}}', "unknown key"),
@@ -79,6 +84,16 @@ class TestParseConfig:
             ('{"extension": {}}', "exactly one"),
             ('{"extension": {"matrix": [], "diagonal_thetas": []}}', "exactly one"),
             ('{"extension": {"diagonal_thetas": [0, 0, 0]}}', "channel-count"),
+            (json.dumps({"tolerances": {"unitarity": math.nan}, "extension": {"matrix": diag2}}),
+             "must be finite"),
+            ('{"tolerances": {"match": Infinity}}', "must be finite"),
+            ('{"tolerances": {"unitarity": -1e-10}}', "positive"),
+            ('{"tolerances": {"match": 0}}', "positive"),
+            ('{"oracle": {"R": NaN}}', "must be finite"),
+            ('{"oracle": {"r0": -Infinity}}', "must be finite"),
+            ('{"model": {"mu": Infinity}}', "must be finite"),
+            ('{"extension": {"diagonal_thetas": [NaN, 0, 0, 0]}}', "finite numbers"),
+            (json.dumps({"extension": {"matrix": nan_entry}}), "finite numbers"),
         ]:
             with pytest.raises(ConfigError, match=frag):
                 parse_config(text)
@@ -148,6 +163,12 @@ class TestChannelsCommand:
         # overcritical l = 0 channel reports nan for nu but stays singular
         assert rows[0][2] == "nan" and rows[0][3] == "true"
         assert len(rows) == 4
+
+    def test_non_finite_arguments_exit_2(self, capsys):
+        for argv in (["--jmax", "inf"], ["--jmax", "nan"], ["--eg", "inf"],
+                     ["--model", "inverse_square", "--c", "nan"]):
+            assert cli.main(["channels", *argv]) == 2
+            assert "must be finite" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "chan.csv"
@@ -245,7 +266,8 @@ class TestSmatrixCommand:
                 assert max(abs(v) for v in amp) < 1e-12
 
     def test_rejections(self, make_config, capsys):
-        # the single 1/r^2 channel has its own (source, channel) row; only E <= 0 is refused
+        # the single 1/r^2 channel has its own (source, channel) row; only E outside (0, inf)
+        # is refused
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},
                             "extension": {"diagonal_thetas": [0.0]}})
         assert cli.main(["smatrix", "--config", path]) == 0
@@ -253,6 +275,7 @@ class TestSmatrixCommand:
         assert [r[:2] for r in rows] == [["0", "0"]]
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
         assert cli.main(["smatrix", "--config", path, "--E", "-1.0"]) == 2
+        assert cli.main(["smatrix", "--config", path, "--E", "inf"]) == 2
         capsys.readouterr()
 
 
@@ -276,7 +299,7 @@ class TestGmapCommand:
 
     def test_non_positive_radius_is_config_error(self, make_config, capsys):
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
-        for r0 in ("0", "-0.1", "nan"):
+        for r0 in ("0", "-0.1", "nan", "inf"):
             assert cli.main(["gmap", "--config", path, "--r0", r0]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "--r0" in err
@@ -348,10 +371,10 @@ class TestOracleCommand:
         assert "convergence error" in capsys.readouterr().err
 
     def test_dirac_consistent_phase_gives_the_regular_level(self, make_config, capsys):
-        # at the Dirac-consistent phase the link value keeps a ~1e-10 imaginary part, which
-        # reaches the first-node block as 2e-10 / (mu h): rounding on the operator's scale
-        # ||H|| ~ 1 / (mu h^2), so the gate passes it; the j = 1 channels then give the
-        # regular-spectrum level (j_nu,1 / R)^2 / (2 mu), J_nu(j_nu,1) = 0
+        # at the Dirac-consistent phase the link value keeps a ~1e-10 imaginary part, within
+        # the 1e-9 boundary-data gate; the extension reading takes only its real part, through
+        # U, and the j = 1 channels then give the regular-spectrum level (j_nu,1 / R)^2 / (2 mu),
+        # J_nu(j_nu,1) = 0
         p = cmath.phase(dirac_consistent_value(NU_EDGE))
         path = make_config({"extension": {"diagonal_thetas": [0.3, p, p, p]}})
         assert cli.main(["oracle", "--config", path]) == 0
@@ -452,4 +475,5 @@ class TestR0ScanCommand:
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
         assert cli.main(["r0scan", "--config", path, "--r0-list", "0.1,abc"]) == 2
         assert cli.main(["r0scan", "--config", path, "--r0-list", "-0.1"]) == 2
+        assert cli.main(["r0scan", "--config", path, "--r0-list", "0.1,inf"]) == 2
         capsys.readouterr()

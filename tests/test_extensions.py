@@ -71,6 +71,9 @@ class TestExtensionMatrix:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             ExtensionMatrix(np.ones((4, 4)))
+        # a NaN defect fails the gate too
+        with pytest.raises(ValueError, match="not unitary"):
+            ExtensionMatrix(np.full((4, 4), np.nan))
 
     def test_entries_are_frozen(self, identity_ext):
         with pytest.raises(ValueError):
