@@ -17,7 +17,10 @@ choice makes the channel Wronskian weight r0^2 (phi_+' phi_- - phi_+ phi_-')
 a channel-independent constant, which is exactly why the induced g comes
 out Hermitian for every unitary U; with any channel-dependent weight the
 off-diagonal blocks would not close. Hermiticity is still enforced as a
-postcondition check rather than assumed. The map is invertible: u_from_g
+postcondition check rather than assumed. The sums in a(r) cancel (for the
+Dirac-consistent value down to a relative r^(2 nu)), so they are formed
+from the plain K_nu values, and the normalization and the r^(-1/2)
+prefactor multiply them afterwards. The map is invertible: u_from_g
 recovers U from a Hermitian g with the same profiles.
 
 The finite-difference spectrum is the oracle. Over singular channels
@@ -210,50 +213,54 @@ def _tail_norm(r0: float, a: complex, kva: complex, kda: complex) -> float:
     return out
 
 
-def _channel_profiles(channels: Sequence[ChannelSpec], r: float,
-                      scale: float) -> tuple[np.ndarray, ...]:
-    """Exterior-normalized phi_+- values and radial derivatives per channel.
+def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows K_nu(a r) and a K_nu'(a r), a = (1 - i) s, and the weight c r^(-1/2), per channel.
 
-    The profiles are the full K_nu(. r)/sqrt(r), so the derivatives carry
-    the -1/(2r) prefactor term alongside the Macdonald recurrence.
+    Each order is evaluated once; c is the exterior normalization. The
+    profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate.
     """
     a = complex(1.0, -1.0) * scale
-    rm_half = r ** (-0.5)
 
-    def profile(nu):
+    def kernel(nu):
         kva, kda = _k_pair(nu, a * r)
-        c = 1.0 / math.sqrt(_tail_norm(r, a, kva, kda))
-        return c * rm_half * kva, c * rm_half * (a * kda - kva / (2.0 * r))
+        return kva, a * kda, 1.0 / math.sqrt(_tail_norm(r, a, kva, kda))
 
-    vp, dp = np.array(per_order(channels, profile)).T
-    # the (1 + i) s profile is the conjugate of the (1 - i) s one
-    return vp, vp.conj(), dp, dp.conj()
+    rows = np.array(per_order(channels, kernel)).T
+    return rows[:2], rows[2].real * r ** (-0.5)
 
 
 def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tuple[TransferMatrix, np.ndarray]:
-    """a(r) and (da/dr)(r) from one evaluation of the channel profiles."""
+    """a(r) = m diag(c r^(-1/2)) and n diag(c r^(-1/2)); (da/dr)(r) is the latter - a(r) / (2 r).
+
+    The sums m = conj(diag(K) + U conj(K)) and n, the same of a K', cancel,
+    and are formed as one stack before the weight scales their columns.
+    """
     if not r > 0.0:
         raise ValueError("r must be positive")
     if scale is None:
         scale = extension.params.deficiency_scale
-    vp, vm, dp, dm = _channel_profiles(extension.channels, r, scale)
-    entries = np.conj(np.diag(vp) + extension.entries * vm[None, :])
+    rows, weight = _k_rows(extension.channels, r, scale)
+    # conj(U conj(K)) = conj(U) K exactly, and the diagonal's conj(K) is added in place
+    sums = extension.entries.conj() * rows[:, None, :]
+    sums.reshape(2, -1)[:, :: weight.size + 1] += rows.conj()
+    sums *= weight
+    entries, deriv = sums
     # s[0] / s[-1] is what np.linalg.cond computes, without its wrapper's overhead
     s = np.linalg.svd(entries, compute_uv=False)
     cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
         raise ArithmeticError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
-    deriv = np.conj(np.diag(dp) + extension.entries * dm[None, :])
     return TransferMatrix(r=r, entries=entries, condition_number=cond), deriv
 
 
-def a_matrix(extension: ExtensionMatrix, r: float, scale: float | None = None) -> TransferMatrix:
+def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     """Transfer matrix a(r); rows index the source, columns the channel.
 
     Entry [src, ch] is the conjugate of phi_+^ch(r) delta + U[src, ch]
-    phi_-^ch(r), each channel profile normalized over the exterior of r.
+    phi_-^ch(r), each channel profile normalized over the exterior of r, the
+    normalization and the r^(-1/2) prefactor applied after the sum.
     """
-    return _transfer(extension, r, scale)[0]
+    return _transfer(extension, r, None)[0]
 
 
 def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) -> BoundaryConditionMatrix:
@@ -261,13 +268,17 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
 
     The derivative is assembled from the Macdonald recurrence
     K_nu'(z) = (nu / z) K_nu(z) - K_(nu+1)(z), never finite differences.
+    The cancelling sums of K_nu and a K_nu' values come first, then the
+    normalization and the r0^(-1/2) prefactor, and the prefactor's -1/(2 r0)
+    goes onto g's diagonal last, as in diagonal_link_value, its 1x1 case.
     Hermiticity of the result is the consistency theorem for the link;
     a defect above 1e-6 signals numerical breakdown (r0 too small for
     working precision) and raises LinkBreakdownError instead of returning
     garbage.
     """
-    amat, a_deriv = _transfer(extension, r0, scale)
-    g = np.linalg.solve(amat.entries, a_deriv)
+    amat, deriv = _transfer(extension, r0, scale)
+    g = np.linalg.solve(amat.entries, deriv)
+    g.flat[:: g.shape[0] + 1] -= 0.5 / r0
     defect = BoundaryConditionMatrix.defect_of(g)
     if not defect <= _BREAKDOWN_TOL:
         raise LinkBreakdownError(f"link map lost Hermiticity at r0 = {r0}: defect {defect:.3e}; "
@@ -278,10 +289,11 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
 def diagonal_link_value(nu: float, theta: float, r0: float, scale: float) -> complex:
     """Scalar link g for a single channel with diagonal phase e^{i theta}.
 
-    The normalization constant cancels in the logarithmic derivative, so
-    this is the ratio (phi_+' + e^{i theta} phi_-') / (phi_+ + e^{i theta} phi_-)
-    conjugated, the 1x1 case of g_from_u. Works for any subcritical
-    channel of any model, which is how the inverse-square runs are wired.
+    The 1x1 case of g_from_u: the ratio (phi_+' + e^{i theta} phi_-') /
+    (phi_+ + e^{i theta} phi_-) conjugated, summed from the plain K_nu
+    values, since the normalization and the r0^(-1/2) prefactor cancel,
+    and the prefactor's -1/(2 r0) added last. Works for any subcritical
+    channel of any model.
     """
     a = complex(1.0, -1.0) * scale
     b = complex(1.0, 1.0) * scale
@@ -302,7 +314,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
 
         (diag(phi_+) + U diag(phi_-)) conj(g) = diag(phi_+') + U diag(phi_-'),
 
-    one linear solve for U with the same exterior-normalized profiles.
+    one linear solve for U with the exterior-normalized profiles of g_from_u.
     The Hermitian part of g is read, and every Hermitian g maps to a
     unitary U. In working precision the diagonal of
     diag(phi_-') - diag(phi_-) conj(g) cancels down to a relative r0^(2 nu)
@@ -312,7 +324,12 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     a single channel's U is unimodular by construction, so only the bound
     sees it.
     """
-    vp, vm, dp, dm = _channel_profiles(g.channels, g.r0, scale)
+    (k, kd), weight = _k_rows(g.channels, g.r0, scale)
+    vp = weight * k
+    # K / (2 r0) correctly rounded part by part: numpy's complex division multiplies by a
+    # rounded reciprocal
+    dp = weight * (kd - (k.real / (2.0 * g.r0) + 1j * (k.imag / (2.0 * g.r0))))
+    vm, dm = vp.conj(), dp.conj()
     gc = 0.5 * (g.entries.T + g.entries.conj())  # conj of the Hermitian part
     lhs = np.diag(dm) - vm[:, None] * gc
     rhs = vp[:, None] * gc - np.diag(dp)
@@ -863,8 +880,7 @@ class ScanResult:
     breakdown_r0: float | None = None
 
 
-def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float],
-                  scale: float | None = None) -> ScanResult:
+def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float]) -> ScanResult:
     """Track ||g(r0)||_max and the off-diagonal norm along shrinking r0.
 
     Finite entries in U force singular entries in g, so the max norm grows
@@ -877,7 +893,7 @@ def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float],
         if not 0.0 < r0 < math.inf:
             raise ValueError("all scan radii must be positive and finite")
         try:
-            g = g_from_u(extension, r0, scale)
+            g = g_from_u(extension, r0)
         except (ArithmeticError, ValueError):
             # either the explicit breakdown gate or the Hermiticity gate of the
             # boundary matrix itself; both mean the link left working precision

@@ -215,6 +215,17 @@ def singular_channels(params: ModelParams, cutoff: float) -> list[ChannelSpec]:
     return [ch for ch in channel_ladder(params, top) if ch.singular]
 
 
+def singular_count(params: ModelParams) -> int:
+    """len(singular_channels(params, cutoff)), without building the channels.
+
+    The monopole's are the bottom sector's 2 eg (kappa = 0), plus the j = 1
+    triplet at eg = 1/2; the 1/r^2 model's are every (l, m) with l < l_crit.
+    """
+    if params.model == "monopole":
+        return 4 if params.eg < 1.0 else round(2.0 * params.eg)
+    return math.ceil(l_crit(params.c) - _TOL) ** 2
+
+
 def per_order(channels: Sequence[ChannelSpec], fn: Callable[[float], object]) -> list:
     """[fn(ch.nu) for ch in channels], with fn called once per distinct order."""
     nus = [ch.nu for ch in channels]

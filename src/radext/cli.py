@@ -32,7 +32,6 @@ significant digits, so emit -> parse -> emit is byte-identical.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -42,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import annulus, dirac, extensions
-from .channels import ModelParams, channel_ladder
+from .channels import ModelParams, channel_ladder, singular_count
 
 __all__ = [
     "ConfigError",
@@ -89,20 +88,14 @@ class RunConfig:
     output_format: str
     output_path: str | None
 
-    def require_extension(self) -> None:
-        if self.matrix is None and self.diagonal_thetas is None:
-            raise ConfigError("this subcommand needs an 'extension' section in the config")
-
-    def extension_entries(self) -> np.ndarray:
-        self.require_extension()
-        if self.matrix is not None:
-            return self.matrix
-        return np.diag(np.exp(1j * np.asarray(self.diagonal_thetas)))
-
     def to_extension(self) -> extensions.ExtensionMatrix:
         """The validated member of the U(n) family over the model's singular channels."""
-        return extensions.ExtensionMatrix(self.extension_entries(), self.params,
-                                          unitarity_tol=self.tolerances.unitarity)
+        if self.matrix is None and self.diagonal_thetas is None:
+            raise ConfigError("this subcommand needs an 'extension' section in the config")
+        entries = self.matrix
+        if entries is None:
+            entries = np.diag(np.exp(1j * np.asarray(self.diagonal_thetas)))
+        return extensions.ExtensionMatrix(entries, self.params, unitarity_tol=self.tolerances.unitarity)
 
 
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
@@ -197,7 +190,8 @@ def parse_config(text: str) -> RunConfig:
         _check_keys("extension", ext_raw, _EXT_KEYS)
         if ("matrix" in ext_raw) == ("diagonal_thetas" in ext_raw):
             raise ConfigError("extension needs exactly one of 'matrix' or 'diagonal_thetas'")
-        n_channels = len(extensions.canonical_channels(params))
+        # counted, not listed: a list grows with eg or c before the size is compared
+        n_channels = singular_count(params)
         if "matrix" in ext_raw:
             matrix = _parse_matrix(ext_raw["matrix"])
             if matrix.shape != (n_channels, n_channels):
@@ -254,15 +248,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return "nan"
-        return "%.17g" % value
-    return str(value)
+    """A CSV cell: the JSON form of a number or a truth value, NaN as nan; a string as it is."""
+    if isinstance(value, str):
+        return value
+    text = _canon(value)
+    return "nan" if text == "null" else text
 
 
 def _canon(obj) -> str:
@@ -273,7 +263,8 @@ def _canon(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % obj
+        # JSON has no NaN: an undefined table entry is null
+        return "null" if math.isnan(obj) else "%.17g" % obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -311,7 +302,7 @@ def _write_table(cfg: RunConfig | None, units: str, columns: list[str],
         doc = {"units": units, "columns": columns, "rows": rows}
         if comments:
             doc["notes"] = comments
-        text = _canon(_jsonable(doc)) + "\n"
+        text = _canon(doc) + "\n"
     else:
         lines = [f"# units: {units}", ",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -325,18 +316,6 @@ def _write_table(cfg: RunConfig | None, units: str, columns: list[str],
             raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return None if math.isnan(obj) else float(obj)
-    if isinstance(obj, (bool, int, str, np.integer)) or obj is None:
-        return obj
-    return str(obj)
 
 
 # per model: the option holding the angular cutoff, and the ChannelSpec labels shown
@@ -406,41 +385,34 @@ def _cmd_oracle(args) -> int:
     r0 = opts.r0 / mu
     R = opts.R / mu
     ext = cfg.to_extension()
-    coupled = np.abs(ext.entries - np.diag(np.diag(ext.entries))).max() > 1e-10
-    # an unmixed U runs channel by channel on the scalar link of its diagonal phase (the
-    # configured phase itself when given, so no rounding enters through cmath.phase)
-    thetas = () if coupled else cfg.diagonal_thetas or [cmath.phase(u) for u in np.diag(ext.entries)]
-    analytic = [extensions.bound_state_energy_theta(t, ch.nu, mu) for ch, t in zip(ext.channels, thetas)]
+    # an unmixed U runs channel by channel, each level beside its channel's closed form
+    unmixed = extensions.is_angular_momentum_conserving(ext, tol=1e-10)
+    if unmixed:
+        energies = {state.channel: state.energy for state in extensions.bound_states(ext, mu)}
 
     # stage one: Robin data (failures here are Hermiticity-class, exit 3)
-    runs: list[tuple] = []  # (boundary matrix, channel list, analytic E or None)
     try:
-        if coupled:
-            runs.append((annulus.g_from_u(ext, r0), ext.channels, None))
-        for ch, theta, energy in zip(ext.channels, thetas, analytic):
-            gval = annulus.diagonal_link_value(ch.nu, theta, r0, cfg.params.deficiency_scale)
-            bcm = annulus.BoundaryConditionMatrix(r0=r0, channels=(ch,), entries=np.array([[gval]]))
-            runs.append((bcm, (ch,), energy))
+        g = annulus.g_from_u(ext, r0)
     except (ArithmeticError, ValueError) as exc:
         print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3
+    # (boundary matrix, channel list, analytic E or NaN)
+    runs = [(g, ext.channels, math.nan)]
+    if unmixed:
+        runs = [(annulus.BoundaryConditionMatrix(r0, (ch,), g.entries[i:i + 1, i:i + 1]), (ch,),
+                 energies.get(ch, math.nan)) for i, ch in enumerate(ext.channels)]
 
     # stage two: assembly and eigensolve (failures here are convergence-class, exit 4,
     # except a Hermiticity refusal or a link map that cannot be inverted in working
     # precision, exit 3)
+    grid = annulus.AnnulusGrid(r0, R, opts.n)
     rows: list[list] = []
-    counter = 0
     try:
         for bcm, chans, analytic in runs:
-            grid = annulus.AnnulusGrid(r0, R, opts.n)
             ham = annulus.assemble_radial_hamiltonian(cfg.params, grid, bcm, chans)
-            vals = annulus.oracle_spectrum(ham, opts.k)
-            for i, v in enumerate(vals):
-                if i == 0 and analytic is not None:
-                    rows.append([counter, v / mu, analytic / mu, abs(v - analytic) / abs(analytic)])
-                else:
-                    rows.append([counter, v / mu, float("nan"), float("nan")])
-                counter += 1
+            for i, v in enumerate(annulus.oracle_spectrum(ham, opts.k)):
+                exact = analytic if i == 0 else math.nan
+                rows.append([len(rows), v / mu, exact / mu, abs(v - exact) / abs(exact)])
     except annulus.HermiticityError as exc:
         print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3

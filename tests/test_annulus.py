@@ -171,8 +171,9 @@ class TestTransferMatrix:
     def test_radius_scale_covariance(self, identity_ext):
         # r -> 2r with s -> s/2 keeps the Bessel argument fixed; the
         # 1/sqrt(r) prefactor and the exterior norm together give 2^(-3/2)
-        base = a_matrix(identity_ext, 0.3, scale=1.0).entries
-        shifted = a_matrix(identity_ext, 0.6, scale=0.5).entries
+        base = a_matrix(identity_ext, 0.3).entries
+        halved = ExtensionMatrix(identity_ext.entries, ModelParams(deficiency_scale=0.5))
+        shifted = a_matrix(halved, 0.6).entries
         assert_allclose(shifted, base * 2.0 ** (-1.5), rtol=1e-12)
 
     def test_radius_validation(self, identity_ext):
@@ -196,7 +197,20 @@ class TestLinkMap:
         assert np.abs(off).max() == 0.0
         for idx, (ch, theta) in enumerate(zip(ext.channels, thetas)):
             want = diagonal_link_value(ch.nu, theta, 0.1, monopole.deficiency_scale)
-            assert_allclose(g.entries[idx, idx], want, rtol=1e-10)
+            # both routes form the same sums from the same K values (worst 3.1e-16 here)
+            assert_allclose(g.entries[idx, idx], want, rtol=2e-15)
+
+    def test_dirac_consistent_set_passes_at_the_oracle_radius(self):
+        # phi_+ + U phi_- cancels for the Dirac-consistent value, so it is summed from the plain
+        # K values before the normalization: g keeps a defect of 2.0e-10 at r0 = 1e-3, inside
+        # the 1e-9 gate, and each entry is its phase's scalar link
+        p = float(np.angle(dirac_consistent_value(NU_EDGE)))
+        thetas = [0.3, p, p, p]
+        ext = ExtensionMatrix.from_diagonal_thetas(thetas)
+        g = g_from_u(ext, 1e-3)
+        assert g.hermiticity_defect <= 1e-9
+        for idx, (ch, theta) in enumerate(zip(ext.channels, thetas)):
+            assert_allclose(g.entries[idx, idx], diagonal_link_value(ch.nu, theta, 1e-3, 1.0), rtol=1e-13)
 
     def test_each_order_is_evaluated_once(self, monkeypatch):
         # eg = 1/2 has four channels but two orders: K_nu and K_(nu+1) once per order and radius

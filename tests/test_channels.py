@@ -16,6 +16,7 @@ from radext.channels import (
     nu_of,
     per_order,
     singular_channels,
+    singular_count,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -219,6 +220,16 @@ def test_channel_ladder_needs_a_finite_cutoff():
         for cutoff in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 channel_ladder(params, cutoff)
+
+
+def test_singular_count_is_the_length_of_the_list():
+    # eg up to 15, and c across the sector edges, where nu^2 = 1 exactly and just either side
+    cases = [ModelParams(eg=0.5 * n) for n in range(1, 31)]
+    strengths = [0.1 * i - 3.0 for i in range(400)]
+    strengths += [l * (l + 1) - 0.75 + d for l in range(6) for d in (-1e-9, 0.0, 1e-9)]
+    cases += [ModelParams(model="inverse_square", c=c) for c in strengths]
+    for params in cases:
+        assert singular_count(params) == len(singular_channels(params, math.inf)), params
 
 
 def test_per_order_evaluates_each_order_once():

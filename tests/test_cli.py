@@ -8,19 +8,21 @@ unitarity or Hermiticity violation, 4 non-convergence.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from radext import cli
+from radext import annulus, cli
 from radext.cli import (
     ConfigError,
     UnitarityError,
     emit_config,
     parse_config,
 )
-from radext.extensions import bound_state_energy_theta, dirac_consistent_value, haar_unitary
+from radext.channels import ModelParams
+from radext.extensions import ExtensionMatrix, bound_state_energy_theta, dirac_consistent_value, haar_unitary
 from radext.specfun import bessel_j
 
 NU_EDGE = math.sqrt(2.0) - 0.5
@@ -111,6 +113,20 @@ class TestParseConfig:
                                          for j in range(4)] for i in range(4)]}}
         with pytest.raises(UnitarityError, match="defect"):
             parse_config(json.dumps(doc))
+
+    def test_huge_channel_count_is_refused_before_the_list(self, make_config, capsys):
+        # eg = 1e8 has 2e8 singular channels and c = 1e8 about 1e8: a list of them would take
+        # tens of GB, the count alone none
+        for model in ({"eg": 1e8}, {"type": "inverse_square", "c": 1e8}):
+            path = make_config({"model": model, "extension": {"diagonal_thetas": [0.0] * 4}})
+            tracemalloc.start()
+            try:
+                assert cli.main(["emit-config", "--config", path]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10e6
+            assert "channel-count" in capsys.readouterr().err
 
     def test_channel_count_uses_model(self):
         # c = 1.0 leaves a single (overcritical) singular channel, so a
@@ -337,6 +353,31 @@ class TestOracleCommand:
         # the half-order channel resolves its bound state on this grid
         assert float(rows[0][3]) < 0.01
         assert float(rows[0][2]) == -1.0
+
+    def test_unmixed_runs_take_g_from_the_shared_link_map(self, make_config, capsys, monkeypatch):
+        # each channel's level as the scalar link of its phase gives it, with that route gone
+        thetas = [0.3, 1.1, -0.4, 2.0]
+        ext = ExtensionMatrix.from_diagonal_thetas(thetas)
+        grid = annulus.AnnulusGrid(r0=0.01, R=20.0, n=400)
+        levels = []
+        for ch, theta in zip(ext.channels, thetas):
+            gval = annulus.diagonal_link_value(ch.nu, theta, 0.01, 1.0)
+            g = annulus.BoundaryConditionMatrix(0.01, (ch,), [[gval]])
+            ham = annulus.assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,))
+            levels.append(annulus.oracle_spectrum(ham, 1)[0])
+
+        def gone(*args):
+            raise AssertionError("the oracle reads every g from g_from_u")
+
+        monkeypatch.setattr(annulus, "diagonal_link_value", gone)
+        path = make_config({"extension": {"diagonal_thetas": thetas},
+                            "oracle": {"n": 400, "R": 20.0, "r0": 0.01}})
+        assert cli.main(["oracle", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert_allclose([float(r[1]) for r in rows], levels, rtol=1e-9)
+        analytic = [bound_state_energy_theta(t, ch.nu, 1.0) for ch, t in zip(ext.channels, thetas)]
+        assert_allclose([float(r[2]) for r in rows[:3]], analytic[:3], rtol=1e-13)
+        assert analytic[3] is None and rows[3][2] == "nan"
 
     def test_coupled_extension(self, make_config, capsys):
         path = make_config({"extension": {"matrix": SWAP_JSON},
