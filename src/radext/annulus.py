@@ -87,7 +87,8 @@ class HermiticityError(ValueError):
 class LinkBreakdownError(ArithmeticError):
     """The link map or its inverse left working precision at this radius.
 
-    The CLI reports it as a unitarity or Hermiticity violation (exit 3).
+    That covers a singular transfer matrix a(r) (condition number past 1e12).
+    The CLI reports it as a unitarity violation (exit 3).
     """
 
 
@@ -249,7 +250,7 @@ def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tupl
     s = np.linalg.svd(entries, compute_uv=False)
     cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
-        raise ArithmeticError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
+        raise LinkBreakdownError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
     return TransferMatrix(r=r, entries=entries, condition_number=cond), deriv
 
 

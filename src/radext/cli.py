@@ -2,9 +2,18 @@
 
 Exit codes: 0 success, 2 config or schema error (an unreadable config or an
 unwritable output path included), 3 unitarity or Hermiticity violation, 4
-numerical failure (non-convergence, a value past the float range). All
-energies are reported in units of mu and lengths in 1/mu; every CSV starts
-with a "# units:" comment line.
+numerical failure (non-convergence, a value past the float range). main
+alone maps a failure's type to its code and stderr prefix, first match
+first:
+
+    ConfigError                             2  config error
+    UnitarityError, LinkBreakdownError      3  unitarity error
+    HermiticityError (a ValueError)         3  hermiticity error
+    ValueError                              2  config error
+    ArithmeticError                         4  numerical error
+
+All energies are reported in units of mu and lengths in 1/mu; every CSV
+starts with a "# units:" comment line.
 
 Config layout (all sections optional except where a subcommand needs them;
 defaults are materialized on parse, so emit_config always writes the full
@@ -365,12 +374,7 @@ def _cmd_gmap(args) -> int:
     if not 0.0 < args.r0 < math.inf:
         raise ConfigError("--r0 must be positive and finite (units of 1/mu)")
     mu = cfg.params.mu
-    ext = cfg.to_extension()
-    try:
-        bcm = annulus.g_from_u(ext, args.r0 / mu)
-    except (ArithmeticError, ValueError) as exc:
-        print(f"hermiticity error: {exc}", file=sys.stderr)
-        return 3
+    bcm = annulus.g_from_u(cfg.to_extension(), args.r0 / mu)
     rows = [[i, j, bcm.entries[i, j].real / mu, bcm.entries[i, j].imag / mu]
             for i in range(len(bcm.channels)) for j in range(len(bcm.channels))]
     _write_table(cfg, "r0 in 1/mu, g in mu", ["row", "col", "g_re", "g_im"], rows,
@@ -383,45 +387,19 @@ def _cmd_oracle(args) -> int:
     mu = cfg.params.mu
     opts = cfg.oracle
     r0 = opts.r0 / mu
-    R = opts.R / mu
     ext = cfg.to_extension()
-    # an unmixed U runs channel by channel, each level beside its channel's closed form
-    unmixed = extensions.is_angular_momentum_conserving(ext, tol=1e-10)
-    if unmixed:
-        energies = {state.channel: state.energy for state in extensions.bound_states(ext, mu)}
-
-    # stage one: Robin data (failures here are Hermiticity-class, exit 3)
-    try:
-        g = annulus.g_from_u(ext, r0)
-    except (ArithmeticError, ValueError) as exc:
-        print(f"hermiticity error: {exc}", file=sys.stderr)
-        return 3
-    # (boundary matrix, channel list, analytic E or NaN)
-    runs = [(g, ext.channels, math.nan)]
-    if unmixed:
-        runs = [(annulus.BoundaryConditionMatrix(r0, (ch,), g.entries[i:i + 1, i:i + 1]), (ch,),
-                 energies.get(ch, math.nan)) for i, ch in enumerate(ext.channels)]
-
-    # stage two: assembly and eigensolve (failures here are convergence-class, exit 4,
-    # except a Hermiticity refusal or a link map that cannot be inverted in working
-    # precision, exit 3)
-    grid = annulus.AnnulusGrid(r0, R, opts.n)
-    rows: list[list] = []
-    try:
-        for bcm, chans, analytic in runs:
-            ham = annulus.assemble_radial_hamiltonian(cfg.params, grid, bcm, chans)
-            for i, v in enumerate(annulus.oracle_spectrum(ham, opts.k)):
-                exact = analytic if i == 0 else math.nan
-                rows.append([len(rows), v / mu, exact / mu, abs(v - exact) / abs(exact)])
-    except annulus.HermiticityError as exc:
-        print(f"hermiticity error: {exc}", file=sys.stderr)
-        return 3
-    except annulus.LinkBreakdownError as exc:
-        print(f"unitarity error: {exc}", file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 4
+    # the closed forms come before the link map, so an energy past the float range exits 4
+    # first; an unmixed channel has at most one bound state, and those are the lowest levels
+    analytic: list[float] = []
+    if extensions.is_angular_momentum_conserving(ext, tol=1e-10):
+        analytic = sorted(state.energy for state in extensions.bound_states(ext, mu))
+    g = annulus.g_from_u(ext, r0)
+    grid = annulus.AnnulusGrid(r0, opts.R / mu, opts.n)
+    ham = annulus.assemble_radial_hamiltonian(cfg.params, grid, g, ext.channels)
+    levels = annulus.oracle_spectrum(ham, opts.k)
+    analytic += [math.nan] * (len(levels) - len(analytic))
+    rows = [[i, v / mu, exact / mu, abs(v - exact) / abs(exact)]
+            for i, (v, exact) in enumerate(zip(levels, analytic))]
     _write_table(cfg, "E in mu", ["index", "E_numeric", "E_analytic", "rel_err"], rows)
     return 0
 
@@ -525,8 +503,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except UnitarityError as exc:
+    except (UnitarityError, annulus.LinkBreakdownError) as exc:
         print(f"unitarity error: {exc}", file=sys.stderr)
+        return 3
+    except annulus.HermiticityError as exc:  # before ValueError, its base
+        print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

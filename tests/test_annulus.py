@@ -180,6 +180,14 @@ class TestTransferMatrix:
         with pytest.raises(ValueError, match="positive"):
             a_matrix(identity_ext, 0.0)
 
+    def test_singular_transfer_matrix_is_a_link_breakdown(self, monopole):
+        # the phase that cancels K_nu(a r) + U conj(K_nu(a r)) in the nu = 1/2 channel leaves
+        # a(r) singular in working precision
+        k = bessel_k_complex(0.5, complex(1.0, -1.0) * 0.3)
+        ext = ExtensionMatrix.from_diagonal_thetas([float(np.angle(-k / k.conjugate())), 0, 0, 0], monopole)
+        with pytest.raises(LinkBreakdownError, match="singular at r = 0.3"):
+            a_matrix(ext, 0.3)
+
     def test_condition_number_is_numpy_cond(self):
         for seed in range(10):
             ext = ExtensionMatrix(haar_unitary(seed))

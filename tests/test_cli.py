@@ -2,7 +2,7 @@
 
 Everything goes through cli.main(argv) so the exit-code contract is tested
 exactly as a shell user would see it: 0 success, 2 config error, 3
-unitarity or Hermiticity violation, 4 non-convergence.
+unitarity or Hermiticity violation, 4 numerical failure.
 """
 
 import cmath
@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from radext import annulus, cli
@@ -311,7 +312,7 @@ class TestGmapCommand:
     def test_breakdown_radius_exit_3(self, make_config, capsys):
         path = make_config({"extension": {"matrix": SWAP_JSON}})
         assert cli.main(["gmap", "--config", path, "--r0", "1e-8"]) == 3
-        assert "hermiticity error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("unitarity error:")
 
     def test_non_positive_radius_is_config_error(self, make_config, capsys):
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
@@ -344,40 +345,45 @@ class TestGmapCommand:
 
 class TestOracleCommand:
     def test_diagonal_channels(self, make_config, capsys):
+        # the identity binds every channel at E = -1: the k = 4 lowest levels of one solve
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
-                            "oracle": {"n": 4000}})
+                            "oracle": {"n": 4000, "k": 4}})
         assert cli.main(["oracle", "--config", path]) == 0
         header, rows = _csv_rows(capsys.readouterr().out)
         assert header == ["index", "E_numeric", "E_analytic", "rel_err"]
-        assert len(rows) == 4
-        # the half-order channel resolves its bound state on this grid
-        assert float(rows[0][3]) < 0.01
-        assert float(rows[0][2]) == -1.0
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        for row in rows:
+            assert float(row[2]) == -1.0
+            assert float(row[3]) < 0.01
 
     def test_unmixed_runs_take_g_from_the_shared_link_map(self, make_config, capsys, monkeypatch):
-        # each channel's level as the scalar link of its phase gives it, with that route gone
+        # one coupled solve gives the sorted union of the channels' own levels, here from
+        # scipy's tridiagonal bisection on each channel's operator at its scalar link value
         thetas = [0.3, 1.1, -0.4, 2.0]
         ext = ExtensionMatrix.from_diagonal_thetas(thetas)
         grid = annulus.AnnulusGrid(r0=0.01, R=20.0, n=400)
-        levels = []
+        single = []
         for ch, theta in zip(ext.channels, thetas):
             gval = annulus.diagonal_link_value(ch.nu, theta, 0.01, 1.0)
             g = annulus.BoundaryConditionMatrix(0.01, (ch,), [[gval]])
-            ham = annulus.assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,))
-            levels.append(annulus.oracle_spectrum(ham, 1)[0])
+            h1 = annulus.assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,))
+            single.extend(scipy.linalg.eigh_tridiagonal(
+                np.concatenate((h1.block[0].real, h1.onsite[:, 0])), h1.hops[:, 0],
+                eigvals_only=True, select="i", select_range=(0, 3)))
 
         def gone(*args):
             raise AssertionError("the oracle reads every g from g_from_u")
 
         monkeypatch.setattr(annulus, "diagonal_link_value", gone)
         path = make_config({"extension": {"diagonal_thetas": thetas},
-                            "oracle": {"n": 400, "R": 20.0, "r0": 0.01}})
+                            "oracle": {"n": 400, "R": 20.0, "r0": 0.01, "k": 4}})
         assert cli.main(["oracle", "--config", path]) == 0
         _, rows = _csv_rows(capsys.readouterr().out)
-        assert_allclose([float(r[1]) for r in rows], levels, rtol=1e-9)
+        assert_allclose([float(r[1]) for r in rows], np.sort(single)[:4], rtol=1e-8)
         analytic = [bound_state_energy_theta(t, ch.nu, 1.0) for ch, t in zip(ext.channels, thetas)]
-        assert_allclose([float(r[2]) for r in rows[:3]], analytic[:3], rtol=1e-13)
-        assert analytic[3] is None and rows[3][2] == "nan"
+        assert analytic[3] is None
+        assert_allclose([float(r[2]) for r in rows[:3]], sorted(analytic[:3]), rtol=1e-13)
+        assert rows[3][2] == "nan"
 
     def test_coupled_extension(self, make_config, capsys):
         path = make_config({"extension": {"matrix": SWAP_JSON},
@@ -391,10 +397,10 @@ class TestOracleCommand:
         path = make_config({"extension": {"matrix": SWAP_JSON},
                             "oracle": {"n": 150, "R": 10.0, "r0": 1e-8}})
         assert cli.main(["oracle", "--config", path]) == 3
-        assert "hermiticity error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("unitarity error:")
 
     def test_link_inversion_breakdown_exit_3(self, make_config, capsys):
-        # diagonal Robin data passes stage one at any r0, but reading it back as
+        # diagonal Robin data passes the link map at any r0, but reading it back as
         # an extension is past working precision here for nu = sqrt(2) - 1/2
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
                             "oracle": {"n": 150, "R": 10.0, "r0": 1e-8}})
@@ -409,7 +415,7 @@ class TestOracleCommand:
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
                             "oracle": {"n": 150, "R": 10.0, "r0": 0.05}})
         assert cli.main(["oracle", "--config", path]) == 4
-        assert "convergence error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("numerical error:")
 
     def test_dirac_consistent_phase_gives_the_regular_level(self, make_config, capsys):
         # at the Dirac-consistent phase the link value keeps a ~1e-10 imaginary part, within
@@ -417,14 +423,18 @@ class TestOracleCommand:
         # U, and the j = 1 channels then give the regular-spectrum level (j_nu,1 / R)^2 / (2 mu),
         # J_nu(j_nu,1) = 0
         p = cmath.phase(dirac_consistent_value(NU_EDGE))
-        path = make_config({"extension": {"diagonal_thetas": [0.3, p, p, p]}})
+        path = make_config({"extension": {"diagonal_thetas": [0.3, p, p, p]}, "oracle": {"k": 5}})
         assert cli.main(["oracle", "--config", path]) == 0
         _, rows = _csv_rows(capsys.readouterr().out)
         lo, hi = 2.0, 5.0  # bisect the first zero of J_nu
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if bessel_j(NU_EDGE, mid) > 0.0 else (lo, mid)
-        assert_allclose([float(r[1]) for r in rows[1:]], [(lo / 40.0) ** 2 / 2.0] * 3, rtol=1e-5)
+        # row 0 is the j = 0 channel's bound state, and the regular level is the j = 1 triplet's
+        assert float(rows[0][2]) == bound_state_energy_theta(0.3, 0.5, 1.0)
+        assert float(rows[0][3]) < 1e-4
+        regular = (lo / 40.0) ** 2 / 2.0
+        assert sum(math.isclose(float(r[1]), regular, rel_tol=1e-5) for r in rows) == 3
 
     def test_overcritical_exit_2(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 1.0},
@@ -443,6 +453,39 @@ class TestOracleCommand:
         _, rows = _csv_rows(capsys.readouterr().out)
         assert_allclose([float(r[1]) for r in rows], analytic, rtol=2e-2)
         assert [r[2] for r in rows] == ["nan", "nan"]
+
+
+# main's table: a failure's type -> exit code and stderr prefix, first match first
+EXIT_TABLE = [
+    (ConfigError, 2, "config error"),
+    (UnitarityError, 3, "unitarity error"),
+    (annulus.LinkBreakdownError, 3, "unitarity error"),
+    (annulus.HermiticityError, 3, "hermiticity error"),
+    (ValueError, 2, "config error"),
+    (ArithmeticError, 4, "numerical error"),
+    (OverflowError, 4, "numerical error"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc_type, code, prefix", EXIT_TABLE, ids=[row[0].__name__ for row in EXIT_TABLE])
+    def test_main_maps_each_failure_type(self, monkeypatch, capsys, exc_type, code, prefix):
+        def fail(args):
+            raise exc_type("forced")
+
+        monkeypatch.setattr(cli, "_cmd_channels", fail)
+        assert cli.main(["channels"]) == code
+        assert capsys.readouterr().err == f"{prefix}: forced\n"
+
+    def test_underflow_is_a_numerical_error(self, make_config, capsys):
+        # K_nu(a r0) underflows at r0 = 800 and the exterior norm comes out zero: a value past
+        # the float range, not a Hermiticity violation
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]},
+                            "oracle": {"r0": 800, "R": 900, "n": 100}})
+        assert cli.main(["gmap", "--config", path, "--r0", "800"]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: exterior norm")
+        assert cli.main(["oracle", "--config", path]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: exterior norm")
 
 
 class TestDiracCheckCommand:
