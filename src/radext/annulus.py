@@ -87,7 +87,8 @@ class HermiticityError(ValueError):
 class LinkBreakdownError(ArithmeticError):
     """The link map or its inverse left working precision at this radius.
 
-    That covers a singular transfer matrix a(r) (condition number past 1e12).
+    That covers a singular transfer matrix a(r) (condition number past 1e12)
+    and an exterior norm whose terms cancelled to a nonpositive value.
     The CLI reports it as a unitarity violation (exit 3).
     """
 
@@ -204,30 +205,42 @@ def _tail_norm(r0: float, a: complex, kva: complex, kda: complex) -> float:
     """exterior_tail_norm from K_nu(a r0) and K_nu'(a r0).
 
     K_nu(conj z) = conj K_nu(z), so the b = conj(a) values are their conjugates.
+    A norm below the normal float range means K_nu underflowed (large r0), a
+    value past the float range: ArithmeticError. A nonpositive norm of normal
+    size means its two terms cancelled past working precision (small r0):
+    LinkBreakdownError.
     """
     b = a.conjugate()
     num = r0 * (b * kva * kda.conjugate() - a * kda * kva.conjugate())
     val = num / (a * a - b * b)
     out = val.real
     if not out > 0.0:
-        raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r0}")
+        if abs(val) < np.finfo(float).tiny:
+            raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r0}")
+        raise LinkBreakdownError(f"exterior norm came out nonpositive ({val}) at r0 = {r0}: "
+                                 "the radius is below the working-precision breakdown point")
     return out
 
 
-def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows K_nu(a r) and a K_nu'(a r), a = (1 - i) s, and the weight c r^(-1/2), per channel.
+def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, float]:
+    """K_nu(a r), a K_nu'(a r) and the weight c r^(-1/2) at one order, a = (1 - i) s.
 
-    Each order is evaluated once; c is the exterior normalization. The
-    profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate.
+    c is the exterior normalization. The profile phi_+ is c r^(-1/2) K_nu(a r)
+    and phi_- its conjugate.
     """
     a = complex(1.0, -1.0) * scale
+    kva, kda = _k_pair(nu, a * r)
+    return kva, a * kda, 1.0 / math.sqrt(_tail_norm(r, a, kva, kda)) * r ** (-0.5)
 
-    def kernel(nu):
-        kva, kda = _k_pair(nu, a * r)
-        return kva, a * kda, 1.0 / math.sqrt(_tail_norm(r, a, kva, kda))
 
-    rows = np.array(per_order(channels, kernel)).T
-    return rows[:2], rows[2].real * r ** (-0.5)
+def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows K_nu(a r) and a K_nu'(a r), and the weight c r^(-1/2), per channel.
+
+    The per_order table of _k_profile: built once per process for each
+    channel set, radius and scale, whatever U reads it.
+    """
+    rows = per_order(_k_profile, tuple(ch.nu for ch in channels), r, scale).T
+    return rows[:2], rows[2].real
 
 
 def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tuple[TransferMatrix, np.ndarray]:
@@ -887,7 +900,10 @@ def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float]) -> S
     Finite entries in U force singular entries in g, so the max norm grows
     without bound; the scan records the empirical growth and stops at the
     first radius where the link map breaks down in working precision,
-    reporting it in breakdown_r0.
+    reporting it in breakdown_r0. Only the two breakdown gates end the scan:
+    LinkBreakdownError and the boundary matrix's HermiticityError. Any other
+    ArithmeticError, such as K_nu underflowing at a large radius, is not a
+    breakdown and propagates.
     """
     rows: list[ScanRow] = []
     for r0 in r0_sequence:
@@ -895,9 +911,7 @@ def r0_limit_scan(extension: ExtensionMatrix, r0_sequence: Sequence[float]) -> S
             raise ValueError("all scan radii must be positive and finite")
         try:
             g = g_from_u(extension, r0)
-        except (ArithmeticError, ValueError):
-            # either the explicit breakdown gate or the Hermiticity gate of the
-            # boundary matrix itself; both mean the link left working precision
+        except (LinkBreakdownError, HermiticityError):
             return ScanResult(rows=tuple(rows), breakdown_r0=r0)
         ents = g.entries
         off = ents - np.diag(np.diag(ents))

@@ -22,9 +22,12 @@ Everything here is exact quantum-number arithmetic; no special functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 _TOL = 1e-12
 _INTEGER_TOL = 1e-9
@@ -226,8 +229,19 @@ def singular_count(params: ModelParams) -> int:
     return math.ceil(l_crit(params.c) - _TOL) ** 2
 
 
-def per_order(channels: Sequence[ChannelSpec], fn: Callable[[float], object]) -> list:
-    """[fn(ch.nu) for ch in channels], with fn called once per distinct order."""
-    nus = [ch.nu for ch in channels]
-    values = {nu: fn(nu) for nu in dict.fromkeys(nus)}
-    return [values[nu] for nu in nus]
+@functools.lru_cache(maxsize=256)
+def per_order(fn: Callable[..., object], orders: tuple[float, ...], *args) -> np.ndarray:
+    """Read-only table of fn(nu, *args), one row per entry of orders.
+
+    orders is tuple(ch.nu for ch in channels), and fn a module-level
+    function of (nu, *args). fn is called once per distinct order, and the
+    table once per process for each (fn, orders, args): the deficiency
+    subspaces are fixed by the order and the scale alone, so every caller
+    keys a table on the U-independent data and forms its sums with U per
+    call. The cache is a bounded LRU (256 tables); an exception is not
+    cached, so a call that raised raises again.
+    """
+    values = {nu: fn(nu, *args) for nu in dict.fromkeys(orders)}
+    table = np.array([values[nu] for nu in orders])
+    table.flags.writeable = False
+    return table

@@ -226,6 +226,13 @@ class DeficiencyVector:
         return SmallRBehavior(raw.nu, n * raw.c_minus, n * raw.c_plus)
 
 
+def _plus_pair(nu: float, scale: float) -> tuple[complex, complex]:
+    """Small-r pair (c_-, c_+) of the R^3-normalized phi_+ at one order."""
+    plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
+    norm = deficiency_normalization(nu, scale)
+    return plus.c_minus * norm, plus.c_plus * norm
+
+
 def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
                  scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Small-r coefficients (A, B) of the domain of the extension U.
@@ -244,12 +251,7 @@ def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
     by the oracle and, through ExtensionMatrix.small_r_pairs, by
     domain_vector_smallr and the matching.
     """
-    def pair(nu):
-        plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
-        norm = deficiency_normalization(nu, scale)
-        return plus.c_minus * norm, plus.c_plus * norm
-
-    lead, sub = np.array(per_order(channels, pair)).T
+    lead, sub = per_order(_plus_pair, tuple(ch.nu for ch in channels), scale).T
     # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
     return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
 
@@ -345,9 +347,10 @@ def bound_states(extension: ExtensionMatrix, mu: float) -> list[BoundState]:
     one state per channel results.
     """
     ents = extension.entries
+    mixing = _off_diagonal_max(ents)
     out: list[BoundState] = []
     for idx, ch in enumerate(extension.channels):
-        if not _unmixed(ents, idx, _DIAGONAL_TOL):
+        if not mixing[idx] <= _DIAGONAL_TOL:
             continue
         theta = cmath.phase(ents[idx, idx])
         energy = bound_state_energy_theta(theta, ch.nu, mu)
@@ -399,19 +402,21 @@ def _triangular_cond(a: complex, b: complex, c: complex) -> float:
     return 0.5 * (a * a + b * b + c * c + root) / det
 
 
+def _waves(nu: float, lam: float) -> tuple[float, float, float, float]:
+    """The S wave's (c_-, c_+), the N wave's c_+ and the matching condition at one order."""
+    reg = small_arg_coeffs("N", nu, lam)
+    sing = small_arg_coeffs("S", nu, lam)
+    return sing.c_minus, sing.c_plus, reg.c_plus, _triangular_cond(sing.c_minus, sing.c_plus, reg.c_plus)
+
+
 def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
     """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
     if not energy > 0.0:
         raise ValueError(f"scattering states require energy > 0, got {energy}")
     lam = math.sqrt(2.0 * mu * energy)
     a, b = extension.small_r_pairs
-
-    def waves(nu):
-        reg = small_arg_coeffs("N", nu, lam)
-        sing = small_arg_coeffs("S", nu, lam)
-        return sing.c_minus, sing.c_plus, reg.c_plus, _triangular_cond(sing.c_minus, sing.c_plus, reg.c_plus)
-
-    sing_minus, sing_plus, reg_plus, cond = np.array(per_order(extension.channels, waves)).T[..., None]
+    orders = tuple(ch.nu for ch in extension.channels)
+    sing_minus, sing_plus, reg_plus, cond = per_order(_waves, orders, lam).T[..., None]
     singular = a / sing_minus
     regular = (b - singular * sing_plus) / reg_plus
     return regular, singular, float(cond.max())
@@ -451,10 +456,14 @@ def mixing_matrix(extension: ExtensionMatrix, energy: float,
     return regular, singular
 
 
-def _unmixed(entries: np.ndarray, idx: int, tol: float) -> bool:
-    """True iff row and column idx of U vanish off the diagonal within tol."""
-    off = entries - np.diag(np.diag(entries))
-    return bool(max(np.abs(off[idx]).max(), np.abs(off[:, idx]).max()) <= tol)
+def _off_diagonal_max(entries: np.ndarray) -> np.ndarray:
+    """Per index idx, the largest |U| off the diagonal in row idx and column idx.
+
+    Channel idx is unmixed within tol exactly when its entry is <= tol.
+    """
+    off = np.abs(entries)
+    np.fill_diagonal(off, 0.0)
+    return np.maximum(off.max(axis=1), off.max(axis=0))
 
 
 def is_angular_momentum_conserving(extension: ExtensionMatrix, tol: float = 1e-12) -> bool:
@@ -586,6 +595,7 @@ def is_dirac_consistent(extension: ExtensionMatrix, tol: float = 1e-10) -> bool:
         raise ValueError("the Dirac-consistency test encodes the j = 0 / j = 1 channels of the "
                          f"monopole at eg = 1/2; got model {params.model!r}, eg = {params.eg}")
     ents = extension.entries
+    mixing = _off_diagonal_max(ents)
     u_required = dirac_consistent_value(extension.channels[1].nu)
-    return all(_unmixed(ents, idx, tol) and abs(ents[idx, idx] - u_required) <= tol
+    return all(mixing[idx] <= tol and abs(ents[idx, idx] - u_required) <= tol
                for idx in range(1, len(ents)))

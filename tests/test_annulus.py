@@ -35,8 +35,8 @@ from radext.annulus import (
     r0_limit_scan,
     u_from_g,
 )
-from radext.channels import ChannelSpec, ModelParams
-from radext.extensions import ExtensionMatrix, origin_pairs, random_extension
+from radext.channels import ChannelSpec, ModelParams, per_order
+from radext.extensions import ExtensionMatrix, mixing_matrix, origin_pairs, random_extension
 from radext.extensions import bound_state_energy_theta, dirac_consistent_value, haar_unitary
 from radext.specfun import bessel_j, gamma_fn
 from radext.specfun import bessel_k_complex
@@ -221,7 +221,8 @@ class TestLinkMap:
             assert_allclose(g.entries[idx, idx], diagonal_link_value(ch.nu, theta, 1e-3, 1.0), rtol=1e-13)
 
     def test_each_order_is_evaluated_once(self, monkeypatch):
-        # eg = 1/2 has four channels but two orders: K_nu and K_(nu+1) once per order and radius
+        # eg = 1/2 has four channels but two orders: K_nu and K_(nu+1) once per order and radius,
+        # and once per process: another U at the same radius reads the same profiles
         calls = []
 
         def counted(nu, z):
@@ -229,11 +230,14 @@ class TestLinkMap:
             return bessel_k_complex(nu, z)
 
         monkeypatch.setattr(annulus, "bessel_k_complex", counted)
-        ext = random_extension(3)
+        per_order.cache_clear()
         for r0 in (0.5, 0.1, 0.01):
             calls.clear()
-            g_from_u(ext, r0)
+            g_from_u(random_extension(3), r0)
             assert sorted(calls) == [0.5, NU_EDGE, 1.5, NU_EDGE + 1.0]
+            calls.clear()
+            g_from_u(random_extension(4), r0)
+            assert calls == []
 
     def test_hermitian_across_seeds_and_radii(self):
         for seed in range(10):
@@ -260,6 +264,34 @@ class TestLinkMap:
                             lambda *args: (transfer(*args)[0], np.full((4, 4), np.nan)))
         with pytest.raises(LinkBreakdownError, match="breakdown"):
             g_from_u(ext, 0.1)
+
+    def test_underflow_raises_on_every_call(self, identity_ext):
+        # an exception is never cached: K_nu underflows at r0 = 800 however often it is asked
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="exterior norm"):
+                g_from_u(identity_ext, 800.0)
+
+    def test_memo_is_bit_identical_cold_and_warm(self):
+        def outputs(seed, cold):
+            # two radii and two energies, so a warm step would see a table keyed on the wrong one
+            ext = random_extension(seed)
+            steps = [lambda: origin_pairs(ext.entries, ext.channels, 1.0)]
+            for r0, energy in ((0.5, 0.7), (0.05, 2.0)):
+                steps += [lambda r0=r0: g_from_u(ext, r0).entries,
+                          lambda r0=r0: u_from_g(g_from_u(ext, r0), 1.0),
+                          lambda energy=energy: mixing_matrix(ext, energy, 1.0)]
+            out = []
+            for step in steps:
+                if cold:
+                    per_order.cache_clear()
+                out.append(step())
+            return out
+
+        def raw(arrays):
+            return np.concatenate([np.ravel(x) for x in arrays]).tobytes()
+
+        for seed in range(10):
+            assert raw(outputs(seed, cold=True)) == raw(outputs(seed, cold=False))
 
     def test_diagonal_link_is_real(self):
         for nu in (0.5, NU_EDGE):
@@ -754,6 +786,22 @@ class TestR0LimitScan:
         res = r0_limit_scan(ext, [1e-1, 1e-3, 1e-6])
         assert len(res.rows) == 2
         assert res.breakdown_r0 == 1e-6
+
+    def test_cancelled_exterior_norm_is_a_breakdown(self, identity_ext):
+        # the identity keeps g Hermitian down to radii where the exterior norm's two terms
+        # cancel past working precision: that radius is a breakdown, like a tripped gate
+        with pytest.raises(LinkBreakdownError, match="exterior norm"):
+            g_from_u(identity_ext, 1e-100)
+        res = r0_limit_scan(identity_ext, [1e-1, 1e-100])
+        assert len(res.rows) == 1
+        assert res.breakdown_r0 == 1e-100
+
+    def test_underflow_is_not_a_breakdown(self, identity_ext):
+        # K_nu underflowing at r0 = 800 is a value past the float range, not the link map
+        # leaving working precision: it propagates instead of ending the scan
+        with pytest.raises(ArithmeticError, match="exterior norm") as info:
+            r0_limit_scan(identity_ext, [0.1, 800.0])
+        assert not isinstance(info.value, LinkBreakdownError)
 
     def test_radius_validation(self, identity_ext):
         with pytest.raises(ValueError, match="positive"):

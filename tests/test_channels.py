@@ -232,9 +232,28 @@ def test_singular_count_is_the_length_of_the_list():
         assert singular_count(params) == len(singular_channels(params, math.inf)), params
 
 
+_CALLS: list[float] = []
+
+
+def _doubled(nu, factor):
+    _CALLS.append(nu)
+    return factor * nu
+
+
 def test_per_order_evaluates_each_order_once():
-    chans = singular_channels(ModelParams(), math.inf)  # orders 1/2, then sqrt(2) - 1/2 three times
-    calls = []
-    out = per_order(chans, lambda nu: calls.append(nu) or 2.0 * nu)
-    assert calls == [0.5, SQRT2 - 0.5]
-    assert out == [2.0 * ch.nu for ch in chans]
+    per_order.cache_clear()
+    _CALLS.clear()
+    # orders 1/2, then sqrt(2) - 1/2 three times
+    orders = tuple(ch.nu for ch in singular_channels(ModelParams(), math.inf))
+    out = per_order(_doubled, orders, 2.0)
+    assert _CALLS == [0.5, SQRT2 - 0.5]
+    assert out.tolist() == [2.0 * nu for nu in orders]
+    # once per process: the repeat is the same table, with no call of fn
+    assert per_order(_doubled, orders, 2.0) is out
+    assert _CALLS == [0.5, SQRT2 - 0.5]
+
+
+def test_per_order_tables_are_read_only():
+    table = per_order(_doubled, (0.5, 0.25), 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 3.0

@@ -548,6 +548,14 @@ class TestR0ScanCommand:
         assert len(rows) == 1
         assert "# breakdown_r0:" in out
 
+    def test_underflow_is_a_numerical_error(self, make_config, capsys):
+        # K_nu underflows at r0 = 800: exit 4, not a breakdown radius
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        assert cli.main(["r0scan", "--config", path, "--r0-list", "0.1,800"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical error: exterior norm")
+        assert "breakdown" not in captured.out
+
     def test_inverse_square_scan(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},
                             "extension": {"diagonal_thetas": [0.3]}})

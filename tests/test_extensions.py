@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from radext import extensions
-from radext.channels import ChannelSpec, ModelParams
+from radext.channels import ChannelSpec, ModelParams, per_order
 from radext.extensions import (
     ChannelWave,
     DeficiencyVector,
@@ -340,6 +340,13 @@ class TestBoundStateEnumeration:
             ext = ExtensionMatrix.from_diagonal_thetas(thetas)
             assert len(bound_states(ext, 1.0)) == 4
 
+    def test_unmixed_decision_at_the_tolerance(self):
+        # channels 0 and 1 rotated into each other by an angle just inside and just past 1e-10
+        for angle, count in ((0.9e-10, 4), (1.1e-10, 2)):
+            ents = np.eye(4, dtype=complex)
+            ents[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+            assert len(bound_states(ExtensionMatrix(ents), 1.0)) == count
+
     def test_scale_choice_does_not_move_energies(self):
         thetas = (0.3, -0.5, 0.8, 0.1)
         e_ref = [st.energy for st in bound_states(ExtensionMatrix.from_diagonal_thetas(thetas), 1.0)]
@@ -446,6 +453,7 @@ class TestScatteringAndMixing:
             return small_arg_coeffs(kind, nu, scale)
 
         monkeypatch.setattr(extensions, "small_arg_coeffs", counted)
+        per_order.cache_clear()
         ext = ExtensionMatrix(haar_unitary(2))
         expected = ["DEF+", "DEF+", "N", "N", "S", "S"]
         for energy in (0.5, 1.0, 2.0):
@@ -455,6 +463,11 @@ class TestScatteringAndMixing:
             expected = ["N", "N", "S", "S"]
         calls.clear()
         domain_vector_smallr(ext, 0)
+        assert calls == []
+        # the tables are U-independent: another U at the same energies evaluates nothing
+        other = ExtensionMatrix(haar_unitary(5))
+        for energy in (0.5, 1.0, 2.0):
+            mixing_matrix(other, energy, 1.0)
         assert calls == []
 
     def test_positive_energy_required(self, identity_ext):
@@ -541,6 +554,15 @@ class TestDiracConsistency:
         ext = ExtensionMatrix(np.diag([1.0, u1 * cmath.exp(1e-6j), u1, u1]))
         assert not is_dirac_consistent(ext)
         assert is_dirac_consistent(ext, tol=1e-4)
+
+    def test_triplet_mixing_at_the_tolerance(self):
+        # channels 1 and 2 rotated into each other: unmixed within 1e-10 at 0.9e-10, not at 1.1e-10
+        u1 = dirac_consistent_value(NU_EDGE)
+        for angle, consistent in ((0.9e-10, True), (1.1e-10, False)):
+            rot = np.eye(4)
+            rot[1:3, 1:3] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+            ext = ExtensionMatrix(np.diag([1.0, u1, u1, u1]) @ rot)
+            assert is_dirac_consistent(ext) is consistent
 
     def test_other_channel_sets_refused(self):
         # the test encodes the j = 0 / j = 1 structure of the eg = 1/2 set only
