@@ -13,7 +13,8 @@ subcritical 1/r^2. This module builds that family concretely:
   * bound-state energies for channels where U acts diagonally,
   * positive-energy eigenstates obtained by matching small-r data, with
     the regular/singular amplitude mixing they exhibit,
-  * the boundary-form (Hermiticity) integral evaluated at finite radius,
+  * the boundary form Omega = A^H diag(2 nu) B of the domain, Hermitian
+    exactly when H_U is self-adjoint,
   * the distinguished diagonal value forced by the Dirac equation.
 
 The channel set is singular_channels(params) for any model; only
@@ -28,39 +29,27 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import ChannelSpec, ModelParams, per_order, singular_channels
-from .specfun import (
-    SmallRBehavior,
-    bessel_j,
-    bessel_j_deriv,
-    bessel_k_complex,
-    bessel_k_complex_deriv,
-    bessel_y,
-    bessel_y_deriv,
-    small_arg_coeffs,
-)
+from .specfun import SmallRBehavior, bessel_k_complex, small_arg_coeffs
 
 __all__ = [
     "BoundState",
-    "ChannelWave",
     "DeficiencyVector",
-    "DomainVector",
     "ExtensionMatrix",
     "MixingSolution",
-    "RadialChannelFunction",
     "bound_state_energy_theta",
     "bound_state_energy_u",
     "bound_states",
+    "boundary_form",
     "canonical_channels",
     "deficiency_normalization",
     "dirac_consistent_value",
     "domain_vector_smallr",
     "haar_unitary",
-    "hermiticity_defect",
     "is_angular_momentum_conserving",
     "is_dirac_consistent",
     "mixing_matrix",
@@ -212,13 +201,6 @@ class DeficiencyVector:
         a = self.wavenumber
         return self.normalization * r ** (-0.5) * bessel_k_complex(self.channel.nu, a * r)
 
-    def derivative(self, r: float) -> complex:
-        a = self.wavenumber
-        nu = self.channel.nu
-        kv = bessel_k_complex(nu, a * r)
-        kd = bessel_k_complex_deriv(nu, a * r)
-        return self.normalization * (a * r ** (-0.5) * kd - 0.5 * r ** (-1.5) * kv)
-
     def small_arg(self) -> SmallRBehavior:
         kind = "DEF+" if self.sign > 0 else "DEF-"
         raw = small_arg_coeffs(kind, self.channel.nu, self.wavenumber)
@@ -247,9 +229,10 @@ def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
     the extension is the regular condition (r^(1 - 2 nu) w')(0) = Q w(0),
     Q = diag(2 nu) B A^-1, Hermitian for unitary U. Q is infinite where A
     is singular, as for the Dirac-consistent value, which is why the pair
-    is returned rather than Q. This is the one small-r pair code path, read
-    by the oracle and, through ExtensionMatrix.small_r_pairs, by
-    domain_vector_smallr and the matching.
+    is returned rather than Q; the boundary form Omega = A^H Q A
+    (boundary_form) stays finite there. This is the one small-r pair code
+    path, read by the oracle and, through ExtensionMatrix.small_r_pairs, by
+    domain_vector_smallr, boundary_form and the matching.
     """
     lead, sub = per_order(_plus_pair, tuple(ch.nu for ch in channels), scale).T
     # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
@@ -267,6 +250,24 @@ def domain_vector_smallr(extension: ExtensionMatrix, source: int) -> list[SmallR
     a, b = extension.small_r_pairs
     return [SmallRBehavior(ch.nu, a[idx, source], b[idx, source])
             for idx, ch in enumerate(extension.channels)]
+
+
+def boundary_form(extension: ExtensionMatrix) -> np.ndarray:
+    """The boundary form of H_U on its domain, Omega = A^H diag(2 nu) B.
+
+    For domain functions with small-r pairs (A x, B x) and (A y, B y),
+    (A, B) = small_r_pairs, integration by parts leaves only the term at
+    the origin: <H f, g> - <f, H g> = -(1 / 2 mu) x^H (Omega - Omega^H) y,
+    as each channel's Wronskian of r^(1/2 - nu) and r^(1/2 + nu) is 2 nu.
+    H_U is self-adjoint exactly when Omega is Hermitian, which unitarity of
+    U makes it. The negative eigenvalues of its Hermitian part count the
+    bound states (Omega = A^H Q A has Q's inertia by Sylvester's law); a
+    null vector of A, as in the Dirac-consistent channels, carries only the
+    regular wave and adds a zero eigenvalue, not a state.
+    """
+    a, b = extension.small_r_pairs
+    two_nu = np.array([2.0 * ch.nu for ch in extension.channels])
+    return a.conj().T @ (two_nu[:, None] * b)
 
 
 def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None:
@@ -472,104 +473,14 @@ def is_angular_momentum_conserving(extension: ExtensionMatrix, tol: float = 1e-1
     return bool(np.abs(off).max() <= tol)
 
 
-class RadialChannelFunction(Protocol):
-    """Radial function with one component per channel and an analytic derivative."""
-
-    def value(self, r: float) -> np.ndarray: ...
-
-    def derivative(self, r: float) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class DomainVector:
-    """The full radial profile of phi^(source) = phi_+^(source) + U phi_-."""
-
-    extension: ExtensionMatrix
-    source: int
-
-    def _parts(self, r: float, deriv: bool) -> np.ndarray:
-        out = np.zeros(len(self.extension.channels), dtype=complex)
-        for idx, ch in enumerate(self.extension.channels):
-            plus = DeficiencyVector(ch, +1, self.extension.params.deficiency_scale)
-            minus = DeficiencyVector(ch, -1, self.extension.params.deficiency_scale)
-            u = self.extension.entries[self.source, idx]
-            if deriv:
-                out[idx] = (plus.derivative(r) if idx == self.source else 0.0) + u * minus.derivative(r)
-            else:
-                out[idx] = (plus.value(r) if idx == self.source else 0.0) + u * minus.value(r)
-        return out
-
-    def value(self, r: float) -> np.ndarray:
-        return self._parts(r, deriv=False)
-
-    def derivative(self, r: float) -> np.ndarray:
-        return self._parts(r, deriv=True)
-
-
-@dataclass(frozen=True)
-class ChannelWave:
-    """A single oscillatory wave in one channel, zero elsewhere.
-
-    kind "N" is the regular wave J_nu(lam r)/sqrt(r); kind "S" the singular
-    wave Y_nu(lam r)/sqrt(r).
-    """
-
-    kind: str
-    nu: float
-    lam: float
-    channel_index: int
-    n_channels: int = 4
-
-    def __post_init__(self):
-        if self.kind not in ("N", "S"):
-            raise ValueError("kind must be 'N' or 'S'")
-        if not 0 <= self.channel_index < self.n_channels:
-            raise ValueError("channel_index out of range")
-
-    def _radial(self, r: float) -> tuple[float, float]:
-        x = self.lam * r
-        if self.kind == "N":
-            return bessel_j(self.nu, x), bessel_j_deriv(self.nu, x)
-        return bessel_y(self.nu, x), bessel_y_deriv(self.nu, x)
-
-    def value(self, r: float) -> np.ndarray:
-        out = np.zeros(self.n_channels, dtype=complex)
-        out[self.channel_index] = r ** (-0.5) * self._radial(r)[0]
-        return out
-
-    def derivative(self, r: float) -> np.ndarray:
-        f, fd = self._radial(r)
-        out = np.zeros(self.n_channels, dtype=complex)
-        out[self.channel_index] = self.lam * r ** (-0.5) * fd - 0.5 * r ** (-1.5) * f
-        return out
-
-
-def hermiticity_defect(psi_a: RadialChannelFunction, psi_b: RadialChannelFunction,
-                       r_eval: float, mu: float) -> complex:
-    """Boundary term of the integration-by-parts identity at radius r_eval.
-
-        (1 / 2 mu) sum_ch r^2 [ (d_r psi_a)* psi_b - psi_a* (d_r psi_b) ]
-
-    <H psi_a, psi_b> - <psi_a, H psi_b> equals the r -> 0 limit of this
-    quantity (the outer boundary contributes nothing for decaying states),
-    so a self-adjoint domain is one on which the limit vanishes pairwise.
-    Probe it on a decreasing sequence such as r_eval in {1e-2, 1e-3, 1e-4}.
-    """
-    if not r_eval > 0.0:
-        raise ValueError("r_eval must be positive")
-    va = np.asarray(psi_a.value(r_eval), dtype=complex)
-    vb = np.asarray(psi_b.value(r_eval), dtype=complex)
-    da = np.asarray(psi_a.derivative(r_eval), dtype=complex)
-    db = np.asarray(psi_b.derivative(r_eval), dtype=complex)
-    return complex(r_eval**2 / (2.0 * mu) * np.sum(da.conj() * vb - va.conj() * db))
-
-
+@functools.lru_cache(maxsize=64)
 def dirac_consistent_value(nu: float) -> complex:
     """Diagonal entry that removes the singular wave from every eigenstate.
 
     Solves c_-(DEF+) + U_d c_-(DEF-) = 0 for U_d; the two coefficients have
     equal magnitude (conjugate scales), so |U_d| = 1. Analytically this is
-    -e^{i pi nu / 2}, but the value returned comes from the solve.
+    -e^{i pi nu / 2}, but the value returned comes from the solve, once per
+    order in a bounded LRU cache (a failed solve is not cached).
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu}")

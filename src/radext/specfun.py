@@ -260,6 +260,8 @@ def bessel_y_deriv(nu: float, x: float) -> float:
 def _i_series(nu: float, z: complex) -> complex:
     """Modified Bessel I_nu by ascending series (complex argument)."""
     half = 0.5 * z
+    if half == 0.0:  # z / 2 below the float range: cmath.log(0) would raise an untyped ValueError
+        raise OverflowError(f"I series: z / 2 underflows to 0 at z = {z}")
     term = cmath.exp(nu * cmath.log(half)) * _recip_gamma(nu + 1.0)
     total = term
     for k in range(1, 160):

@@ -486,6 +486,9 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("numerical error: exterior norm")
         assert cli.main(["oracle", "--config", path]) == 4
         assert capsys.readouterr().err.startswith("numerical error: exterior norm")
+        # at a subnormal r0 the I_nu series' z / 2 underflows to 0: past the float range too
+        assert cli.main(["gmap", "--config", path, "--r0", "5e-324"]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: I series")
 
 
 class TestDiracCheckCommand:
@@ -549,12 +552,14 @@ class TestR0ScanCommand:
         assert "# breakdown_r0:" in out
 
     def test_underflow_is_a_numerical_error(self, make_config, capsys):
-        # K_nu underflows at r0 = 800: exit 4, not a breakdown radius
+        # K_nu underflows at r0 = 800, and the I_nu series' z / 2 at r0 = 5e-324: exit 4, not
+        # a breakdown radius
         path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
-        assert cli.main(["r0scan", "--config", path, "--r0-list", "0.1,800"]) == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numerical error: exterior norm")
-        assert "breakdown" not in captured.out
+        for r0, cause in (("800", "exterior norm"), ("5e-324", "I series")):
+            assert cli.main(["r0scan", "--config", path, "--r0-list", f"0.1,{r0}"]) == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"numerical error: {cause}")
+            assert "breakdown" not in captured.out
 
     def test_inverse_square_scan(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},

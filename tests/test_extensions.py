@@ -1,9 +1,10 @@
-"""The U(4) extension family: deficiency vectors, bound states, mixing, Hermiticity."""
+"""The U(n) extension family: deficiency vectors, bound states, mixing, the boundary form."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,19 +14,17 @@ from scipy.integrate import quad
 from radext import extensions
 from radext.channels import ChannelSpec, ModelParams, per_order
 from radext.extensions import (
-    ChannelWave,
     DeficiencyVector,
-    DomainVector,
     ExtensionMatrix,
     bound_state_energy_theta,
     bound_state_energy_u,
     bound_states,
+    boundary_form,
     canonical_channels,
     deficiency_normalization,
     dirac_consistent_value,
     domain_vector_smallr,
     haar_unitary,
-    hermiticity_defect,
     is_angular_momentum_conserving,
     is_dirac_consistent,
     mixing_matrix,
@@ -147,15 +146,6 @@ class TestDeficiencyVectors:
         minus = DeficiencyVector(ch, -1, 1.0)
         for r in (0.1, 0.7, 2.5):
             assert_allclose(minus.value(r), np.conj(plus.value(r)), rtol=1e-14)
-            assert_allclose(minus.derivative(r), np.conj(plus.derivative(r)), rtol=1e-14)
-
-    def test_derivative_against_finite_differences(self, monopole):
-        ch = canonical_channels(monopole)[1]
-        vec = DeficiencyVector(ch, +1, 1.0)
-        h = 1e-6
-        for r in (0.2, 1.0, 3.0):
-            fd = (vec.value(r + h) - vec.value(r - h)) / (2.0 * h)
-            assert_allclose(vec.derivative(r), fd, rtol=1e-7)
 
     def test_small_arg_matches_profile(self, monopole):
         r = 1e-4
@@ -185,16 +175,17 @@ class TestDomainVectorSmallR:
             assert p.c_minus == 0.0 and p.c_plus == 0.0
 
     def test_identity_source_one_matches_full_profile(self, identity_ext):
-        # expansion coefficients must reproduce the actual domain vector at small r
+        # expansion coefficients must reproduce the actual domain vector phi_+ + phi_- at small r
         r = 1e-4
         pairs = domain_vector_smallr(identity_ext, 1)
-        values = DomainVector(identity_ext, 1).value(r)
+        ch = identity_ext.channels[1]
+        profile = DeficiencyVector(ch, +1).value(r) + DeficiencyVector(ch, -1).value(r)
         for idx, p in enumerate(pairs):
             pred = p.c_minus * r ** (-0.5 - p.nu) + p.c_plus * r ** (-0.5 + p.nu)
             if idx == 1:
-                assert_allclose(pred, values[idx], rtol=1e-6)
+                assert_allclose(pred, profile, rtol=1e-6)
             else:
-                assert pred == 0.0 and abs(values[idx]) == 0.0
+                assert pred == 0.0
 
     def test_swap_source_straddles_two_channels(self, swap_ext, monopole):
         pairs = domain_vector_smallr(swap_ext, 0)
@@ -489,43 +480,90 @@ class TestScatteringAndMixing:
         assert not is_angular_momentum_conserving(swap_ext)
 
 
+# the four monopole sets and 1/r^2 at nu = sqrt(0.15), 0.99 and 0.01, each at two deficiency scales
+_FORM_SETS = [ModelParams(eg=eg, deficiency_scale=s) for eg in (0.5, 1.0, 1.5, 2.0)
+              for s in (1e-3, 3.0)] + [
+    ModelParams(model="inverse_square", c=c, deficiency_scale=s)
+    for c in (0.1, 0.25 - 0.99**2, 0.25 - 0.01**2) for s in (1e-3, 3.0)]
+_FORM_IDS = [f"{p.model}-eg{p.eg}-c{p.c:.4f}-s{p.deficiency_scale}" for p in _FORM_SETS]
+EPS = np.finfo(float).eps
+
+
+def _form_band(ext) -> float:
+    """32 eps S, S = max over channels of 2 nu |c_- c_+| of the R^3-normalized phi_+ pair.
+
+    S is the size of one channel's terms in Omega, the scale their rounding has. ||Omega||
+    is not: in the one-channel sets Omega is real and its terms can cancel, and over 2,000
+    Haar U per set the defect reaches 4,900 eps max|Omega| there, but at most 11.2 eps S
+    in any set.
+    """
+    orders = tuple(ch.nu for ch in ext.channels)
+    c_minus, c_plus = per_order(extensions._plus_pair, orders, ext.params.deficiency_scale).T
+    return 32.0 * EPS * float(np.max(2.0 * np.array(orders) * np.abs(c_minus * c_plus)))
+
+
+def _defect(omega: np.ndarray) -> float:
+    return float(np.abs(omega - omega.conj().T).max())
+
+
+def _negative_count(ext) -> int:
+    """Eigenvalues of Omega's Hermitian part below the rounding band."""
+    omega = boundary_form(ext)
+    return int((np.linalg.eigvalsh(0.5 * (omega + omega.conj().T)) < -_form_band(ext)).sum())
+
+
 class TestBoundaryForm:
-    def test_same_wave_vanishes(self):
-        wave = ChannelWave("N", 0.5, 1.0, 0)
-        for r in (1e-2, 1e-3, 1e-4):
-            assert hermiticity_defect(wave, wave, r, 1.0) == 0.0
+    def test_entries_pair_two_domain_vectors(self):
+        # Omega[x, y] = sum_ch 2 nu conj(c_-^x) c_+^y over the columns x, y of the small-r pairs
+        ext = random_extension(4)
+        omega = boundary_form(ext)
+        assert omega.shape == (4, 4)
+        for x in range(4):
+            for y in range(4):
+                want = sum(2.0 * px.nu * px.c_minus.conjugate() * py.c_plus for px, py in
+                           zip(domain_vector_smallr(ext, x), domain_vector_smallr(ext, y)))
+                assert abs(omega[x, y] - want) <= 1e-14 * abs(omega).max()
 
-    def test_regular_singular_pair_has_constant_wronskian_limit(self):
-        # r^2 (psi_N' psi_S - psi_N psi_S') collapses to the J/Y Wronskian:
-        # the defect is the constant -1/(pi mu) at every radius
-        for mu in (1.0, 2.0):
-            wn = ChannelWave("N", 0.5, 1.0, 0)
-            ws = ChannelWave("S", 0.5, 1.0, 0)
-            for r in (1e-2, 1e-3, 1e-4):
-                val = hermiticity_defect(wn, ws, r, mu)
-                assert_allclose(val, -1.0 / (math.pi * mu), rtol=1e-10)
+    @pytest.mark.parametrize("params", _FORM_SETS, ids=_FORM_IDS)
+    def test_hermitian_to_rounding(self, params):
+        rng = np.random.default_rng(16)
+        n = len(canonical_channels(params))
+        for _ in range(100):
+            ext = ExtensionMatrix(haar_unitary(rng, n), params)
+            assert _defect(boundary_form(ext)) <= _form_band(ext)
 
-    def test_domain_vectors_of_one_extension_decay(self, identity_ext):
-        # diagonal extensions cancel exactly; generic ones decay like a power
-        va, vb = DomainVector(identity_ext, 0), DomainVector(identity_ext, 1)
-        for r in (1e-2, 1e-3, 1e-4):
-            assert hermiticity_defect(va, vb, r, 1.0) == 0.0
-        ext = ExtensionMatrix(haar_unitary(7))
-        wa, wb = DomainVector(ext, 0), DomainVector(ext, 1)
-        seq = [abs(hermiticity_defect(wa, wb, r, 1.0)) for r in (1e-2, 1e-3, 1e-4)]
-        assert seq[0] > seq[1] > seq[2]
-        assert seq[1] / seq[0] < 0.8 and seq[2] / seq[1] < 0.8
+    @pytest.mark.parametrize("params", _FORM_SETS, ids=_FORM_IDS)
+    def test_mutations_fail_the_check(self, params):
+        # a non-unitary U passed straight to origin_pairs, and a conjugated B: the defects
+        # read 6.3e-4 to 4.0e-2 S and 0.39 to 1.95 S over the sets, against a band of 7.1e-15 S
+        ext = ExtensionMatrix(haar_unitary(np.random.default_rng(16), len(canonical_channels(params))),
+                              params)
+        band = _form_band(ext)
+        a, b = extensions.origin_pairs(1.01 * ext.entries, ext.channels, params.deficiency_scale)
+        stretched = SimpleNamespace(small_r_pairs=(a, b), channels=ext.channels)
+        a, b = ext.small_r_pairs
+        conjugated = SimpleNamespace(small_r_pairs=(a, b.conj()), channels=ext.channels)
+        for mutant in (stretched, conjugated):
+            assert _defect(boundary_form(mutant)) > 1e6 * band
 
-    def test_radius_validation(self):
-        wave = ChannelWave("N", 0.5, 1.0, 0)
-        with pytest.raises(ValueError):
-            hermiticity_defect(wave, wave, 0.0, 1.0)
+    @pytest.mark.parametrize("params", _FORM_SETS, ids=_FORM_IDS)
+    def test_inertia_is_the_bound_state_count(self, params):
+        rng = np.random.default_rng(16)
+        n = len(canonical_channels(params))
+        for _ in range(100):
+            ext = ExtensionMatrix.from_diagonal_thetas(rng.uniform(-math.pi, math.pi, n), params)
+            assert _negative_count(ext) == len(bound_states(ext, 1.0))
 
-    def test_channel_wave_validation(self):
-        with pytest.raises(ValueError):
-            ChannelWave("Q", 0.5, 1.0, 0)
-        with pytest.raises(ValueError):
-            ChannelWave("N", 0.5, 1.0, 5)
+    def test_dirac_family_counts_only_the_j0_state(self):
+        # the triplet's A column vanishes: three eigenvalues of order eps sit inside the
+        # band, and only the j = 0 channel can hold a state
+        u1 = dirac_consistent_value(NU_EDGE)
+        for theta, count in ((0.3, 1), (2.9, 0)):
+            ext = ExtensionMatrix(np.diag([cmath.exp(1j * theta), u1, u1, u1]))
+            omega = boundary_form(ext)
+            eigs = np.linalg.eigvalsh(0.5 * (omega + omega.conj().T))
+            assert (np.abs(eigs) <= _form_band(ext)).sum() == 3
+            assert _negative_count(ext) == count == len(bound_states(ext, 1.0))
 
 
 class TestDiracConsistency:
@@ -538,6 +576,22 @@ class TestDiracConsistency:
     def test_nu_domain(self):
         with pytest.raises(ValueError):
             dirac_consistent_value(1.5)
+
+    def test_value_is_solved_once_per_order(self, monkeypatch):
+        calls = []
+
+        def counted(kind, nu, scale):
+            calls.append(kind)
+            return small_arg_coeffs(kind, nu, scale)
+
+        monkeypatch.setattr(extensions, "small_arg_coeffs", counted)
+        dirac_consistent_value.cache_clear()
+        ext = ExtensionMatrix(np.eye(4))
+        assert not is_dirac_consistent(ext)
+        assert sorted(calls) == ["DEF+", "DEF-"]
+        calls.clear()
+        assert not is_dirac_consistent(ext)
+        assert calls == []
 
     def test_one_parameter_family_accepted(self):
         u1 = dirac_consistent_value(NU_EDGE)

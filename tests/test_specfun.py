@@ -338,6 +338,11 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k_complex(2.0, complex(1.0, 1.0))
 
+    def test_subnormal_argument_is_a_range_error(self):
+        # z / 2 underflows to 0 in the I_nu series: an OverflowError, not log(0)'s ValueError
+        with pytest.raises(OverflowError, match="underflows to 0"):
+            bessel_k_complex(0.5, 5e-324 * (1 - 1j))
+
 
 class TestSmallArgCoeffs:
     # profile values at r = 1e-4 for scale-1 arguments, frozen from mpmath:
