@@ -186,10 +186,10 @@ def exterior_tail_norm(nu: float, r0: float, scale: float) -> float:
               / (a^2 - b^2),
 
     real and positive, identical for both signs. The same formula at r0 = 0
-    reproduces the whole-line norm pi / (8 s^2 cos(pi nu / 2)).
+    reproduces the whole-line norm pi / (8 s^2 cos(pi nu / 2)). Read from the
+    link map's table.
     """
-    a = complex(1.0, -1.0) * scale
-    return _tail_norm(r0, a, *_k_pair(nu, a * r0))
+    return float(per_order(_k_profile, (nu,), r0, scale)[0, 2].real)
 
 
 def _k_pair(nu: float, z: complex) -> tuple[complex, complex]:
@@ -201,36 +201,26 @@ def _k_pair(nu: float, z: complex) -> tuple[complex, complex]:
     return k, (nu / z) * k - bessel_k_complex(nu + 1.0, z)
 
 
-def _tail_norm(r0: float, a: complex, kva: complex, kda: complex) -> float:
-    """exterior_tail_norm from K_nu(a r0) and K_nu'(a r0).
+def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, float, float]:
+    """K_nu(a r), a K_nu'(a r), exterior_tail_norm and the weight c r^(-1/2) at one order.
 
-    K_nu(conj z) = conj K_nu(z), so the b = conj(a) values are their conjugates.
-    A norm below the normal float range means K_nu underflowed (large r0), a
-    value past the float range: ArithmeticError. A nonpositive norm of normal
-    size means its two terms cancelled past working precision (small r0):
-    LinkBreakdownError.
-    """
-    b = a.conjugate()
-    num = r0 * (b * kva * kda.conjugate() - a * kda * kva.conjugate())
-    val = num / (a * a - b * b)
-    out = val.real
-    if not out > 0.0:
-        if abs(val) < np.finfo(float).tiny:
-            raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r0}")
-        raise LinkBreakdownError(f"exterior norm came out nonpositive ({val}) at r0 = {r0}: "
-                                 "the radius is below the working-precision breakdown point")
-    return out
-
-
-def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, float]:
-    """K_nu(a r), a K_nu'(a r) and the weight c r^(-1/2) at one order, a = (1 - i) s.
-
-    c is the exterior normalization. The profile phi_+ is c r^(-1/2) K_nu(a r)
-    and phi_- its conjugate.
+    a = (1 - i) s, and c = norm^(-1/2) is the exterior normalization: the
+    profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate, as
+    K_nu(conj z) = conj K_nu(z). A norm below the normal float range means
+    K_nu underflowed (large r), a value past the float range:
+    ArithmeticError. A nonpositive norm of normal size means its two terms
+    cancelled past working precision (small r): LinkBreakdownError.
     """
     a = complex(1.0, -1.0) * scale
+    b = a.conjugate()
     kva, kda = _k_pair(nu, a * r)
-    return kva, a * kda, 1.0 / math.sqrt(_tail_norm(r, a, kva, kda)) * r ** (-0.5)
+    val = r * (b * kva * kda.conjugate() - a * kda * kva.conjugate()) / (a * a - b * b)
+    if not val.real > 0.0:
+        if abs(val) < np.finfo(float).tiny:
+            raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r}")
+        raise LinkBreakdownError(f"exterior norm came out nonpositive ({val}) at r0 = {r}: "
+                                 "the radius is below the working-precision breakdown point")
+    return kva, a * kda, val.real, 1.0 / math.sqrt(val.real) * r ** (-0.5)
 
 
 def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +230,7 @@ def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np
     channel set, radius and scale, whatever U reads it.
     """
     rows = per_order(_k_profile, tuple(ch.nu for ch in channels), r, scale).T
-    return rows[:2], rows[2].real
+    return rows[:2], rows[3].real
 
 
 def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tuple[TransferMatrix, np.ndarray]:

@@ -47,8 +47,8 @@ class ModelParams:
                      model only).
     mu               particle mass; sets the energy and length units.
     deficiency_scale the wavenumber s of the deficiency vectors, which solve
-                     H phi = +- i (s^2/mu) phi. The choice is arbitrary; it
-                     defaults to mu, making the eigenvalue +- i mu.
+                     H phi = +- i (s^2/mu) phi, default mu. U is defined
+                     relative to them: at fixed U, energies scale as s^2/mu.
     """
 
     model: str = "monopole"

@@ -391,7 +391,7 @@ def _cmd_oracle(args) -> int:
     # the closed forms come before the link map, so an energy past the float range exits 4
     # first; an unmixed channel has at most one bound state, and those are the lowest levels
     analytic: list[float] = []
-    if extensions.is_angular_momentum_conserving(ext, tol=1e-10):
+    if extensions.is_angular_momentum_conserving(ext):
         analytic = sorted(state.energy for state in extensions.bound_states(ext, mu))
     g = annulus.g_from_u(ext, r0)
     grid = annulus.AnnulusGrid(r0, opts.R / mu, opts.n)
@@ -414,7 +414,7 @@ def _cmd_dirac_check(args) -> int:
     for idx, ch in enumerate(ext.channels):
         for kind in ("N", "S"):
             coeff, exponent = dirac.lower_exponent(ch.kappa, kind)
-            ok = dirac.dirac_normalizable(ch.kappa, kind, mu=cfg.params.mu)
+            ok = dirac.dirac_normalizable(ch.kappa, kind)
             rows.append([idx, kind, coeff, exponent, ok])
     _write_table(cfg, "exponents dimensionless",
                  ["channel", "kind", "cancel_coeff", "exponent", "normalizable"], rows,

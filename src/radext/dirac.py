@@ -150,19 +150,20 @@ def _tail_integral(sol: DiracRadialSolution, eps: float, upper: float) -> float:
     return half * float(np.tile(weights, panels) @ (g2 * r**3))
 
 
-def dirac_normalizable(kappa: float, kind: str, mu: float = 1.0) -> bool:
+def dirac_normalizable(kappa: float, kind: str) -> bool:
     """Whether the lower component is square integrable at the origin.
 
-    Route one is exponent arithmetic: with surviving exponent p the integral
-    of |g|^2 r^2 behaves as r^(2p + 3), convergent iff 2p + 3 > 0. Route two
-    integrates the actual lower component over [eps, 1] for eps stepping
-    down two decades from 1e-4 and classifies the growth slope. The two
-    verdicts must agree; a disagreement raises instead of picking a side.
+    The verdict depends on kappa and the branch alone. Route one is exponent
+    arithmetic: with surviving exponent p the integral of |g|^2 r^2 behaves
+    as r^(2p + 3), convergent iff 2p + 3 > 0. Route two integrates the lower
+    component at lam = mu = E = 1 over [eps, 1], r in units of 1/lam, for eps
+    stepping down two decades from 1e-4, and classifies the growth slope.
+    The two verdicts must agree; a disagreement raises instead of picking a side.
     """
     coeff, exponent = lower_exponent(kappa, kind)
     analytic = 2.0 * exponent + 3.0 > 0.0
 
-    sol = DiracRadialSolution(kappa=kappa, kind=kind, energy=mu, lam=mu, mu=mu)
+    sol = DiracRadialSolution(kappa=kappa, kind=kind, energy=1.0, lam=1.0)
     vals = [_tail_integral(sol, eps, 1.0) for eps in (1e-4, 1e-5, 1e-6)]
     slope = math.log10(vals[2] / vals[0]) / 2.0
     if slope < 0.05:

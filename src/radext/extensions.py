@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, ModelParams, per_order, singular_channels
+from .channels import ChannelSpec, ModelParams, per_order, singular_channels, singular_count
 from .specfun import SmallRBehavior, bessel_k_complex, small_arg_coeffs
 
 __all__ = [
@@ -101,6 +101,11 @@ class ExtensionMatrix:
     channels: tuple[ChannelSpec, ...] = field(init=False)
 
     def __post_init__(self):
+        n = singular_count(self.params)  # counted before listed: eg = 1e8 lists 2e8 channels
+        ents = np.array(self.entries, dtype=complex)
+        if n and ents.shape != (n, n):
+            raise ValueError(f"extension matrix must be {n}x{n} over the {n} singular "
+                             f"channel(s), got shape {ents.shape}")
         chans = canonical_channels(self.params)
         if not chans:
             raise ValueError("the model has no singular channels: the operator is essentially "
@@ -108,11 +113,6 @@ class ExtensionMatrix:
         for ch in chans:
             ch.nu  # rejects overcritical channels, which have no deficiency vectors
         object.__setattr__(self, "channels", chans)
-        n = len(chans)
-        ents = np.array(self.entries, dtype=complex)
-        if ents.shape != (n, n):
-            raise ValueError(f"extension matrix must be {n}x{n} over the {n} singular "
-                             f"channel(s), got shape {ents.shape}")
         defect = unitarity_defect(ents)
         if not defect <= self.unitarity_tol:
             raise ValueError(f"extension matrix is not unitary: defect {defect:.3e} "
@@ -209,10 +209,13 @@ class DeficiencyVector:
 
 
 def _plus_pair(nu: float, scale: float) -> tuple[complex, complex]:
-    """Small-r pair (c_-, c_+) of the R^3-normalized phi_+ at one order."""
+    """Small-r pair (c_-, c_+) of the R^3-normalized phi_+ at one order; finite or OverflowError."""
     plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
     norm = deficiency_normalization(nu, scale)
-    return plus.c_minus * norm, plus.c_plus * norm
+    pair = plus.c_minus * norm, plus.c_plus * norm
+    if not all(map(cmath.isfinite, pair)):
+        raise OverflowError(f"small-r pair of phi_+ leaves the float range at nu = {nu}, s = {scale!r}")
+    return pair
 
 
 def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
@@ -270,11 +273,14 @@ def boundary_form(extension: ExtensionMatrix) -> np.ndarray:
     return a.conj().T @ (two_nu[:, None] * b)
 
 
-def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None:
+def bound_state_energy_theta(theta: float, nu: float, unit: float) -> float | None:
     """Bound-state energy of a diagonal phase e^{i theta} in a channel of order nu.
 
-        E = -mu * [(cos(pi nu / 2) + cos theta) / (1 + cos(theta - pi nu / 2))]^(1/nu)
-          = -mu * [cos(theta / 2 + pi nu / 4) / cos(theta / 2 - pi nu / 4)]^(1/nu)
+        E = -unit * [(cos(pi nu / 2) + cos theta) / (1 + cos(theta - pi nu / 2))]^(1/nu)
+          = -unit * [cos(theta / 2 + pi nu / 4) / cos(theta / 2 - pi nu / 4)]^(1/nu)
+
+    unit is s^2/mu, mu at the default s = mu: theta labels U relative to the
+    deficiency vectors at scale s, so the decay wavenumber is s F(theta, nu).
 
     The state exists only while cos theta > -cos(pi nu / 2); at or past the
     threshold (within a 1e-10 band) the spectrum has no negative eigenvalue
@@ -293,22 +299,22 @@ def bound_state_energy_theta(theta: float, nu: float, mu: float) -> float | None
     half = math.pi * nu / 4.0
     ratio = math.cos(theta / 2.0 + half) / math.cos(theta / 2.0 - half)
     try:
-        return -mu * ratio ** (1.0 / nu)
+        return -unit * ratio ** (1.0 / nu)
     except OverflowError:
         raise OverflowError(f"bound-state energy leaves the float range for nu = {nu}, "
-                            f"theta = {theta!r}: |E| ~ 1e{math.log10(ratio) / nu:.0f} mu "
-                            f"(mu = {mu})") from None
+                            f"theta = {theta!r}: |E| ~ 1e{math.log10(ratio) / nu:.0f} unit "
+                            f"(unit = {unit})") from None
 
 
-def bound_state_energy_u(u_diag: complex, nu: float, mu: float) -> complex | None:
+def bound_state_energy_u(u_diag: complex, nu: float, unit: float) -> complex | None:
     """Bound-state energy from the diagonal entry itself, principal branch.
 
-        E = -mu * [(1 + i^nu u) / (i^nu + u)]^(1/nu),    i^nu = e^{i pi nu / 2}
+        E = -unit * [(1 + i^nu u) / (i^nu + u)]^(1/nu),    i^nu = e^{i pi nu / 2}
 
-    Returns None at the pole i^nu + u = 0. The result is complex; callers
-    accept it as a physical energy only when |Im E| <= 1e-9 |E|. The theta
-    parameterization is the authoritative evaluator, this form exists for
-    cross-checking it.
+    unit is s^2/mu, as for bound_state_energy_theta. Returns None at the pole
+    i^nu + u = 0. The result is complex; callers accept it as a physical
+    energy only when |Im E| <= 1e-9 |E|. The theta parameterization is the
+    authoritative evaluator, this form exists for cross-checking it.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
@@ -318,14 +324,14 @@ def bound_state_energy_u(u_diag: complex, nu: float, mu: float) -> complex | Non
     den = i_nu + u_diag
     if abs(den) < _POLE_TOL:
         return None
-    return -mu * ((1.0 + i_nu * u_diag) / den) ** (1.0 / nu)
+    return -unit * ((1.0 + i_nu * u_diag) / den) ** (1.0 / nu)
 
 
 @dataclass(frozen=True)
 class BoundState:
     """A negative-energy eigenstate attached to one diagonally-acting channel.
 
-    lam is the decay wavenumber sqrt(-2 mu E); the radial profile is
+    lam is the decay wavenumber sqrt(2 mu) sqrt(-E); the radial profile is
     r^(-1/2) K_nu(lam r).
     """
 
@@ -344,20 +350,21 @@ def bound_states(extension: ExtensionMatrix, mu: float) -> list[BoundState]:
 
     A channel contributes only if U leaves it unmixed: its row and column
     must vanish off the diagonal (within 1e-10), leaving a pure phase
-    e^{i theta} whose energy formula then applies. Anywhere from zero to
-    one state per channel results.
+    e^{i theta} whose energy formula then applies in the unit s^2/mu, s the
+    extension's deficiency scale: zero or one state per channel.
     """
     ents = extension.entries
     mixing = _off_diagonal_max(ents)
+    unit = mu * (extension.params.deficiency_scale / mu) ** 2
     out: list[BoundState] = []
     for idx, ch in enumerate(extension.channels):
         if not mixing[idx] <= _DIAGONAL_TOL:
             continue
         theta = cmath.phase(ents[idx, idx])
-        energy = bound_state_energy_theta(theta, ch.nu, mu)
+        energy = bound_state_energy_theta(theta, ch.nu, unit)
         if energy is not None:
             out.append(BoundState(channel=ch, theta=theta, energy=energy,
-                                  lam=math.sqrt(-2.0 * mu * energy)))
+                                  lam=math.sqrt(2.0 * mu) * math.sqrt(-energy)))
     return out
 
 
@@ -414,12 +421,16 @@ def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.
     """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
     if not energy > 0.0:
         raise ValueError(f"scattering states require energy > 0, got {energy}")
-    lam = math.sqrt(2.0 * mu * energy)
+    lam = math.sqrt(2.0 * mu) * math.sqrt(energy)
     a, b = extension.small_r_pairs
     orders = tuple(ch.nu for ch in extension.channels)
     sing_minus, sing_plus, reg_plus, cond = per_order(_waves, orders, lam).T[..., None]
-    singular = a / sing_minus
-    regular = (b - singular * sing_plus) / reg_plus
+    with np.errstate(all="ignore"):
+        singular = a / sing_minus
+        regular = (b - singular * sing_plus) / reg_plus
+    # a singular amplitude past the float range carries its regular one with it
+    if not np.isfinite(regular).all():
+        raise OverflowError(f"matched amplitudes leave the float range at E = {energy!r}, mu = {mu!r}")
     return regular, singular, float(cond.max())
 
 
@@ -467,30 +478,27 @@ def _off_diagonal_max(entries: np.ndarray) -> np.ndarray:
     return np.maximum(off.max(axis=1), off.max(axis=0))
 
 
-def is_angular_momentum_conserving(extension: ExtensionMatrix, tol: float = 1e-12) -> bool:
-    """True iff U is diagonal within tol, so J^2 and J_z survive as symmetries."""
-    off = extension.entries - np.diag(np.diag(extension.entries))
-    return bool(np.abs(off).max() <= tol)
+def is_angular_momentum_conserving(extension: ExtensionMatrix) -> bool:
+    """True iff every channel is unmixed within 1e-10, bound_states' rule, so J^2 and J_z survive."""
+    return bool(_off_diagonal_max(extension.entries).max() <= _DIAGONAL_TOL)
 
 
-@functools.lru_cache(maxsize=64)
+def _dirac_value(nu: float) -> complex:
+    # c_- of phi_- is the exact conjugate of c_- of phi_+, as K_nu(conj z) = conj K_nu(z)
+    c = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, 1.0)).c_minus
+    return -c / c.conjugate()
+
+
 def dirac_consistent_value(nu: float) -> complex:
     """Diagonal entry that removes the singular wave from every eigenstate.
 
-    Solves c_-(DEF+) + U_d c_-(DEF-) = 0 for U_d; the two coefficients have
-    equal magnitude (conjugate scales), so |U_d| = 1. Analytically this is
-    -e^{i pi nu / 2}, but the value returned comes from the solve, once per
-    order in a bounded LRU cache (a failed solve is not cached).
+    Solves c_-(DEF+) + U_d c_-(DEF-) = 0 for U_d; the two coefficients are
+    conjugates, so |U_d| = 1. Analytically this is -e^{i pi nu / 2}, but the
+    value returned comes from the solve, tabled once per order by per_order.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, 1.0))
-    minus = small_arg_coeffs("DEF-", nu, _deficiency_arg(-1, 1.0))
-    u_d = -plus.c_minus / minus.c_minus
-    residual = abs(plus.c_minus + u_d * minus.c_minus)
-    if residual > 1e-12 * abs(plus.c_minus):
-        raise ArithmeticError(f"cancellation solve failed, residual {residual:.3e}")
-    return u_d
+    return complex(per_order(_dirac_value, (nu,))[0])
 
 
 def is_dirac_consistent(extension: ExtensionMatrix, tol: float = 1e-10) -> bool:

@@ -229,6 +229,16 @@ class TestBoundStatesCommand:
         assert err.startswith("numerical error:") and "nu = 0.0099" in err
         assert "Traceback" not in err
 
+    def test_huge_mass_stays_in_range(self, make_config, capsys):
+        # lambda = sqrt(2 mu) sqrt(-E): the product 2 mu E alone would overflow at mu = 1e300
+        path = make_config({"model": {"mu": 1e300}, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        assert cli.main(["bound-states", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row[2] == "-1"
+            assert_allclose(float(row[3]), math.sqrt(2.0), rtol=1e-15)
+
     def test_missing_extension(self, make_config, capsys):
         path = make_config({})
         assert cli.main(["bound-states", "--config", path]) == 2
@@ -294,6 +304,19 @@ class TestSmatrixCommand:
         assert cli.main(["smatrix", "--config", path, "--E", "-1.0"]) == 2
         assert cli.main(["smatrix", "--config", path, "--E", "inf"]) == 2
         capsys.readouterr()
+
+    def test_float_range(self, make_config, capsys):
+        # 2 mu E overflows at E = 1e308, but lambda = sqrt(2 mu) sqrt(E) does not
+        p = cmath.phase(dirac_consistent_value(NU_EDGE))
+        path = make_config({"extension": {"diagonal_thetas": [0.3, p, p, p]}})
+        assert cli.main(["smatrix", "--config", path, "--E", "1e308"]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 16 and all(math.isfinite(float(v)) for row in rows for v in row)
+        # at s = mu = 1e300 the small-r pairs leave the float range: a range failure
+        path = make_config({"model": {"mu": 1e300}, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        assert cli.main(["smatrix", "--config", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical error:") and captured.out == ""
 
 
 class TestGmapCommand:
@@ -384,6 +407,14 @@ class TestOracleCommand:
         assert analytic[3] is None
         assert_allclose([float(r[2]) for r in rows[:3]], sorted(analytic[:3]), rtol=1e-13)
         assert rows[3][2] == "nan"
+
+    @pytest.mark.parametrize("model", [{"deficiency_scale": 2.0}, {"mu": 2.0, "deficiency_scale": 1.0}])
+    def test_analytic_levels_honour_the_deficiency_scale(self, make_config, capsys, model):
+        path = make_config({"model": model, "extension": {"diagonal_thetas": [0.3] * 4},
+                            "oracle": {"k": 4, "R": 20.0}})
+        assert cli.main(["oracle", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 4 and max(float(r[3]) for r in rows) <= 1e-4
 
     def test_coupled_extension(self, make_config, capsys):
         path = make_config({"extension": {"matrix": SWAP_JSON},
@@ -516,6 +547,15 @@ class TestDiracCheckCommand:
         path = make_config({"extension": {"matrix": mat}})
         assert cli.main(["dirac-check", "--config", path]) == 0
         assert "# dirac_consistent: true" in capsys.readouterr().out
+
+    def test_verdict_is_scale_free(self, make_config, capsys):
+        # the verdicts depend on kappa and the branch alone: mu = 1e8 prints mu = 1's table
+        tables = []
+        for mu in (1.0, 1e8):
+            path = make_config({"model": {"mu": mu}, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+            assert cli.main(["dirac-check", "--config", path]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
 
     def test_inverse_square_rejected(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},

@@ -58,11 +58,6 @@ class TestDiracNormalizable:
         assert dirac_normalizable(-SQRT2, "N") is True
         assert dirac_normalizable(-SQRT2, "S") is False
 
-    def test_mu_independent(self):
-        for mu in (0.5, 1.0, 3.0):
-            assert dirac_normalizable(-SQRT2, "S", mu=mu) is False
-            assert dirac_normalizable(0.0, "S", mu=mu) is True
-
     def test_divergent_slope_matches_analytic_rate(self):
         # independent route: quadrature of the lower-component tail over a
         # shrinking cutoff; the log-log slope must match -(2 exp + 3)

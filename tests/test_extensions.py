@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from radext import extensions
+from radext import annulus, extensions
 from radext.channels import ChannelSpec, ModelParams, per_order
 from radext.extensions import (
     DeficiencyVector,
@@ -105,6 +106,18 @@ class TestExtensionMatrix:
             ExtensionMatrix(np.eye(1), ModelParams(model="inverse_square", c=-1.0))
         with pytest.raises(TypeError):
             ExtensionMatrix(np.eye(4), channels=canonical_channels(ModelParams()))
+
+    def test_shape_is_refused_before_the_channels_are_listed(self):
+        # eg = 2e4 has 4e4 singular channels: the count refuses a 4x4 without listing them
+        canonical_channels.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="40000x40000 over the 40000 singular"):
+                ExtensionMatrix(np.eye(4), ModelParams(eg=2e4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_from_diagonal_thetas(self):
         thetas = (0.1, -0.4, 0.9, 2.2)
@@ -338,12 +351,23 @@ class TestBoundStateEnumeration:
             ents[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
             assert len(bound_states(ExtensionMatrix(ents), 1.0)) == count
 
-    def test_scale_choice_does_not_move_energies(self):
+    def test_energies_scale_as_s_squared_over_mu(self):
+        # U is labelled relative to the deficiency vectors at s, so lam = s F(theta, nu)
         thetas = (0.3, -0.5, 0.8, 0.1)
         e_ref = [st.energy for st in bound_states(ExtensionMatrix.from_diagonal_thetas(thetas), 1.0)]
-        rescaled = ExtensionMatrix.from_diagonal_thetas(thetas, ModelParams(deficiency_scale=2.0))
-        e_new = [st.energy for st in bound_states(rescaled, 1.0)]
-        assert_allclose(e_new, e_ref, rtol=1e-9)
+        for s in (2.0, 0.5):
+            rescaled = ExtensionMatrix.from_diagonal_thetas(thetas, ModelParams(deficiency_scale=s))
+            assert [st.energy for st in bound_states(rescaled, 1.0)] == [s * s * e for e in e_ref]
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_energies_match_the_oracle_at_other_scales(self, scale):
+        params = ModelParams(model="inverse_square", c=0.0, deficiency_scale=scale)
+        ext = ExtensionMatrix.from_diagonal_thetas([0.3], params)
+        (state,) = bound_states(ext, 1.0)
+        grid = annulus.AnnulusGrid(r0=1e-3, R=40.0, n=8000)
+        ham = annulus.assemble_radial_hamiltonian(params, grid, annulus.g_from_u(ext, 1e-3), ext.channels)
+        assert_allclose(annulus.oracle_spectrum(ham, 1)[0], state.energy, rtol=1e-4)
+        assert_allclose(state.lam, math.sqrt(-2.0 * state.energy), rtol=1e-15)
 
 
 class TestHalfOrderChannelSets:
@@ -465,6 +489,19 @@ class TestScatteringAndMixing:
         with pytest.raises(ValueError):
             scattering_eigenstate(identity_ext, -1.0, 0, 1.0)
 
+    def test_amplitudes_past_the_float_range(self, swap_ext):
+        # lam = sqrt(2 mu) sqrt(E) stays finite where 2 mu E overflows
+        for mat in mixing_matrix(swap_ext, 1e308, 1.0):
+            assert np.isfinite(mat).all()
+        # finite small-r pairs, amplitudes ~ lam^(2 nu) past the float range
+        ext = ExtensionMatrix(swap_ext.entries, ModelParams(mu=1e300, deficiency_scale=1.0))
+        with pytest.raises(OverflowError, match="amplitudes"):
+            mixing_matrix(ext, 1e300, 1e300)
+        # the small-r pairs themselves past the float range, at s = mu = 1e300
+        ext = ExtensionMatrix(swap_ext.entries, ModelParams(mu=1e300))
+        with pytest.raises(OverflowError, match="small-r pair"):
+            mixing_matrix(ext, 1e300, 1e300)
+
     def test_dirac_consistent_family_has_regular_triplet(self):
         u1 = dirac_consistent_value(NU_EDGE)
         ext = ExtensionMatrix(np.diag([cmath.exp(0.7j), u1, u1, u1]))
@@ -478,6 +515,14 @@ class TestScatteringAndMixing:
     def test_angular_momentum_flag(self, identity_ext, swap_ext):
         assert is_angular_momentum_conserving(identity_ext)
         assert not is_angular_momentum_conserving(swap_ext)
+        # bound_states' rule: channels 0 and 1 rotated into each other are unmixed within 1e-10
+        # at 0.9e-10, not at 1.1e-10
+        for angle, conserving in ((0.9e-10, True), (1.1e-10, False)):
+            ents = np.eye(4, dtype=complex)
+            ents[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+            ext = ExtensionMatrix(ents)
+            assert is_angular_momentum_conserving(ext) is conserving
+            assert len(bound_states(ext, 1.0)) == (4 if conserving else 2)
 
 
 # the four monopole sets and 1/r^2 at nu = sqrt(0.15), 0.99 and 0.01, each at two deficiency scales
@@ -572,6 +617,15 @@ class TestDiracConsistency:
             u_d = dirac_consistent_value(nu)
             assert abs(abs(u_d) - 1.0) <= 1e-12
             assert_allclose(u_d, -cmath.exp(1j * math.pi * nu / 2.0), rtol=1e-12)
+        for nu in np.linspace(0.01, 0.99, 99):
+            assert abs(dirac_consistent_value(nu) + cmath.exp(1j * math.pi * nu / 2.0)) <= 4.0 * EPS
+
+    def test_minus_coefficient_is_the_exact_conjugate(self):
+        # why one DEF+ evaluation suffices: c_-(phi_-) = conj c_-(phi_+) bit for bit
+        for nu in np.linspace(0.01, 0.99, 99):
+            plus = small_arg_coeffs("DEF+", nu, 1.0 - 1.0j).c_minus
+            minus = small_arg_coeffs("DEF-", nu, 1.0 + 1.0j).c_minus
+            assert minus == plus.conjugate()
 
     def test_nu_domain(self):
         with pytest.raises(ValueError):
@@ -585,10 +639,10 @@ class TestDiracConsistency:
             return small_arg_coeffs(kind, nu, scale)
 
         monkeypatch.setattr(extensions, "small_arg_coeffs", counted)
-        dirac_consistent_value.cache_clear()
+        per_order.cache_clear()
         ext = ExtensionMatrix(np.eye(4))
         assert not is_dirac_consistent(ext)
-        assert sorted(calls) == ["DEF+", "DEF-"]
+        assert calls == ["DEF+"]
         calls.clear()
         assert not is_dirac_consistent(ext)
         assert calls == []
