@@ -427,8 +427,10 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     g is the Robin data at r0 (None means a Dirichlet wall there, the
     plain box); the outer wall at R is always Dirichlet. A g whose defect
     max|g - g^dag| exceeds 1e-9 (or is NaN) is refused with
-    HermiticityError, whatever its validate flag said. That is the one
-    Hermiticity decision on the boundary data: past it, the extension
+    HermiticityError, whatever its validate flag said. That is the last of
+    three gates on g: g_from_u's 1e-6 (LinkBreakdownError) and
+    BoundaryConditionMatrix's 1e-9 (HermiticityError) come first, so only
+    a g built with validate=False can fail it. Past it, the extension
     reading's block is Hermitian by construction, and the three-point
     rows carry g as it is.
 

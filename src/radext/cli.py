@@ -25,7 +25,6 @@ canonical form):
       "extension": {"matrix": [[[re, im], ...], ...]}
                    or {"diagonal_thetas": [t0, ..., t(n-1)]},
       "oracle": {"r0": 0.001, "R": 40.0, "n": 8000, "k": 1},
-      "tolerances": {"unitarity": 1e-10, "match": 1e-10},
       "output": {"format": "csv", "path": null}
     }
 
@@ -51,12 +50,12 @@ import numpy as np
 
 from . import annulus, dirac, extensions
 from .channels import ModelParams, channel_ladder, singular_count
+from .extensions import UnitarityError
 
 __all__ = [
     "ConfigError",
     "OracleParams",
     "RunConfig",
-    "Tolerances",
     "UnitarityError",
     "emit_config",
     "load_config",
@@ -69,10 +68,6 @@ class ConfigError(Exception):
     """Schema violation or inconsistent configuration; exit code 2."""
 
 
-class UnitarityError(Exception):
-    """Extension matrix failed the unitarity gate; exit code 3."""
-
-
 @dataclass(frozen=True)
 class OracleParams:
     r0: float = 1e-3
@@ -82,18 +77,11 @@ class OracleParams:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    unitarity: float = 1e-10
-    match: float = 1e-10
-
-
-@dataclass(frozen=True)
 class RunConfig:
     params: ModelParams
     matrix: np.ndarray | None
     diagonal_thetas: tuple[float, ...] | None
     oracle: OracleParams
-    tolerances: Tolerances
     output_format: str
     output_path: str | None
 
@@ -101,18 +89,16 @@ class RunConfig:
         """The validated member of the U(n) family over the model's singular channels."""
         if self.matrix is None and self.diagonal_thetas is None:
             raise ConfigError("this subcommand needs an 'extension' section in the config")
-        entries = self.matrix
-        if entries is None:
-            entries = np.diag(np.exp(1j * np.asarray(self.diagonal_thetas)))
-        return extensions.ExtensionMatrix(entries, self.params, unitarity_tol=self.tolerances.unitarity)
+        if self.matrix is None:
+            return extensions.ExtensionMatrix.from_diagonal_thetas(self.diagonal_thetas, self.params)
+        return extensions.ExtensionMatrix(self.matrix, self.params)
 
 
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
 _EXT_KEYS = {"matrix", "diagonal_thetas"}
 _ORACLE_KEYS = {"r0", "R", "n", "k"}
-_TOL_KEYS = {"unitarity", "match"}
 _OUTPUT_KEYS = {"format", "path"}
-_TOP_KEYS = {"model", "extension", "oracle", "tolerances", "output"}
+_TOP_KEYS = {"model", "extension", "oracle", "output"}
 
 
 def _is_number(value) -> bool:
@@ -161,8 +147,8 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON config and apply defaults.
 
     Raises ConfigError on schema violations and channel-count mismatches,
-    UnitarityError (with the defect in the message) when the extension
-    matrix fails the configured unitarity tolerance.
+    UnitarityError (extensions.check_unitary, the defect in the message)
+    when the extension matrix is not unitary.
     """
     try:
         data = json.loads(text)
@@ -185,13 +171,6 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    tol_raw = data.get("tolerances", {})
-    _check_keys("tolerances", tol_raw, _TOL_KEYS)
-    tols = Tolerances(unitarity=_as_float("tolerances", "unitarity", tol_raw.get("unitarity", 1e-10)),
-                      match=_as_float("tolerances", "match", tol_raw.get("match", 1e-10)))
-    if not (tols.unitarity > 0.0 and tols.match > 0.0):
-        raise ConfigError("tolerances must be positive")
-
     matrix = None
     thetas = None
     ext_raw = data.get("extension")
@@ -207,10 +186,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"channel-count mismatch: extension matrix is "
                                   f"{matrix.shape[0]}x{matrix.shape[1]} but the model has "
                                   f"{n_channels} singular channel(s)")
-            defect = extensions.unitarity_defect(matrix)
-            if not defect <= tols.unitarity:
-                raise UnitarityError(f"extension matrix is not unitary: defect {defect:.6e} "
-                                     f"exceeds tolerance {tols.unitarity:.1e}")
+            extensions.check_unitary(matrix)
             matrix.flags.writeable = False
         else:
             raw = ext_raw["diagonal_thetas"]
@@ -241,8 +217,7 @@ def parse_config(text: str) -> RunConfig:
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path must be a string or null")
 
-    return RunConfig(params=params, matrix=matrix, diagonal_thetas=thetas,
-                     oracle=oracle, tolerances=tols,
+    return RunConfig(params=params, matrix=matrix, diagonal_thetas=thetas, oracle=oracle,
                      output_format=out_format, output_path=out_path)
 
 
@@ -296,7 +271,6 @@ def emit_config(cfg: RunConfig) -> str:
                   "mu": cfg.params.mu, "deficiency_scale": cfg.params.deficiency_scale},
         "extension": ext,
         "oracle": {"r0": cfg.oracle.r0, "R": cfg.oracle.R, "n": cfg.oracle.n, "k": cfg.oracle.k},
-        "tolerances": {"unitarity": cfg.tolerances.unitarity, "match": cfg.tolerances.match},
         "output": {"format": cfg.output_format, "path": cfg.output_path},
     }
     return _canon(doc) + "\n"
@@ -409,7 +383,7 @@ def _cmd_dirac_check(args) -> int:
     if cfg.params.model != "monopole":
         raise ConfigError("dirac-check requires the monopole model")
     ext = cfg.to_extension()
-    consistent = extensions.is_dirac_consistent(ext, tol=cfg.tolerances.match)
+    consistent = extensions.is_dirac_consistent(ext)
     rows: list[list] = []
     for idx, ch in enumerate(ext.channels):
         for kind in ("N", "S"):
@@ -503,7 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (UnitarityError, annulus.LinkBreakdownError) as exc:
+    except (UnitarityError, annulus.LinkBreakdownError) as exc:  # before ValueError, UnitarityError's base
         print(f"unitarity error: {exc}", file=sys.stderr)
         return 3
     except annulus.HermiticityError as exc:  # before ValueError, its base

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,11 +42,13 @@ __all__ = [
     "DeficiencyVector",
     "ExtensionMatrix",
     "MixingSolution",
+    "UnitarityError",
     "bound_state_energy_theta",
     "bound_state_energy_u",
     "bound_states",
     "boundary_form",
     "canonical_channels",
+    "check_unitary",
     "deficiency_normalization",
     "dirac_consistent_value",
     "domain_vector_smallr",
@@ -75,6 +78,10 @@ def canonical_channels(params: ModelParams) -> tuple[ChannelSpec, ...]:
     return tuple(singular_channels(params, cutoff=math.inf))
 
 
+class UnitarityError(ValueError):
+    """U is not unitary, so H_U is not self-adjoint; the CLI exits 3."""
+
+
 def unitarity_defect(entries: np.ndarray) -> float:
     """Max-norm of U^dag U - I for a square matrix of any size."""
     entries = np.asarray(entries, dtype=complex)
@@ -84,6 +91,14 @@ def unitarity_defect(entries: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(entries.shape[0])).max())
 
 
+def check_unitary(entries: np.ndarray) -> None:
+    """Raise UnitarityError unless unitarity_defect(entries) <= 1e-10; a NaN defect fails."""
+    defect = unitarity_defect(entries)
+    if not defect <= _UNITARITY_TOL:
+        raise UnitarityError(f"extension matrix is not unitary: defect {defect:.3e} "
+                             f"exceeds tolerance {_UNITARITY_TOL:.1e}")
+
+
 @dataclass(frozen=True)
 class ExtensionMatrix:
     """A validated member U of the U(n) family over canonical_channels(params).
@@ -91,13 +106,11 @@ class ExtensionMatrix:
     Rows index the source domain vector, columns the deficiency channel it
     couples to: phi^(src) = phi_+^(src) + sum_ch U[src, ch] phi_-^(ch).
     Construction fails loudly if the channel set is empty or overcritical,
-    if U is not n x n, or if U is not unitary within tolerance (a NaN
-    defect fails too).
+    if U is not n x n, or if U is not unitary (check_unitary).
     """
 
     entries: np.ndarray
     params: ModelParams = field(default_factory=ModelParams)
-    unitarity_tol: float = _UNITARITY_TOL
     channels: tuple[ChannelSpec, ...] = field(init=False)
 
     def __post_init__(self):
@@ -113,10 +126,7 @@ class ExtensionMatrix:
         for ch in chans:
             ch.nu  # rejects overcritical channels, which have no deficiency vectors
         object.__setattr__(self, "channels", chans)
-        defect = unitarity_defect(ents)
-        if not defect <= self.unitarity_tol:
-            raise ValueError(f"extension matrix is not unitary: defect {defect:.3e} "
-                             f"exceeds tolerance {self.unitarity_tol:.1e}")
+        check_unitary(ents)
         ents.flags.writeable = False
         object.__setattr__(self, "entries", ents)
 
@@ -159,10 +169,10 @@ def deficiency_normalization(nu: float, deficiency_scale: float) -> float:
 
     With phi(r) = N r^(-1/2) K_nu((1 -+ i) s r) the squared norm is
     N^2 * integral r |K|^2 dr = N^2 * pi / (8 s^2 cos(pi nu / 2)),
-    so N = sqrt(8 s^2 cos(pi nu / 2) / pi). Finite for all nu in (0, 1).
+    so N = s sqrt(8 cos(pi nu / 2) / pi), s outside the root, where s^2
+    would underflow below s ~ 1e-154. Finite for all nu in (0, 1).
     """
-    s = deficiency_scale
-    return math.sqrt(8.0 * s * s * math.cos(math.pi * nu / 2.0) / math.pi)
+    return deficiency_scale * math.sqrt(8.0 * math.cos(math.pi * nu / 2.0) / math.pi)
 
 
 def _deficiency_arg(sign: int, deficiency_scale: float) -> complex:
@@ -209,12 +219,14 @@ class DeficiencyVector:
 
 
 def _plus_pair(nu: float, scale: float) -> tuple[complex, complex]:
-    """Small-r pair (c_-, c_+) of the R^3-normalized phi_+ at one order; finite or OverflowError."""
+    """Small-r pair (c_-, c_+) of the R^3-normalized phi_+ at one order: normal floats, else ArithmeticError."""
     plus = small_arg_coeffs("DEF+", nu, _deficiency_arg(+1, scale))
     norm = deficiency_normalization(nu, scale)
     pair = plus.c_minus * norm, plus.c_plus * norm
     if not all(map(cmath.isfinite, pair)):
         raise OverflowError(f"small-r pair of phi_+ leaves the float range at nu = {nu}, s = {scale!r}")
+    if not min(map(abs, pair)) >= sys.float_info.min:
+        raise ArithmeticError(f"small-r pair of phi_+ underflows at nu = {nu}, s = {scale!r}")
     return pair
 
 
@@ -284,9 +296,11 @@ def bound_state_energy_theta(theta: float, nu: float, unit: float) -> float | No
 
     The state exists only while cos theta > -cos(pi nu / 2); at or past the
     threshold (within a 1e-10 band) the spectrum has no negative eigenvalue
-    and None is returned. E = 0 itself is not a bound state. Just inside the
-    threshold |E| grows like delta^(-1/nu) in the distance delta to it, and
-    an energy past the float range raises OverflowError.
+    and None is returned. Just inside the threshold |E| grows like
+    delta^(-1/nu) in the distance delta to it, and an energy past the float
+    range raises OverflowError. E = 0 itself is not a bound state: an energy
+    below the smallest normal float (a tiny ratio^(1/nu) or unit), which
+    would print with lost digits or as zero, raises ArithmeticError.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
@@ -299,11 +313,15 @@ def bound_state_energy_theta(theta: float, nu: float, unit: float) -> float | No
     half = math.pi * nu / 4.0
     ratio = math.cos(theta / 2.0 + half) / math.cos(theta / 2.0 - half)
     try:
-        return -unit * ratio ** (1.0 / nu)
+        energy = -unit * ratio ** (1.0 / nu)
     except OverflowError:
         raise OverflowError(f"bound-state energy leaves the float range for nu = {nu}, "
                             f"theta = {theta!r}: |E| ~ 1e{math.log10(ratio) / nu:.0f} unit "
                             f"(unit = {unit})") from None
+    if not -energy >= sys.float_info.min:
+        raise ArithmeticError(f"bound-state energy underflows for nu = {nu}, "
+                              f"theta = {theta!r} (unit = {unit})")
+    return energy
 
 
 def bound_state_energy_u(u_diag: complex, nu: float, unit: float) -> complex | None:
@@ -354,11 +372,11 @@ def bound_states(extension: ExtensionMatrix, mu: float) -> list[BoundState]:
     extension's deficiency scale: zero or one state per channel.
     """
     ents = extension.entries
-    mixing = _off_diagonal_max(ents)
+    unmixed = _unmixed(ents)
     unit = mu * (extension.params.deficiency_scale / mu) ** 2
     out: list[BoundState] = []
     for idx, ch in enumerate(extension.channels):
-        if not mixing[idx] <= _DIAGONAL_TOL:
+        if not unmixed[idx]:
             continue
         theta = cmath.phase(ents[idx, idx])
         energy = bound_state_energy_theta(theta, ch.nu, unit)
@@ -468,19 +486,20 @@ def mixing_matrix(extension: ExtensionMatrix, energy: float,
     return regular, singular
 
 
-def _off_diagonal_max(entries: np.ndarray) -> np.ndarray:
-    """Per index idx, the largest |U| off the diagonal in row idx and column idx.
+def _unmixed(entries: np.ndarray) -> np.ndarray:
+    """Per channel idx, True iff no |U| off the diagonal in row or column idx exceeds 1e-10.
 
-    Channel idx is unmixed within tol exactly when its entry is <= tol.
+    The one unmixed rule: bound_states, is_angular_momentum_conserving and
+    is_dirac_consistent read it.
     """
     off = np.abs(entries)
     np.fill_diagonal(off, 0.0)
-    return np.maximum(off.max(axis=1), off.max(axis=0))
+    return np.maximum(off.max(axis=1), off.max(axis=0)) <= _DIAGONAL_TOL
 
 
 def is_angular_momentum_conserving(extension: ExtensionMatrix) -> bool:
-    """True iff every channel is unmixed within 1e-10, bound_states' rule, so J^2 and J_z survive."""
-    return bool(_off_diagonal_max(extension.entries).max() <= _DIAGONAL_TOL)
+    """True iff every channel is unmixed (bound_states' rule), so J^2 and J_z survive."""
+    return bool(_unmixed(extension.entries).all())
 
 
 def _dirac_value(nu: float) -> complex:
@@ -501,20 +520,21 @@ def dirac_consistent_value(nu: float) -> complex:
     return complex(per_order(_dirac_value, (nu,))[0])
 
 
-def is_dirac_consistent(extension: ExtensionMatrix, tol: float = 1e-10) -> bool:
+def is_dirac_consistent(extension: ExtensionMatrix) -> bool:
     """True iff U restricts to the one-parameter family the Dirac equation allows.
 
-    Channels 1-3 (the j = 1 triplet) must be unmixed with diagonal entries
-    equal to dirac_consistent_value at their order; the j = 0 entry is the
-    surviving free parameter. That structure belongs to the monopole at
-    eg = 1/2; any other channel set raises ValueError.
+    Channels 1-3 (the j = 1 triplet) must be unmixed (bound_states' rule)
+    with diagonal entries within the same 1e-10 of dirac_consistent_value
+    at their order; the j = 0 entry is the surviving free parameter. That
+    structure belongs to the monopole at eg = 1/2; any other channel set
+    raises ValueError.
     """
     params = extension.params
     if params.model != "monopole" or params.eg != 0.5:
         raise ValueError("the Dirac-consistency test encodes the j = 0 / j = 1 channels of the "
                          f"monopole at eg = 1/2; got model {params.model!r}, eg = {params.eg}")
     ents = extension.entries
-    mixing = _off_diagonal_max(ents)
+    unmixed = _unmixed(ents)
     u_required = dirac_consistent_value(extension.channels[1].nu)
-    return all(mixing[idx] <= tol and abs(ents[idx, idx] - u_required) <= tol
+    return all(unmixed[idx] and abs(ents[idx, idx] - u_required) <= _DIAGONAL_TOL
                for idx in range(1, len(ents)))

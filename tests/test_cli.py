@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from radext import annulus, cli
+from radext import annulus, cli, extensions
 from radext.cli import (
     ConfigError,
     UnitarityError,
@@ -61,7 +61,6 @@ class TestParseConfig:
         assert cfg.params.deficiency_scale == 1.0
         assert cfg.matrix is None and cfg.diagonal_thetas is None
         assert (cfg.oracle.r0, cfg.oracle.R, cfg.oracle.n, cfg.oracle.k) == (1e-3, 40.0, 8000, 1)
-        assert (cfg.tolerances.unitarity, cfg.tolerances.match) == (1e-10, 1e-10)
         assert cfg.output_format == "csv" and cfg.output_path is None
 
     def test_scale_tracks_mu(self):
@@ -69,16 +68,14 @@ class TestParseConfig:
         assert cfg.params.deficiency_scale == 2.0
 
     def test_schema_rejections(self):
-        # json reads NaN and Infinity; a unitarity tolerance of NaN would pass a matrix with 2
-        # on its diagonal
-        diag2 = [[[2.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        # json reads NaN and Infinity, which no field accepts
         nan_entry = [row[:] for row in SWAP_JSON]
         nan_entry[0] = [[math.nan, 0.0]] + nan_entry[0][1:]
         for text, frag in [
             ("not json", "valid JSON"),
             ('{"bogus": {}}', "unknown key"),
             ('{"model": {"typ": "monopole"}}', "unknown key"),
-            ('{"tolerances": {"hermiticity": 1e-9}}', "unknown key"),
+            ('{"tolerances": {}}', "unknown key"),
             ('{"model": {"type": "coulomb"}}', "model.type"),
             ('{"model": {"mu": true}}', "must be a number"),
             ('{"oracle": {"n": 99}}', "n >= 100"),
@@ -87,11 +84,6 @@ class TestParseConfig:
             ('{"extension": {}}', "exactly one"),
             ('{"extension": {"matrix": [], "diagonal_thetas": []}}', "exactly one"),
             ('{"extension": {"diagonal_thetas": [0, 0, 0]}}', "channel-count"),
-            (json.dumps({"tolerances": {"unitarity": math.nan}, "extension": {"matrix": diag2}}),
-             "must be finite"),
-            ('{"tolerances": {"match": Infinity}}', "must be finite"),
-            ('{"tolerances": {"unitarity": -1e-10}}', "positive"),
-            ('{"tolerances": {"match": 0}}', "positive"),
             ('{"oracle": {"R": NaN}}', "must be finite"),
             ('{"oracle": {"r0": -Infinity}}', "must be finite"),
             ('{"model": {"mu": Infinity}}', "must be finite"),
@@ -109,11 +101,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="channel-count"):
             parse_config('{"extension": {"matrix": [[[1, 0]]] }}')
 
-    def test_non_unitary_matrix(self):
+    def test_non_unitary_matrix(self, make_config, capsys):
         doc = {"extension": {"matrix": [[[2.0 if i == j else 0.0, 0.0]
                                          for j in range(4)] for i in range(4)]}}
         with pytest.raises(UnitarityError, match="defect"):
             parse_config(json.dumps(doc))
+        # the library's one unitarity decision and message, at parse time, before any subcommand
+        assert cli.main(["emit-config", "--config", make_config(doc)]) == 3
+        assert capsys.readouterr().err == ("unitarity error: extension matrix is not unitary: "
+                                           "defect 3.000e+00 exceeds tolerance 1.0e-10\n")
+        assert UnitarityError is extensions.UnitarityError
 
     def test_huge_channel_count_is_refused_before_the_list(self, make_config, capsys):
         # eg = 1e8 has 2e8 singular channels and c = 1e8 about 1e8: a list of them would take
@@ -229,6 +226,22 @@ class TestBoundStatesCommand:
         assert err.startswith("numerical error:") and "nu = 0.0099" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc", [
+        # nu = 0.01 near the window edge: ratio^(1/nu) underflows
+        {"model": {"type": "inverse_square", "c": 0.2499}, "extension": {"diagonal_thetas": [3.12587]}},
+        # the unit s^2/mu underflows to zero, or to a subnormal with lost digits
+        {"model": {"deficiency_scale": 1e-300}, "extension": {"diagonal_thetas": [0.3] * 4}},
+        {"model": {"deficiency_scale": 1e-161}, "extension": {"diagonal_thetas": [0.3] * 4}},
+    ], ids=["ratio", "unit", "subnormal"])
+    def test_energy_underflow_exit_4(self, make_config, capsys, doc):
+        # an energy below the smallest normal float is past the float range, not a config
+        # error; oracle computes the closed forms first
+        path = make_config(doc)
+        for command in ("bound-states", "oracle"):
+            assert cli.main([command, "--config", path]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("numerical error:") and "underflows" in err
+
     def test_huge_mass_stays_in_range(self, make_config, capsys):
         # lambda = sqrt(2 mu) sqrt(-E): the product 2 mu E alone would overflow at mu = 1e300
         path = make_config({"model": {"mu": 1e300}, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
@@ -312,11 +325,20 @@ class TestSmatrixCommand:
         assert cli.main(["smatrix", "--config", path, "--E", "1e308"]) == 0
         _, rows = _csv_rows(capsys.readouterr().out)
         assert len(rows) == 16 and all(math.isfinite(float(v)) for row in rows for v in row)
-        # at s = mu = 1e300 the small-r pairs leave the float range: a range failure
-        path = make_config({"model": {"mu": 1e300}, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
-        assert cli.main(["smatrix", "--config", path]) == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numerical error:") and captured.out == ""
+        # at s = mu = 1e300 the small-r pairs leave the float range, and at s = 1e-300 they
+        # underflow: range failures, not tables of inf or 0
+        for model in ({"mu": 1e300}, {"deficiency_scale": 1e-300}):
+            path = make_config({"model": model, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+            assert cli.main(["smatrix", "--config", path]) == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numerical error:") and captured.out == ""
+        # at s = 1e-160, where s^2 is subnormal, the amplitudes stay finite and nonzero
+        path = make_config({"model": {"deficiency_scale": 1e-160},
+                            "extension": {"diagonal_thetas": [0.3, 0.3, 0.3, 0.3]}})
+        assert cli.main(["smatrix", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert all(float(row[2]) != 0.0 for row in rows if row[0] == row[1])
 
 
 class TestGmapCommand:

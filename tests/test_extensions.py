@@ -661,7 +661,6 @@ class TestDiracConsistency:
         u1 = dirac_consistent_value(NU_EDGE)
         ext = ExtensionMatrix(np.diag([1.0, u1 * cmath.exp(1e-6j), u1, u1]))
         assert not is_dirac_consistent(ext)
-        assert is_dirac_consistent(ext, tol=1e-4)
 
     def test_triplet_mixing_at_the_tolerance(self):
         # channels 1 and 2 rotated into each other: unmixed within 1e-10 at 0.9e-10, not at 1.1e-10
@@ -677,6 +676,20 @@ class TestDiracConsistency:
         for params, n in ((ModelParams(eg=1.0), 2), (ModelParams(model="inverse_square", c=0.1), 1)):
             with pytest.raises(ValueError, match="eg = 1/2"):
                 is_dirac_consistent(ExtensionMatrix(np.eye(n), params))
+
+
+def test_normalization_scales_without_underflow():
+    # s stays outside the root: s^2 is subnormal at 1e-160 and zero at 1e-300
+    for nu in (0.5, NU_EDGE):
+        for s in (1e-160, 1e-300):
+            assert deficiency_normalization(nu, s) == s * deficiency_normalization(nu, 1.0)
+
+
+def test_small_r_pairs_refuse_underflow():
+    # at s = 1e-300 each c_+ ~ s^(1 + nu) is below the smallest normal float
+    ext = ExtensionMatrix.from_diagonal_thetas([0.3] * 4, ModelParams(deficiency_scale=1e-300))
+    with pytest.raises(ArithmeticError, match="underflows"):
+        ext.small_r_pairs
 
 
 def test_normalization_constant_closed_form():
