@@ -9,6 +9,7 @@ converged run and serve as regression anchors.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -407,23 +408,45 @@ def _criterion_8_operator(nu: float, frac: float, n: int) -> tuple[RadialHamilto
     return assemble_radial_hamiltonian(ModelParams(), grid, g, (ch,)), analytic
 
 
-def _no_stebz(lookup, heevd_calls: list | None = None):
+def _no_stebz(lookup, calls: Counter | None = None, stebz: bool = False):
     """scipy.linalg.get_lapack_funcs that fails the test when stebz, LAPACK's bisection, is looked up.
 
-    Each call of a heevd it hands out appends to heevd_calls: one per probe of the Schur
-    solve, and one per vector.
+    stebz=True lets it through. Each call of a routine it hands out counts in calls, by name.
+    A trial energy of the Schur solve factors the tails once, by gttrf or by pttrf on all of
+    them ("trial" counts both; pttrf's restarts past negative pivots are shorter), and with
+    several channels makes one heevd.
     """
+    # the lengths pttrf was called on: the longest is all the tails
+    whole: list[int] = []
+
     def no_stebz(names, *args, **kwargs):
-        assert "stebz" not in ([names] if isinstance(names, str) else names)
+        single = isinstance(names, str)
+        assert stebz or "stebz" not in ([names] if single else names)
         funcs = lookup(names, *args, **kwargs)
-        if names != "heevd" or heevd_calls is None:
+        if calls is None:
             return funcs
 
-        def heevd(*a, **kw):
-            heevd_calls.append(1)
-            return funcs(*a, **kw)
-        return heevd
+        def counted(name, func):
+            def call(*a, **kw):
+                calls[name] += 1
+                if name == "pttrf":
+                    whole.append(len(a[0]))
+                if name == "gttrf" or name == "pttrf" and whole[-1] == max(whole):
+                    calls["trial"] += 1
+                return func(*a, **kw)
+            return call
+        if single:
+            return counted(names, funcs)
+        return tuple(counted(name, func) for name, func in zip(names, funcs))
     return no_stebz
+
+
+def _coupled_operator(seed: int, n: int) -> RadialHamiltonian:
+    """The oracle_coupled shape: a Haar U over the eg = 1/2 channels, r0 = 0.01, R = 40."""
+    params = ModelParams()
+    ext = ExtensionMatrix(haar_unitary(seed), params)
+    grid = AnnulusGrid(r0=0.01, R=40.0, n=n)
+    return assemble_radial_hamiltonian(params, grid, g_from_u(ext, 0.01), ext.channels)
 
 
 def _laplacian_like_operator(seed: int) -> tuple[RadialHamiltonian, int]:
@@ -489,6 +512,10 @@ class TestOperatorContract:
         x = rng.normal(size=ham.size) + 1j * rng.normal(size=ham.size)
         eps = np.finfo(float).eps
         assert_allclose(ham.matvec(x), dense @ x, rtol=0.0, atol=8 * eps * norm * np.abs(x).max())
+        # a (size, m) block is m vectors at once
+        block = rng.normal(size=(ham.size, 3)) + 1j * rng.normal(size=(ham.size, 3))
+        assert ham.matvec(block).shape == block.shape
+        assert_allclose(ham.matvec(block), dense @ block, rtol=0.0, atol=8 * eps * norm * np.abs(block).max())
         assert_allclose(ham.norm_upper_bound(), norm, rtol=4 * eps)
         assert ham.hermiticity_defect() == np.abs(dense - dense.conj().T).max()
 
@@ -617,11 +644,12 @@ class TestOracleSpectrum:
         full = scipy.linalg.eigh_tridiagonal(
             np.concatenate((ham.block[0].real, ham.onsite[:, 0])), ham.hops[:, 0],
             eigvals_only=True, select="i", select_range=(0, 3))
-        calls = []
+        calls = Counter()
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", _no_stebz(scipy.linalg.get_lapack_funcs, calls))
         assert_allclose(oracle_spectrum(ham, 4), full, rtol=0.0, atol=2 * np.finfo(float).eps * norm)
-        # at most 10 probes a level and the 4 vectors; bisecting to each level takes about 50
-        assert len(calls) <= 44
+        # at most 32 trial energies for the 4 levels, with no pass for their vectors; bisecting
+        # to each level takes about 50
+        assert calls["trial"] <= 32
 
     @pytest.mark.parametrize("nu", [0.5, NU_EDGE])
     def test_lowest_level_against_extended_precision_bisection(self, nu):
@@ -662,7 +690,7 @@ class TestOracleSpectrum:
         tol = 32 * np.finfo(float).eps * ham.norm_upper_bound()
         assert np.abs(oracle_spectrum(ham, k) - full).max() <= tol
 
-    def test_levels_past_a_nearly_decoupled_tail_level(self):
+    def test_levels_past_a_nearly_decoupled_tail_level(self, monkeypatch):
         # three nu^2 = 3.5 channels hide a triple tail level behind their barrier, so H has
         # a level within about eps ||H|| of it; the next levels lie far above, where a Newton
         # step taken right next to the pole is tiny only because the slope is huge
@@ -672,7 +700,39 @@ class TestOracleSpectrum:
         g = BoundaryConditionMatrix(r0=3e-3, channels=chans, entries=100.0 * _hermitian(2))
         ham = assemble_radial_hamiltonian(params, grid, g, chans)
         full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, 10))
+        calls = Counter()
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                            _no_stebz(scipy.linalg.get_lapack_funcs, calls, stebz=True))
         assert np.abs(oracle_spectrum(ham, 11) - full).max() <= 1e-13 * ham.norm_upper_bound()
+        # at most 90 trial energies, one heevd each, about 8 a level; the levels next to the
+        # nearly decoupled tail level take some 30 of them, most the bracket's middle
+        assert calls["heevd"] <= 90
+
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_coupled_solve_takes_a_few_trial_energies_a_level(self, k, monkeypatch):
+        # the oracle_coupled shape: one heevd per trial energy, at most 7.5 a level whatever k
+        for seed in (1, 2, 3):
+            ham = _coupled_operator(seed, 100)
+            full = scipy.linalg.eigh(ham.dense(), eigvals_only=True, subset_by_index=(0, k - 1))
+            calls = Counter()
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                                _no_stebz(scipy.linalg.get_lapack_funcs, calls))
+            assert_allclose(oracle_spectrum(ham, k), full, rtol=0.0, atol=1e-10)
+            monkeypatch.undo()
+            assert calls["heevd"] <= 7.5 * k
+
+    def test_lapack_calls_grow_linearly_in_k(self, monkeypatch):
+        # one tail factorization a trial energy, however many tail levels lie below it
+        ham, _ = _criterion_8_operator(0.5, 0.0, 100)
+        factorizations = {}
+        for k in (4, 12):
+            calls = Counter()
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                                _no_stebz(scipy.linalg.get_lapack_funcs, calls))
+            oracle_spectrum(ham, k)
+            monkeypatch.undo()
+            factorizations[k] = calls["pttrf"] + calls["gttrf"]
+        assert factorizations[12] <= 3.5 * factorizations[4]
 
     @pytest.mark.parametrize("n_ch", [1, 2])
     def test_tail_states_decoupled_to_working_precision(self, n_ch):
