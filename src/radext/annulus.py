@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ChannelSpec, ModelParams, per_order
-from .extensions import ExtensionMatrix, origin_pairs, unitarity_defect
+from .extensions import ExtensionMatrix, _deficiency_arg, origin_pairs, unitarity_defect
 from .specfun import bessel_k_complex
 
 __all__ = [
@@ -214,7 +214,7 @@ def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, flo
     ArithmeticError. A nonpositive norm of normal size means its two terms
     cancelled past working precision (small r): LinkBreakdownError.
     """
-    a = complex(1.0, -1.0) * scale
+    a = _deficiency_arg(+1, scale)
     b = a.conjugate()
     kva, kda = _k_pair(nu, a * r)
     val = r * (b * kva * kda.conjugate() - a * kda * kva.conjugate()) / (a * a - b * b)
@@ -247,7 +247,8 @@ def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tupl
     if scale is None:
         scale = extension.params.deficiency_scale
     rows, weight = _k_rows(extension.channels, r, scale)
-    # conj(U conj(K)) = conj(U) K exactly, and the diagonal's conj(K) is added in place
+    # conj(U conj(K)) = conj(U) K exactly, and the diagonal's conj(K) is added in place through
+    # a strided view: the reshape is a view only because ExtensionMatrix stores U C-contiguous
     sums = extension.entries.conj() * rows[:, None, :]
     sums.reshape(2, -1)[:, :: weight.size + 1] += rows.conj()
     sums *= weight
@@ -302,8 +303,7 @@ def diagonal_link_value(nu: float, theta: float, r0: float, scale: float) -> com
     and the prefactor's -1/(2 r0) added last. Works for any subcritical
     channel of any model.
     """
-    a = complex(1.0, -1.0) * scale
-    b = complex(1.0, 1.0) * scale
+    a, b = _deficiency_arg(+1, scale), _deficiency_arg(-1, scale)
     u = complex(math.cos(theta), math.sin(theta))
     kva, kda = _k_pair(nu, a * r0)
     val = kva + u * kva.conjugate()

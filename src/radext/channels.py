@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,26 +46,26 @@ class ModelParams:
     c                strength of the attractive 1/r^2 term (inverse-square
                      model only).
     mu               particle mass; sets the energy and length units.
-    deficiency_scale the wavenumber s of the deficiency vectors, which solve
-                     H phi = +- i (s^2/mu) phi, default mu. U is defined
-                     relative to them: at fixed U, energies scale as s^2/mu.
+    deficiency_scale the wavenumber s > 0 of the deficiency vectors, which solve
+                     H phi = +- i (s^2/mu) phi; None (the default) means mu. U is
+                     defined relative to them: at fixed U, energies scale as s^2/mu.
     """
 
     model: str = "monopole"
     eg: float = 0.5
     c: float = 0.0
     mu: float = 1.0
-    deficiency_scale: float = field(default=0.0)
+    deficiency_scale: float | None = None
 
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.deficiency_scale is None:
+            object.__setattr__(self, "deficiency_scale", self.mu)
         if not all(map(math.isfinite, (self.eg, self.c, self.mu, self.deficiency_scale))):
             raise ValueError(f"model parameters must be finite, got {self}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.deficiency_scale == 0.0:
-            object.__setattr__(self, "deficiency_scale", self.mu)
         if not self.deficiency_scale > 0.0:
             raise ValueError(f"deficiency_scale must be positive, got {self.deficiency_scale}")
         if self.model == "monopole":

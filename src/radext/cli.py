@@ -43,7 +43,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -156,18 +156,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys("config", data, _TOP_KEYS)
 
+    # ModelParams and OracleParams own the defaults: only the keys the config gives are passed
     model_raw = data.get("model", {})
     _check_keys("model", model_raw, _MODEL_KEYS)
-    model_type = model_raw.get("type", "monopole")
-    if model_type not in ("monopole", "inverse_square"):
-        raise ConfigError(f"model.type must be 'monopole' or 'inverse_square', got {model_type!r}")
-    mu = _as_float("model", "mu", model_raw.get("mu", 1.0))
-    scale = _as_float("model", "deficiency_scale", model_raw.get("deficiency_scale", mu))
+    given = {key: _as_float("model", key, value) for key, value in model_raw.items() if key != "type"}
+    if "type" in model_raw:
+        model_type = given["model"] = model_raw["type"]
+        if model_type not in ("monopole", "inverse_square"):
+            raise ConfigError(f"model.type must be 'monopole' or 'inverse_square', got {model_type!r}")
     try:
-        params = ModelParams(model=model_type,
-                             eg=_as_float("model", "eg", model_raw.get("eg", 0.5)),
-                             c=_as_float("model", "c", model_raw.get("c", 0.0)),
-                             mu=mu, deficiency_scale=scale)
+        params = ModelParams(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -199,10 +197,8 @@ def parse_config(text: str) -> RunConfig:
 
     oracle_raw = data.get("oracle", {})
     _check_keys("oracle", oracle_raw, _ORACLE_KEYS)
-    oracle = OracleParams(r0=_as_float("oracle", "r0", oracle_raw.get("r0", 1e-3)),
-                          R=_as_float("oracle", "R", oracle_raw.get("R", 40.0)),
-                          n=_as_int("oracle", "n", oracle_raw.get("n", 8000)),
-                          k=_as_int("oracle", "k", oracle_raw.get("k", 1)))
+    oracle = OracleParams(**{key: (_as_int if key in ("n", "k") else _as_float)("oracle", key, value)
+                             for key, value in oracle_raw.items()})
     if not 0.0 < oracle.r0 < oracle.R:
         raise ConfigError("oracle needs 0 < r0 < R")
     if oracle.n < 100 or oracle.k < 1:
@@ -266,13 +262,10 @@ def emit_config(cfg: RunConfig) -> str:
         ext = {"diagonal_thetas": list(cfg.diagonal_thetas)}
     else:
         ext = None
-    doc = {
-        "model": {"type": cfg.params.model, "eg": cfg.params.eg, "c": cfg.params.c,
-                  "mu": cfg.params.mu, "deficiency_scale": cfg.params.deficiency_scale},
-        "extension": ext,
-        "oracle": {"r0": cfg.oracle.r0, "R": cfg.oracle.R, "n": cfg.oracle.n, "k": cfg.oracle.k},
-        "output": {"format": cfg.output_format, "path": cfg.output_path},
-    }
+    model = asdict(cfg.params)
+    model["type"] = model.pop("model")
+    doc = {"model": model, "extension": ext, "oracle": asdict(cfg.oracle),
+           "output": {"format": cfg.output_format, "path": cfg.output_path}}
     return _canon(doc) + "\n"
 
 

@@ -106,7 +106,8 @@ class ExtensionMatrix:
     Rows index the source domain vector, columns the deficiency channel it
     couples to: phi^(src) = phi_+^(src) + sum_ch U[src, ch] phi_-^(ch).
     Construction fails loudly if the channel set is empty or overcritical,
-    if U is not n x n, or if U is not unitary (check_unitary).
+    if U is not n x n, or if U is not unitary (check_unitary). U may come in
+    any array layout; entries is a read-only C-contiguous copy of it.
     """
 
     entries: np.ndarray
@@ -115,7 +116,7 @@ class ExtensionMatrix:
 
     def __post_init__(self):
         n = singular_count(self.params)  # counted before listed: eg = 1e8 lists 2e8 channels
-        ents = np.array(self.entries, dtype=complex)
+        ents = np.array(self.entries, dtype=complex, order="C")
         if n and ents.shape != (n, n):
             raise ValueError(f"extension matrix must be {n}x{n} over the {n} singular "
                              f"channel(s), got shape {ents.shape}")
@@ -498,7 +499,12 @@ def _unmixed(entries: np.ndarray) -> np.ndarray:
 
 
 def is_angular_momentum_conserving(extension: ExtensionMatrix) -> bool:
-    """True iff every channel is unmixed (bound_states' rule), so J^2 and J_z survive."""
+    """True iff every channel is unmixed (bound_states' rule), so J^2 and J_z are conserved.
+
+    Rotation invariance needs J_x and J_y too: U a scalar on each (j, kappa) multiplet,
+    e^(i theta_0) (+) e^(i theta_1) I_3 at eg = 1/2 and e^(i theta) I at eg >= 1. The Dirac
+    family is one; a diagonal U with distinct j = 1 phases passes here but is not invariant.
+    """
     return bool(_unmixed(extension.entries).all())
 
 

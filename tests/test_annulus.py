@@ -294,6 +294,19 @@ class TestLinkMap:
         for seed in range(10):
             assert raw(outputs(seed, cold=True)) == raw(outputs(seed, cold=False))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_link_map_reads_u_in_any_array_layout(self, seed):
+        # ExtensionMatrix stores U C-contiguous, so a transposed view and u_from_g's own
+        # output give the link of the matrix they hold, bit for bit that of a C-ordered copy
+        u = haar_unitary(seed)
+        transposed = ExtensionMatrix(u.T)
+        assert transposed.entries.flags.c_contiguous
+        assert np.array_equal(g_from_u(transposed, 1e-2).entries,
+                              g_from_u(ExtensionMatrix(np.ascontiguousarray(u.T)), 1e-2).entries)
+        g = g_from_u(ExtensionMatrix(u), 1e-2)
+        again = g_from_u(ExtensionMatrix(u_from_g(g, 1.0)), 1e-2)
+        assert np.abs(again.entries - g.entries).max() <= 1e-14 * np.abs(g.entries).max()
+
     def test_diagonal_link_is_real(self):
         for nu in (0.5, NU_EDGE):
             for theta in (0.0, 0.7, -1.9):
@@ -982,6 +995,50 @@ class TestExtensionReading:
         analytic = sorted(bound_state_energy_theta(t, ch.nu, monopole.mu)
                           for t, ch in zip(thetas, mixed.channels))
         assert_allclose(levels[0], analytic, rtol=1e-2)
+
+    @staticmethod
+    def _levels(u, params, n=400):
+        ext = ExtensionMatrix(u, params)
+        grid = AnnulusGrid(r0=1e-2, R=40.0, n=n)
+        return oracle_spectrum(assemble_radial_hamiltonian(params, grid, g_from_u(ext, 1e-2), ext.channels), 6)
+
+    @staticmethod
+    def _order_block_unitary(seed, eg):
+        """Haar W inside each equal-order block: U(1) x U(3) at eg = 1/2, U(2 eg) above."""
+        if eg >= 1.0:
+            return haar_unitary(seed + 10, int(2 * eg))
+        w = np.zeros((4, 4), dtype=complex)
+        w[0, 0] = haar_unitary(seed + 10, 1)[0, 0]
+        w[1:, 1:] = haar_unitary(seed + 20, 3)
+        return w
+
+    @pytest.mark.parametrize("eg", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_transpose_and_order_block_rotation_keep_the_spectrum(self, eg, seed):
+        # the radial problem is real, and a unitary W that mixes only channels of one order
+        # commutes with it: H_(U^T) and H_(W^H U W) have the levels of H_U (worst 2.9e-12)
+        params = ModelParams(eg=eg)
+        u = random_extension(seed, params).entries
+        w = self._order_block_unitary(seed, eg)
+        base = self._levels(u, params)
+        for other in (u.T, w.conj().T @ u @ w):
+            assert_allclose(self._levels(other, params), base, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_conjugate_and_order_mixing_move_the_spectrum(self, monopole, seed):
+        # the controls that the equivalences above could have missed: conj(U), and a W that
+        # mixes the two orders at eg = 1/2, move the levels far past the grid's own error
+        u = haar_unitary(seed)
+        w = haar_unitary(seed + 30)
+        base = self._levels(u, monopole)
+
+        def shift(levels):
+            return float(np.max(np.abs(levels - base) / np.abs(base)))
+
+        grid_error = shift(self._levels(u, monopole, n=800))
+        assert grid_error <= 5e-3
+        assert shift(self._levels(u.conj(), monopole)) >= 0.5
+        assert shift(self._levels(w.conj().T @ u @ w, monopole)) >= 3e-2
 
     def test_mixed_orders_match_the_continuum_condition(self, monopole):
         # a bound state at E = -lam^2 / (2 mu) is sum_ch c_ch K_nu(lam r) sqrt(r); its pairs

@@ -34,6 +34,13 @@ class TestModelParams:
         assert ModelParams(mu=2.0).deficiency_scale == 2.0
         assert ModelParams(mu=2.0, deficiency_scale=3.0).deficiency_scale == 3.0
 
+    def test_zero_scale_is_refused(self):
+        # None, not a zero, stands for the default s = mu
+        assert ModelParams(mu=2.0, deficiency_scale=None).deficiency_scale == 2.0
+        for zero in (0.0, -0.0, 0):
+            with pytest.raises(ValueError, match="must be positive"):
+                ModelParams(deficiency_scale=zero)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelParams(model="coulomb")

@@ -89,9 +89,24 @@ class TestParseConfig:
             ('{"model": {"mu": Infinity}}', "must be finite"),
             ('{"extension": {"diagonal_thetas": [NaN, 0, 0, 0]}}', "finite numbers"),
             (json.dumps({"extension": {"matrix": nan_entry}}), "finite numbers"),
+            ('{"model": {"eg": 0.7}}', "2\\*eg"),
+            ('{"oracle": {"n": 1.5}}', "must be an integer"),
+            ('{"model": []}', "must be an object"),
+            ('{"extension": {"matrix": []}}', "non-empty"),
+            ('{"output": {"path": 3}}', "string or null"),
         ]:
             with pytest.raises(ConfigError, match=frag):
                 parse_config(text)
+
+    @pytest.mark.parametrize("scale", ["0", "0.0", "-0.0"])
+    def test_zero_scale_is_refused(self, make_config, capsys, scale):
+        # ModelParams decides the default scale (mu); a zero is a non-positive scale like any other
+        text = '{"model": {"deficiency_scale": %s}}' % scale
+        with pytest.raises(ConfigError, match="must be positive"):
+            parse_config(text)
+        path = make_config(json.loads(text))
+        assert cli.main(["emit-config", "--config", path]) == 2
+        assert "deficiency_scale must be positive" in capsys.readouterr().err
 
     def test_matrix_shape_rejections(self):
         with pytest.raises(ConfigError, match="row"):
@@ -149,6 +164,13 @@ class TestEmitConfig:
         text = emit_config(parse_config(json.dumps(doc)))
         again = emit_config(parse_config(text))
         assert again == text
+
+    def test_thetas_round_trip(self):
+        doc = {"model": {"eg": 1.0, "mu": 2.0}, "extension": {"diagonal_thetas": [0.3, -1.2]}}
+        text = emit_config(parse_config(json.dumps(doc)))
+        assert emit_config(parse_config(text)) == text
+        assert json.loads(text)["extension"] == {"diagonal_thetas": [0.3, -1.2]}
+        assert json.loads(text)["model"]["deficiency_scale"] == 2.0
 
     def test_command(self, make_config, capsys):
         path = make_config({"model": {"eg": 1.0}})
