@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ChannelSpec, ModelParams, per_order
-from .extensions import ExtensionMatrix, _deficiency_arg, origin_pairs, unitarity_defect
+from .extensions import ExtensionMatrix, _deficiency_arg, _own_param, origin_pairs, unitarity_defect
 from .specfun import bessel_k_complex
 
 __all__ = [
@@ -209,15 +209,18 @@ def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, flo
 
     a = (1 - i) s, and c = norm^(-1/2) is the exterior normalization: the
     profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate, as
-    K_nu(conj z) = conj K_nu(z). A norm below the normal float range means
-    K_nu underflowed (large r), a value past the float range:
-    ArithmeticError. A nonpositive norm of normal size means its two terms
-    cancelled past working precision (small r): LinkBreakdownError.
+    K_nu(conj z) = conj K_nu(z). A NaN or infinite norm (a^2 - b^2
+    overflows at huge s), or one below the normal float range (K_nu
+    underflowed at large r), is past the float range: ArithmeticError. A
+    nonpositive norm of normal size means its two terms cancelled past
+    working precision (small r): LinkBreakdownError.
     """
     a = _deficiency_arg(+1, scale)
     b = a.conjugate()
     kva, kda = _k_pair(nu, a * r)
     val = r * (b * kva * kda.conjugate() - a * kda * kva.conjugate()) / (a * a - b * b)
+    if not np.isfinite(val):
+        raise ArithmeticError(f"exterior norm left the float range ({val}) at r0 = {r}, s = {scale!r}")
     if not val.real > 0.0:
         if abs(val) < np.finfo(float).tiny:
             raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r}")
@@ -236,7 +239,7 @@ def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np
     return rows[:2], rows[3].real
 
 
-def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tuple[TransferMatrix, np.ndarray]:
+def _transfer(extension: ExtensionMatrix, r: float) -> tuple[TransferMatrix, np.ndarray]:
     """a(r) = m diag(c r^(-1/2)) and n diag(c r^(-1/2)); (da/dr)(r) is the latter - a(r) / (2 r).
 
     The sums m = conj(diag(K) + U conj(K)) and n, the same of a K', cancel,
@@ -244,9 +247,7 @@ def _transfer(extension: ExtensionMatrix, r: float, scale: float | None) -> tupl
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
-    if scale is None:
-        scale = extension.params.deficiency_scale
-    rows, weight = _k_rows(extension.channels, r, scale)
+    rows, weight = _k_rows(extension.channels, r, extension.params.deficiency_scale)
     # conj(U conj(K)) = conj(U) K exactly, and the diagonal's conj(K) is added in place through
     # a strided view: the reshape is a view only because ExtensionMatrix stores U C-contiguous
     sums = extension.entries.conj() * rows[:, None, :]
@@ -268,7 +269,7 @@ def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     phi_-^ch(r), each channel profile normalized over the exterior of r, the
     normalization and the r^(-1/2) prefactor applied after the sum.
     """
-    return _transfer(extension, r, None)[0]
+    return _transfer(extension, r)[0]
 
 
 def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) -> BoundaryConditionMatrix:
@@ -282,9 +283,10 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
     Hermiticity of the result is the consistency theorem for the link;
     a defect above 1e-6 signals numerical breakdown (r0 too small for
     working precision) and raises LinkBreakdownError instead of returning
-    garbage.
+    garbage. The scale is the extension's own: a scale passed must equal it.
     """
-    amat, deriv = _transfer(extension, r0, scale)
+    _own_param(extension, "deficiency_scale", scale)
+    amat, deriv = _transfer(extension, r0)
     g = np.linalg.solve(amat.entries, deriv)
     g.flat[:: g.shape[0] + 1] -= 0.5 / r0
     defect = BoundaryConditionMatrix.defect_of(g)

@@ -13,7 +13,9 @@ first:
     ArithmeticError                         4  numerical error
 
 All energies are reported in units of mu and lengths in 1/mu; every CSV
-starts with a "# units:" comment line.
+starts with a "# units:" comment line. The subcommands solve in those units,
+at mass 1 and deficiency scale s/mu: the same operator and the same U, so
+no output converts a unit, and mu and s enter through s/mu alone.
 
 Config layout (all sections optional except where a subcommand needs them;
 defaults are materialized on parse, so emit_config always writes the full
@@ -40,10 +42,11 @@ significant digits, so emit -> parse -> emit is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -86,12 +89,19 @@ class RunConfig:
     output_path: str | None
 
     def to_extension(self) -> extensions.ExtensionMatrix:
-        """The validated member of the U(n) family over the model's singular channels."""
+        """The validated member of the U(n) family, at mass 1 and deficiency scale s/mu.
+
+        An s/mu that is not a positive normal float is past the float range: ArithmeticError.
+        """
         if self.matrix is None and self.diagonal_thetas is None:
             raise ConfigError("this subcommand needs an 'extension' section in the config")
+        s, mu = self.params.deficiency_scale, self.params.mu
+        if not sys.float_info.min <= s / mu < math.inf:
+            raise ArithmeticError(f"deficiency_scale / mu is past the float range: {s!r} / {mu!r}")
+        params = replace(self.params, mu=1.0, deficiency_scale=s / mu)
         if self.matrix is None:
-            return extensions.ExtensionMatrix.from_diagonal_thetas(self.diagonal_thetas, self.params)
-        return extensions.ExtensionMatrix(self.matrix, self.params)
+            return extensions.ExtensionMatrix.from_diagonal_thetas(self.diagonal_thetas, params)
+        return extensions.ExtensionMatrix(self.matrix, params)
 
 
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
@@ -298,9 +308,10 @@ def _write_table(cfg: RunConfig | None, units: str, columns: list[str],
 _CHANNEL_TABLE = {"monopole": ("jmax", ["j", "m", "kappa"]), "inverse_square": ("lmax", ["l", "m"])}
 
 
-def _cmd_channels(args) -> int:
-    params = ModelParams(model=args.model, eg=args.eg, c=args.c)
-    cutoff, labels = _CHANNEL_TABLE[args.model]
+def _cmd_channels(args, _) -> int:
+    params = ModelParams(**{key: value for key in ("model", "eg", "c")
+                            if (value := getattr(args, key)) is not None})
+    cutoff, labels = _CHANNEL_TABLE[params.model]
     rows = [[getattr(ch, k) for k in labels]
             + [math.sqrt(ch.nu_sq) if ch.nu_sq > 0 else float("nan"), ch.singular]
             for ch in channel_ladder(params, getattr(args, cutoff))]
@@ -310,104 +321,87 @@ def _cmd_channels(args) -> int:
     return 0
 
 
-def _cmd_bound_states(args) -> int:
-    cfg = load_config(args.config)
-    mu = cfg.params.mu
+def _cmd_bound_states(args, cfg: RunConfig) -> int:
     ext = cfg.to_extension()
-    rows = [[ext.channels.index(state.channel), state.theta, state.energy / mu, state.lam / mu]
-            for state in extensions.bound_states(ext, mu)]
+    rows = [[ext.channels.index(state.channel), state.theta, state.energy, state.lam]
+            for state in extensions.bound_states(ext)]
     _write_table(cfg, "E in mu, lambda in mu, theta in radians",
                  ["channel", "theta", "E_over_mu", "lambda_over_mu"], rows)
     return 0
 
 
-def _cmd_smatrix(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_smatrix(args, cfg: RunConfig) -> int:
     if not 0.0 < args.E < math.inf:
         raise ConfigError("--E must be positive and finite (units of mu)")
-    mu = cfg.params.mu
     ext = cfg.to_extension()
-    regular, singular = extensions.mixing_matrix(ext, args.E * mu, mu)
+    regular, singular = extensions.mixing_matrix(ext, args.E)
     rows = [[src, ch, a_n.real, a_n.imag, a_s.real, a_s.imag]
             for src in range(len(ext.channels))
             for ch, (a_n, a_s) in enumerate(zip(regular[:, src], singular[:, src]))]
-    _write_table(cfg, "E in mu; amplitudes dimensionless (source-matched scale)",
+    _write_table(cfg, "E in mu; amplitudes in mu (source-matched scale)",
                  ["source", "channel", "AN_re", "AN_im", "AS_re", "AS_im"], rows)
     return 0
 
 
-def _cmd_gmap(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_gmap(args, cfg: RunConfig) -> int:
     if not 0.0 < args.r0 < math.inf:
         raise ConfigError("--r0 must be positive and finite (units of 1/mu)")
-    mu = cfg.params.mu
-    bcm = annulus.g_from_u(cfg.to_extension(), args.r0 / mu)
-    rows = [[i, j, bcm.entries[i, j].real / mu, bcm.entries[i, j].imag / mu]
-            for i in range(len(bcm.channels)) for j in range(len(bcm.channels))]
+    bcm = annulus.g_from_u(cfg.to_extension(), args.r0)
+    rows = [[i, j, z.real, z.imag] for (i, j), z in np.ndenumerate(bcm.entries)]
     _write_table(cfg, "r0 in 1/mu, g in mu", ["row", "col", "g_re", "g_im"], rows,
-                 comments=[f"hermiticity_defect: {_fmt(bcm.hermiticity_defect / mu)}"])
+                 comments=[f"hermiticity_defect: {_fmt(bcm.hermiticity_defect)}"])
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    mu = cfg.params.mu
+def _cmd_oracle(args, cfg: RunConfig) -> int:
     opts = cfg.oracle
-    r0 = opts.r0 / mu
     ext = cfg.to_extension()
     # the closed forms come before the link map, so an energy past the float range exits 4
     # first; an unmixed channel has at most one bound state, and those are the lowest levels
     analytic: list[float] = []
     if extensions.is_angular_momentum_conserving(ext):
-        analytic = sorted(state.energy for state in extensions.bound_states(ext, mu))
-    g = annulus.g_from_u(ext, r0)
-    grid = annulus.AnnulusGrid(r0, opts.R / mu, opts.n)
-    ham = annulus.assemble_radial_hamiltonian(cfg.params, grid, g, ext.channels)
+        analytic = sorted(state.energy for state in extensions.bound_states(ext))
+    g = annulus.g_from_u(ext, opts.r0)
+    grid = annulus.AnnulusGrid(opts.r0, opts.R, opts.n)
+    ham = annulus.assemble_radial_hamiltonian(ext.params, grid, g, ext.channels)
     levels = annulus.oracle_spectrum(ham, opts.k)
     analytic += [math.nan] * (len(levels) - len(analytic))
-    rows = [[i, v / mu, exact / mu, abs(v - exact) / abs(exact)]
+    rows = [[i, v, exact, abs(v - exact) / abs(exact)]
             for i, (v, exact) in enumerate(zip(levels, analytic))]
     _write_table(cfg, "E in mu", ["index", "E_numeric", "E_analytic", "rel_err"], rows)
     return 0
 
 
-def _cmd_dirac_check(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_dirac_check(args, cfg: RunConfig) -> int:
     if cfg.params.model != "monopole":
         raise ConfigError("dirac-check requires the monopole model")
     ext = cfg.to_extension()
     consistent = extensions.is_dirac_consistent(ext)
-    rows: list[list] = []
-    for idx, ch in enumerate(ext.channels):
-        for kind in ("N", "S"):
-            coeff, exponent = dirac.lower_exponent(ch.kappa, kind)
-            ok = dirac.dirac_normalizable(ch.kappa, kind)
-            rows.append([idx, kind, coeff, exponent, ok])
+    # a verdict depends on kappa and the branch alone: one quadrature per pair, not per channel
+    normalizable = functools.cache(dirac.dirac_normalizable)
+    rows = [[idx, kind, *dirac.lower_exponent(ch.kappa, kind), normalizable(ch.kappa, kind)]
+            for idx, ch in enumerate(ext.channels) for kind in ("N", "S")]
     _write_table(cfg, "exponents dimensionless",
                  ["channel", "kind", "cancel_coeff", "exponent", "normalizable"], rows,
                  comments=[f"dirac_consistent: {_fmt(consistent)}"])
     return 0
 
 
-def _cmd_r0scan(args) -> int:
-    cfg = load_config(args.config)
-    mu = cfg.params.mu
+def _cmd_r0scan(args, cfg: RunConfig) -> int:
     try:
         seq = [float(tok) for tok in args.r0_list.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--r0-list must be comma-separated numbers: {exc}") from exc
     if not seq or any(not 0.0 < v < math.inf for v in seq):
         raise ConfigError("--r0-list needs positive finite radii")
-    result = annulus.r0_limit_scan(cfg.to_extension(), [v / mu for v in seq])
-    rows = [[row.r0 * mu, row.gmax / mu, row.offdiag_norm / mu] for row in result.rows]
-    comments = [] if result.breakdown_r0 is None else [f"breakdown_r0: {_fmt(result.breakdown_r0 * mu)}"]
-    _write_table(cfg, "r0 in 1/mu, g in mu", ["r0", "gmax", "offdiag_norm"], rows,
+    result = annulus.r0_limit_scan(cfg.to_extension(), seq)
+    comments = [] if result.breakdown_r0 is None else [f"breakdown_r0: {_fmt(result.breakdown_r0)}"]
+    _write_table(cfg, "r0 in 1/mu, g in mu", ["r0", "gmax", "offdiag_norm"], list(result.rows),
                  comments=comments)
     return 0
 
 
-def _cmd_emit_config(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_emit_config(args, cfg: RunConfig) -> int:
     sys.stdout.write(emit_config(cfg))
     return 0
 
@@ -419,46 +413,32 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "attractive 1/r^2).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("channels", help="enumerate angular channels and flag the singular ones")
-    p.add_argument("--model", choices=("monopole", "inverse_square"), default="monopole")
-    p.add_argument("--eg", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=0.0)
+    def command(name: str, handler, help_text: str, config: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        if config:  # main loads it before the handler runs
+            p.add_argument("--config", required=True)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("channels", _cmd_channels, "enumerate angular channels and flag the singular ones",
+                config=False)
+    # no defaults here: ModelParams owns them, and only the flags given are passed
+    p.add_argument("--model", choices=("monopole", "inverse_square"))
+    p.add_argument("--eg", type=float)
+    p.add_argument("--c", type=float)
     p.add_argument("--jmax", type=float, default=3.0)
     p.add_argument("--lmax", type=int, default=3)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_channels)
-
-    p = sub.add_parser("bound-states", help="bound-state table for a diagonal-acting extension")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_bound_states)
-
-    p = sub.add_parser("smatrix", help="scattering amplitude pairs (A_N, A_S) per source channel")
-    p.add_argument("--config", required=True)
+    command("bound-states", _cmd_bound_states, "bound-state table for a diagonal-acting extension")
+    p = command("smatrix", _cmd_smatrix, "scattering amplitude pairs (A_N, A_S) per source channel")
     p.add_argument("--E", type=float, default=1.0, help="energy in units of mu")
-    p.set_defaults(handler=_cmd_smatrix)
-
-    p = sub.add_parser("gmap", help="boundary-condition matrix induced at r0")
-    p.add_argument("--config", required=True)
+    p = command("gmap", _cmd_gmap, "boundary-condition matrix induced at r0")
     p.add_argument("--r0", type=float, required=True, help="boundary radius in 1/mu")
-    p.set_defaults(handler=_cmd_gmap)
-
-    p = sub.add_parser("oracle", help="finite-difference annulus spectrum vs analytic bound states")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("dirac-check", help="lower-component exponents and Dirac consistency verdict")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_dirac_check)
-
-    p = sub.add_parser("r0scan", help="growth of the boundary matrix as r0 shrinks")
-    p.add_argument("--config", required=True)
+    command("oracle", _cmd_oracle, "finite-difference annulus spectrum vs analytic bound states")
+    command("dirac-check", _cmd_dirac_check, "lower-component exponents and Dirac consistency verdict")
+    p = command("r0scan", _cmd_r0scan, "growth of the boundary matrix as r0 shrinks")
     p.add_argument("--r0-list", required=True, help="comma-separated radii in 1/mu")
-    p.set_defaults(handler=_cmd_r0scan)
-
-    p = sub.add_parser("emit-config", help="print the canonical form of a config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_emit_config)
-
+    command("emit-config", _cmd_emit_config, "print the canonical form of a config")
     return parser
 
 
@@ -466,7 +446,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = load_config(args.config) if "config" in args else None
+        return args.handler(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

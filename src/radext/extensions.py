@@ -191,7 +191,7 @@ class DeficiencyVector:
 
     channel: ChannelSpec
     sign: int
-    deficiency_scale: float = 1.0
+    deficiency_scale: float
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
@@ -316,9 +316,11 @@ def bound_state_energy_theta(theta: float, nu: float, unit: float) -> float | No
     try:
         energy = -unit * ratio ** (1.0 / nu)
     except OverflowError:
+        energy = -math.inf
+    if not -energy < math.inf:  # the power, or an infinite unit
         raise OverflowError(f"bound-state energy leaves the float range for nu = {nu}, "
                             f"theta = {theta!r}: |E| ~ 1e{math.log10(ratio) / nu:.0f} unit "
-                            f"(unit = {unit})") from None
+                            f"(unit = {unit})")
     if not -energy >= sys.float_info.min:
         raise ArithmeticError(f"bound-state energy underflows for nu = {nu}, "
                               f"theta = {theta!r} (unit = {unit})")
@@ -364,14 +366,24 @@ class BoundState:
             raise ValueError("bound states have strictly negative energy")
 
 
-def bound_states(extension: ExtensionMatrix, mu: float) -> list[BoundState]:
+def _own_param(extension: ExtensionMatrix, name: str, value: float | None) -> float:
+    """extension.params.<name> (mu or deficiency_scale), U's own; a value passed must equal it."""
+    own = getattr(extension.params, name)
+    if value is not None and value != own:
+        raise ValueError(f"{name} = {value!r} differs from the extension's own {own!r}")
+    return own
+
+
+def bound_states(extension: ExtensionMatrix, mu: float | None = None) -> list[BoundState]:
     """All bound states of H_U.
 
     A channel contributes only if U leaves it unmixed: its row and column
     must vanish off the diagonal (within 1e-10), leaving a pure phase
-    e^{i theta} whose energy formula then applies in the unit s^2/mu, s the
-    extension's deficiency scale: zero or one state per channel.
+    e^{i theta} whose energy formula then applies in the unit s^2/mu of the
+    extension's own mu and s (a mu passed must be its own): zero or one
+    state per channel.
     """
+    mu = _own_param(extension, "mu", mu)
     ents = extension.entries
     unmixed = _unmixed(ents)
     unit = mu * (extension.params.deficiency_scale / mu) ** 2
@@ -436,8 +448,10 @@ def _waves(nu: float, lam: float) -> tuple[float, float, float, float]:
     return sing.c_minus, sing.c_plus, reg.c_plus, _triangular_cond(sing.c_minus, sing.c_plus, reg.c_plus)
 
 
-def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _matching(extension: ExtensionMatrix, energy: float,
+              mu: float | None) -> tuple[np.ndarray, np.ndarray, float]:
     """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
+    mu = _own_param(extension, "mu", mu)
     if not energy > 0.0:
         raise ValueError(f"scattering states require energy > 0, got {energy}")
     lam = math.sqrt(2.0 * mu) * math.sqrt(energy)
@@ -454,7 +468,7 @@ def _matching(extension: ExtensionMatrix, energy: float, mu: float) -> tuple[np.
 
 
 def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int,
-                          mu: float) -> MixingSolution:
+                          mu: float | None = None) -> MixingSolution:
     """Match the energy-E eigenstate whose small-r behavior is phi^(source).
 
     Per channel the unknown pair (A_N, A_S) solves the lower-triangular
@@ -462,7 +476,7 @@ def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int
     exact because only the singular wave carries r^(-1/2-nu). The remaining
     freedom is a domain element of the closed symmetric operator, which
     vanishes faster at the origin and does not alter the matching. The
-    result is column source of mixing_matrix.
+    result is column source of mixing_matrix, at the extension's own mu.
     """
     # explicit: numpy would read source = -1 as the last column
     if not 0 <= source < len(extension.channels):
@@ -475,13 +489,13 @@ def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int
 
 
 def mixing_matrix(extension: ExtensionMatrix, energy: float,
-                  mu: float) -> tuple[np.ndarray, np.ndarray]:
+                  mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The energy-E eigenstates of every source, matched in one step.
 
     Returns (regular, singular) n x n arrays indexed [channel, source]; the
     column for a source is exactly scattering_eigenstate's amplitudes for
     it. Off-diagonal entries are the angular-momentum mixing: they vanish
-    for diagonal U and not otherwise.
+    for diagonal U and not otherwise. The mass is the extension's own.
     """
     regular, singular, _ = _matching(extension, energy, mu)
     return regular, singular

@@ -897,6 +897,15 @@ class TestR0LimitScan:
             r0_limit_scan(identity_ext, [0.1, 800.0])
         assert not isinstance(info.value, LinkBreakdownError)
 
+    def test_scale_past_the_float_range_is_not_a_breakdown(self):
+        # at s = 1e300 the exterior norm's a^2 - b^2 overflows to NaN: a value past the
+        # float range, which propagates instead of reading as a breakdown radius
+        ext = ExtensionMatrix(np.eye(4), ModelParams(deficiency_scale=1e300))
+        for call in (lambda: g_from_u(ext, 0.1), lambda: r0_limit_scan(ext, [0.1])):
+            with pytest.raises(ArithmeticError, match="exterior norm left the float range") as info:
+                call()
+            assert not isinstance(info.value, LinkBreakdownError)
+
     def test_radius_validation(self, identity_ext):
         with pytest.raises(ValueError, match="positive"):
             r0_limit_scan(identity_ext, [0.1, -0.2])

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from radext import annulus, cli, extensions
+from radext import annulus, cli, dirac, extensions
 from radext.cli import (
     ConfigError,
     UnitarityError,
@@ -206,6 +206,22 @@ class TestChannelsCommand:
             assert cli.main(["channels", *argv]) == 2
             assert "must be finite" in capsys.readouterr().err
 
+    def test_model_defaults_come_from_model_params(self, monkeypatch, capsys):
+        # only the flags given are passed, and the cutoff option follows the model built
+        given = []
+
+        def spy(**kwargs):
+            given.append(kwargs)
+            return ModelParams(**kwargs)
+
+        monkeypatch.setattr(cli, "ModelParams", spy)
+        assert cli.main(["channels"]) == 0
+        assert cli.main(["channels", "--eg", "1.0", "--c", "0.2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["channels", "--model", "inverse_square", "--lmax", "0"]) == 0
+        assert given == [{}, {"eg": 1.0, "c": 0.2}, {"model": "inverse_square"}]
+        assert _csv_rows(capsys.readouterr().out) == (["l", "m", "nu", "singular"], [["0", "0", "0.5", "true"]])
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "chan.csv"
         assert cli.main(["channels", "--output", str(target)]) == 0
@@ -347,9 +363,16 @@ class TestSmatrixCommand:
         assert cli.main(["smatrix", "--config", path, "--E", "1e308"]) == 0
         _, rows = _csv_rows(capsys.readouterr().out)
         assert len(rows) == 16 and all(math.isfinite(float(v)) for row in rows for v in row)
-        # at s = mu = 1e300 the small-r pairs leave the float range, and at s = 1e-300 they
+        # at s = mu = 1e300 the problem is the one at mu = 1 in the units the CLI prints
+        tables = []
+        for model in ({"mu": 1e300}, {}):
+            path = make_config({"model": model, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+            assert cli.main(["smatrix", "--config", path]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        # at s = 1e300 mu the small-r pairs leave the float range, and at s = 1e-300 mu they
         # underflow: range failures, not tables of inf or 0
-        for model in ({"mu": 1e300}, {"deficiency_scale": 1e-300}):
+        for model in ({"deficiency_scale": 1e300}, {"deficiency_scale": 1e-300}):
             path = make_config({"model": model, "extension": {"diagonal_thetas": [0, 0, 0, 0]}})
             assert cli.main(["smatrix", "--config", path]) == 4
             captured = capsys.readouterr()
@@ -545,7 +568,7 @@ EXIT_TABLE = [
 class TestExitCodes:
     @pytest.mark.parametrize("exc_type, code, prefix", EXIT_TABLE, ids=[row[0].__name__ for row in EXIT_TABLE])
     def test_main_maps_each_failure_type(self, monkeypatch, capsys, exc_type, code, prefix):
-        def fail(args):
+        def fail(args, cfg):
             raise exc_type("forced")
 
         monkeypatch.setattr(cli, "_cmd_channels", fail)
@@ -600,6 +623,16 @@ class TestDiracCheckCommand:
             assert cli.main(["dirac-check", "--config", path]) == 0
             tables.append(capsys.readouterr().out)
         assert tables[0] == tables[1]
+
+    def test_each_verdict_is_computed_once(self, make_config, capsys, monkeypatch):
+        # the four eg = 1/2 channels carry two kappa: four quadratures, not eight
+        calls = []
+        real = dirac.dirac_normalizable
+        monkeypatch.setattr(dirac, "dirac_normalizable", lambda *key: calls.append(key) or real(*key))
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        assert cli.main(["dirac-check", "--config", path]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 8 and len(calls) == len(set(calls)) == 4
 
     def test_inverse_square_rejected(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},
@@ -658,3 +691,66 @@ class TestR0ScanCommand:
         assert cli.main(["r0scan", "--config", path, "--r0-list", "-0.1"]) == 2
         assert cli.main(["r0scan", "--config", path, "--r0-list", "0.1,inf"]) == 2
         capsys.readouterr()
+
+
+# each config-reading subcommand but emit-config, and the extension it runs on
+HAAR3_JSON = [[[z.real, z.imag] for z in row] for row in haar_unitary(3)]
+UNITS_RUNS = [
+    ("bound-states", "diagonal"), ("oracle", "diagonal"), ("dirac-check", "diagonal"),
+    ("smatrix --E 0.7", "haar"), ("gmap --r0 0.1", "haar"), ("oracle", "haar"),
+    ("r0scan --r0-list 0.1,0.01", "haar"),
+]
+UNITS_IDS = [f"{command.split()[0]}-{extension}" for command, extension in UNITS_RUNS]
+
+
+class TestUnits:
+    """The subcommands solve at mass 1 and scale s/mu, so mu and s enter through s/mu alone."""
+
+    @staticmethod
+    def _run(make_config, capsys, command, extension, model):
+        if extension == "haar":
+            doc = {"extension": {"matrix": HAAR3_JSON}, "oracle": {"r0": 0.01, "n": 400, "k": 4}}
+        else:
+            doc = {"extension": {"diagonal_thetas": [0.3, -0.2, 0.5, 0.1]}, "oracle": {"n": 400, "k": 3}}
+        argv = command.split()
+        argv[1:1] = ["--config", make_config({"model": model, **doc})]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command, extension", UNITS_RUNS, ids=UNITS_IDS)
+    def test_output_depends_on_the_ratio_alone(self, make_config, capsys, command, extension):
+        code, reference, _ = self._run(make_config, capsys, command, extension, {})
+        assert code == 0 and reference.count("\n") > 2
+        for mu in (2.0, 1e3, 1e-3):
+            assert self._run(make_config, capsys, command, extension, {"mu": mu}) == (0, reference, "")
+        half = self._run(make_config, capsys, command, extension, {"deficiency_scale": 0.5})
+        assert half[0] == 0
+        assert self._run(make_config, capsys, command, extension, {"mu": 2.0, "deficiency_scale": 1.0}) == half
+
+    def test_smatrix_amplitudes_are_in_mu(self, make_config, capsys):
+        # they grow as mu in physical units, so the table's are in units of mu
+        code, out, _ = self._run(make_config, capsys, "smatrix --E 0.7", "haar", {"mu": 2.0})
+        assert code == 0 and out.startswith("# units: E in mu; amplitudes in mu (source-matched scale)\n")
+
+    @pytest.mark.parametrize("model", [{"mu": 1e-10, "deficiency_scale": 1e300},
+                                       {"mu": 1e100, "deficiency_scale": 1e-300}],
+                             ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("command, extension", UNITS_RUNS, ids=UNITS_IDS)
+    def test_ratio_past_the_float_range_exits_4(self, make_config, capsys, command, extension, model):
+        code, out, err = self._run(make_config, capsys, command, extension, model)
+        assert (code, out) == (4, "") and err.startswith("numerical error: deficiency_scale / mu")
+
+    def test_emit_config_keeps_the_given_mass_and_scale(self, make_config, capsys):
+        code, out, _ = self._run(make_config, capsys, "emit-config", "diagonal",
+                                 {"mu": 1e-10, "deficiency_scale": 1e300})
+        model = json.loads(out)["model"]
+        assert code == 0 and (model["mu"], model["deficiency_scale"]) == (1e-10, 1e300)
+
+    @pytest.mark.parametrize("command", ["gmap --r0 0.1", "oracle", "r0scan --r0-list 0.1,0.01"],
+                             ids=["gmap", "oracle", "r0scan"])
+    def test_scale_past_the_float_range_in_the_link_map_exits_4(self, make_config, capsys, command):
+        # at s = 1e300 mu the exterior norm's a^2 - b^2 overflows: a value past the float
+        # range, not a breakdown of the link map (exit 3) nor a breakdown radius
+        code, out, err = self._run(make_config, capsys, command, "haar", {"deficiency_scale": 1e300})
+        assert (code, out) == (4, "") and err.startswith("numerical error: exterior norm")

@@ -172,12 +172,18 @@ class TestDeficiencyVectors:
     def test_validation(self, monopole):
         ch = canonical_channels(monopole)[0]
         with pytest.raises(ValueError):
-            DeficiencyVector(ch, 0)
+            DeficiencyVector(ch, 0, 1.0)
         with pytest.raises(ValueError):
             DeficiencyVector(ch, +1, -1.0)
         overcritical = ChannelSpec(m=0.0, nu_sq=-0.75, l=0)
         with pytest.raises(ValueError):
-            DeficiencyVector(overcritical, +1)
+            DeficiencyVector(overcritical, +1, 1.0)
+
+
+    def test_scale_is_required(self, monopole):
+        # no default: a model's scale is its mu unless set, so a fixed 1.0 would be a second owner
+        with pytest.raises(TypeError, match="deficiency_scale"):
+            DeficiencyVector(canonical_channels(monopole)[0], +1)
 
 
 class TestDomainVectorSmallR:
@@ -192,7 +198,8 @@ class TestDomainVectorSmallR:
         r = 1e-4
         pairs = domain_vector_smallr(identity_ext, 1)
         ch = identity_ext.channels[1]
-        profile = DeficiencyVector(ch, +1).value(r) + DeficiencyVector(ch, -1).value(r)
+        s = identity_ext.params.deficiency_scale
+        profile = DeficiencyVector(ch, +1, s).value(r) + DeficiencyVector(ch, -1, s).value(r)
         for idx, p in enumerate(pairs):
             pred = p.c_minus * r ** (-0.5 - p.nu) + p.c_plus * r ** (-0.5 + p.nu)
             if idx == 1:
@@ -284,6 +291,14 @@ class TestBoundStateFormulas:
         assert math.isfinite(e) and e < 0.0
         deep = -(2.0 * math.sin(math.pi * NU_EDGE / 2.0) / delta) ** (1.0 / NU_EDGE)
         assert abs(e - deep) <= 1e-5 * abs(deep)
+
+    def test_infinite_unit_is_past_the_float_range(self):
+        # a unit s^2/mu that overflowed gives no energy of -inf
+        with pytest.raises(OverflowError, match="float range"):
+            bound_state_energy_theta(0.0, 0.5, math.inf)
+        ext = ExtensionMatrix(np.eye(4), ModelParams(mu=1e-10, deficiency_scale=1e300))
+        with pytest.raises(OverflowError, match="float range"):
+            bound_states(ext)
 
     def test_u_form_pole_returns_none(self):
         for nu in (0.5, NU_EDGE):
@@ -387,6 +402,33 @@ class TestHalfOrderChannelSets:
         regular, singular = mixing_matrix(ext, 1.0, 1.0)
         assert regular.shape == singular.shape == (n, n)
         assert np.abs(regular - np.diag(np.diag(regular))).max() == 0.0
+
+
+class TestOwnMassAndScale:
+    """The functions of an extension read mu and s from it and refuse any other value."""
+
+    def test_another_mass_is_refused(self):
+        ext = ExtensionMatrix(np.eye(4), ModelParams(mu=2.0))
+        for call in (lambda: bound_states(ext, 1.0), lambda: mixing_matrix(ext, 1.0, 1.0),
+                     lambda: scattering_eigenstate(ext, 1.0, 0, 1.0)):
+            with pytest.raises(ValueError, match="mu = 1.0 differs from the extension's own 2.0"):
+                call()
+
+    def test_another_scale_is_refused(self):
+        with pytest.raises(ValueError, match="deficiency_scale = 2.0 differs"):
+            annulus.g_from_u(ExtensionMatrix(np.eye(4)), 0.1, 2.0)
+
+    def test_the_own_values_give_the_same_bits(self):
+        params = ModelParams(mu=2.0, deficiency_scale=0.7)
+        for ext in (random_extension(1, params),
+                    ExtensionMatrix.from_diagonal_thetas((0.3, -0.5, 0.8, 0.1), params)):
+            assert bound_states(ext) == bound_states(ext, 2.0)
+            for left, right in zip(mixing_matrix(ext, 0.9), mixing_matrix(ext, 0.9, 2.0)):
+                assert np.array_equal(left, right)
+            assert scattering_eigenstate(ext, 0.9, 1) == scattering_eigenstate(ext, 0.9, 1, 2.0)
+            assert np.array_equal(annulus.g_from_u(ext, 0.1).entries,
+                                  annulus.g_from_u(ext, 0.1, 0.7).entries)
+        assert bound_states(ext)
 
 
 class TestScatteringAndMixing:
