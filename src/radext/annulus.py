@@ -166,10 +166,15 @@ class AnnulusGrid:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """The matrix a(r) of conjugated, exterior-normalized domain profiles."""
+    """The matrix a(r) of conjugated, exterior-normalized domain profiles, and its K' part.
+
+    a'(r) = derivative - entries / (2 r), never formed: g_from_u adds the
+    -1/(2 r) to g's diagonal after the solve, as solve(a, a) is not exactly I.
+    """
 
     r: float
     entries: np.ndarray
+    derivative: np.ndarray
     condition_number: float
 
 
@@ -239,11 +244,13 @@ def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np
     return rows[:2], rows[3].real
 
 
-def _transfer(extension: ExtensionMatrix, r: float) -> tuple[TransferMatrix, np.ndarray]:
-    """a(r) = m diag(c r^(-1/2)) and n diag(c r^(-1/2)); (da/dr)(r) is the latter - a(r) / (2 r).
+def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
+    """Transfer matrix a(r) and its K' part; rows index the source, columns the channel.
 
-    The sums m = conj(diag(K) + U conj(K)) and n, the same of a K', cancel,
-    and are formed as one stack before the weight scales their columns.
+    Entry [src, ch] is the conjugate of phi_+^ch(r) delta + U[src, ch] phi_-^ch(r). The sums
+    of K and of a K' values cancel, and are formed as one stack before the weight c r^(-1/2)
+    (c the exterior normalization) scales their columns. cond(a) past 1e12 raises
+    LinkBreakdownError.
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
@@ -259,35 +266,25 @@ def _transfer(extension: ExtensionMatrix, r: float) -> tuple[TransferMatrix, np.
     cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
         raise LinkBreakdownError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
-    return TransferMatrix(r=r, entries=entries, condition_number=cond), deriv
-
-
-def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
-    """Transfer matrix a(r); rows index the source, columns the channel.
-
-    Entry [src, ch] is the conjugate of phi_+^ch(r) delta + U[src, ch]
-    phi_-^ch(r), each channel profile normalized over the exterior of r, the
-    normalization and the r^(-1/2) prefactor applied after the sum.
-    """
-    return _transfer(extension, r)[0]
+    return TransferMatrix(r=r, entries=entries, derivative=deriv, condition_number=cond)
 
 
 def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) -> BoundaryConditionMatrix:
     """Induced Robin matrix g(r0) = a(r0)^(-1) (da/dr)(r0).
 
-    The derivative is assembled from the Macdonald recurrence
-    K_nu'(z) = (nu / z) K_nu(z) - K_(nu+1)(z), never finite differences.
-    The cancelling sums of K_nu and a K_nu' values come first, then the
-    normalization and the r0^(-1/2) prefactor, and the prefactor's -1/(2 r0)
-    goes onto g's diagonal last, as in diagonal_link_value, its 1x1 case.
+    One solve with a_matrix's two parts, a(r0) and its K' part, whose
+    K_nu' values come from the Macdonald recurrence K_nu'(z) = (nu / z)
+    K_nu(z) - K_(nu+1)(z), never finite differences; the r0^(-1/2)
+    prefactor's -1/(2 r0) goes onto g's diagonal last, as in
+    diagonal_link_value, its 1x1 case.
     Hermiticity of the result is the consistency theorem for the link;
     a defect above 1e-6 signals numerical breakdown (r0 too small for
     working precision) and raises LinkBreakdownError instead of returning
     garbage. The scale is the extension's own: a scale passed must equal it.
     """
     _own_param(extension, "deficiency_scale", scale)
-    amat, deriv = _transfer(extension, r0)
-    g = np.linalg.solve(amat.entries, deriv)
+    amat = a_matrix(extension, r0)
+    g = np.linalg.solve(amat.entries, amat.derivative)
     g.flat[:: g.shape[0] + 1] -= 0.5 / r0
     defect = BoundaryConditionMatrix.defect_of(g)
     if not defect <= _BREAKDOWN_TOL:
@@ -399,12 +396,12 @@ class RadialHamiltonian:
         return float(np.abs(self.block - self.block.conj().T).max())
 
     def norm_upper_bound(self) -> float:
-        """||H||_inf, the largest absolute row sum."""
+        """||H||_inf, the largest absolute row sum; NaN where any entry is."""
         hops = np.abs(self.hops)
         rows = np.abs(self.onsite) + hops
         rows[:-1] += hops[1:]
         first = np.abs(self.block).sum(axis=1) + hops[0]
-        return float(max(first.max(), rows.max()))
+        return float(np.maximum(first.max(), rows.max()))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H x for a vector of length size, or for each column of a (size, m) block."""
@@ -503,25 +500,33 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         ends = np.concatenate(([0.0], nodes))
         # channel-major (n_ch, node) arrays: numpy runs fast along the long axis
         t = 2.0 * np.array([ch.nu for ch in channels])[:, None]
-        # cell i spans [ends[i], ends[i + 1]]: the sub-cell at the origin first, the wall's last
-        cell = t / np.diff(ends ** t)
-        # node j weighs [mid of its left cell, mid of its right cell], node 0 from the origin;
-        # mass is 2 mu times that weight
-        mids = (0.5 * (ends[2:] + ends[1:-1])) ** (2.0 - t)
-        mass = mids.copy()
-        mass[:, 1:] -= mids[:, :-1]
-        mass *= 2.0 * mu / (2.0 - t)
-        onsite = cell[:, 1:].copy()
-        onsite[:, 1:] += cell[:, 1:-1]
-        onsite /= mass
-        hops = -cell[:, 1:-1] / np.sqrt(mass[:, :-1] * mass[:, 1:])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # cell i spans [ends[i], ends[i + 1]]: the sub-cell at the origin first, the wall's last
+            cell = t / np.diff(ends ** t)
+            # node j weighs [mid of its left cell, mid of its right cell], node 0 from the origin;
+            # mass is 2 mu times that weight
+            mids = (0.5 * (ends[2:] + ends[1:-1])) ** (2.0 - t)
+            mass = mids.copy()
+            mass[:, 1:] -= mids[:, :-1]
+            mass *= 2.0 * mu / (2.0 - t)
+            pairs, firsts = mass[:, :-1] * mass[:, 1:], mass[:, :1] * mass[:, 0]
+            onsite = cell[:, 1:].copy()
+            onsite[:, 1:] += cell[:, 1:-1]
+            onsite /= mass
+            hops = -cell[:, 1:-1] / np.sqrt(pairs)
+        # the products, not only the hops: an overflowed product flushes its hop to -0, finite
+        # and wrong; a max is NaN where any entry is, and a zero cell lost its power to overflow
+        if not (0.0 < cell.min() and cell.max() < math.inf and pairs.max() < math.inf
+                and firsts.max() < math.inf):
+            raise OverflowError(f"the cells or weights of the grid r0 = {grid.r0}, R = {grid.R}, "
+                                f"n = {grid.n} are past the float range")
         onsite, hops = onsite.T, hops.T
         a, b = origin_pairs(u_from_g(g, params.deficiency_scale), channels, params.deficiency_scale)
         # (Q^-1 + D^-1)^-1 for Q = diag(2 nu) B A^-1 and D the sub-cell's coupling, A never inverted
         inner = cell[:, 0]
         b = t * b
         edge = b @ np.linalg.solve(inner[:, None] * a + b, np.diag(inner))
-        edge /= np.sqrt(mass[:, :1] * mass[:, 0])
+        edge /= np.sqrt(firsts)
         block = np.diag(onsite[0]) + 0.5 * (edge + edge.conj().T)
     else:
         radii = nodes[:-1] if robin else nodes[1:-1]
@@ -1078,6 +1083,8 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
         apply, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
     else:
         apply, defect, norm = H.__matmul__, float(np.abs(H - H.conj().T).max()), float(np.linalg.norm(H, np.inf))
+    if not norm < math.inf:
+        raise OverflowError(f"operator norm ||H||_inf = {norm} is past the float range")
     gate = _HERMITICITY_TOL * max(1.0, norm)
     if not defect <= gate:
         raise HermiticityError(f"operator is not Hermitian: defect {defect:.3e} exceeds "

@@ -209,10 +209,12 @@ def parse_config(text: str) -> RunConfig:
     _check_keys("oracle", oracle_raw, _ORACLE_KEYS)
     oracle = OracleParams(**{key: (_as_int if key in ("n", "k") else _as_float)("oracle", key, value)
                              for key, value in oracle_raw.items()})
-    if not 0.0 < oracle.r0 < oracle.R:
-        raise ConfigError("oracle needs 0 < r0 < R")
-    if oracle.n < 100 or oracle.k < 1:
-        raise ConfigError("oracle needs n >= 100 and k >= 1")
+    try:
+        annulus.AnnulusGrid(oracle.r0, oracle.R, oracle.n)
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
+    if oracle.k < 1:
+        raise ConfigError("oracle needs k >= 1")
 
     out_raw = data.get("output", {})
     _check_keys("output", out_raw, _OUTPUT_KEYS)

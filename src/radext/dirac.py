@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import nu_of
-from .specfun import bessel_j, bessel_k_complex, bessel_y
+from .specfun import _gl_rule, bessel_j, bessel_k_complex, bessel_y
 
 __all__ = [
     "DiracRadialSolution",
@@ -70,7 +70,7 @@ def lower_exponent(kappa: float, kind: str) -> LowerExponent:
 
 @dataclass(frozen=True)
 class DiracRadialSolution:
-    """Upper/lower radial pair at total energy E and upper wavenumber lam.
+    """Upper/lower radial pair at total energy E, upper wavenumber lam and mass mu.
 
     kind selects the upper profile f = Z_nu(lam r)/sqrt(r): "N" regular
     (J), "S" singular (Y), "B" bound (K, decaying). The lower component is
@@ -87,14 +87,14 @@ class DiracRadialSolution:
     two terms would otherwise cancel at small x; for kappa < -1/2 the
     coefficient vanishes and the bracket is -x Z_(nu+1)(x). An order
     nu - 1 < 0 is reflected to 1 - nu. Finite differences are never
-    involved.
+    involved. The solution takes its mass: mu has no default.
     """
 
     kappa: float
     kind: str
     energy: float
     lam: float
-    mu: float = 1.0
+    mu: float
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -144,7 +144,7 @@ def _tail_integral(sol: DiracRadialSolution, eps: float, upper: float) -> float:
     lo, hi = math.log(eps), math.log(upper)
     panels = max(1, math.ceil(hi - lo))
     half = 0.5 * (hi - lo) / panels
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _gl_rule(20)
     r = np.exp(lo + half * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)).ravel()
     g2 = np.array([abs(sol.lower(x)) ** 2 for x in r.tolist()])
     return half * float(np.tile(weights, panels) @ (g2 * r**3))
@@ -163,7 +163,7 @@ def dirac_normalizable(kappa: float, kind: str) -> bool:
     coeff, exponent = lower_exponent(kappa, kind)
     analytic = 2.0 * exponent + 3.0 > 0.0
 
-    sol = DiracRadialSolution(kappa=kappa, kind=kind, energy=1.0, lam=1.0)
+    sol = DiracRadialSolution(kappa=kappa, kind=kind, energy=1.0, lam=1.0, mu=1.0)
     vals = [_tail_integral(sol, eps, 1.0) for eps in (1e-4, 1e-5, 1e-6)]
     slope = math.log10(vals[2] / vals[0]) / 2.0
     if slope < 0.05:

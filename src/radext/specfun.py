@@ -276,19 +276,19 @@ def _k_connection(nu: float, z: complex) -> complex:
     return math.pi * (_i_series(-nu, z) - _i_series(nu, z)) / (2.0 * math.sin(math.pi * nu))
 
 
-@functools.lru_cache(maxsize=1)
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 80-node Gauss-Legendre rule, built on first use.
+@functools.cache
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule (nodes, weights), built once per n on first use.
 
-    Only the rotated-contour band of bessel_k_complex reads it; building it at
-    import would cost every process the numpy.polynomial import and an
-    80 x 80 eigensolve.
+    The rotated-contour K band reads 80 nodes, dirac's lower-component quadrature 20;
+    building them at import would cost every process the numpy.polynomial import and an
+    n x n eigensolve. Callers must not write into the arrays.
     """
-    return np.polynomial.legendre.leggauss(80)
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss_legendre(f, a: float, b: float) -> complex:
-    nodes, weights = _gl_rule()
+    nodes, weights = _gl_rule(80)
     x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     return 0.5 * (b - a) * complex(np.sum(weights * f(x)))
 

@@ -196,6 +196,27 @@ class TestTransferMatrix:
                 amat = a_matrix(ext, r)
                 assert amat.condition_number == np.linalg.cond(amat.entries)
 
+    def test_g_from_u_reads_a_matrix_once(self, monkeypatch):
+        # g_from_u calls a_matrix by its module-level name, so a wrapper of that name sees
+        # every link map's condition number
+        calls = []
+        real = annulus.a_matrix
+        monkeypatch.setattr(annulus, "a_matrix", lambda *args: calls.append(args) or real(*args))
+        for r0 in (0.5, 0.01):
+            calls.clear()
+            g_from_u(random_extension(5), r0)
+            assert len(calls) == 1
+
+    def test_g_is_one_solve_of_the_two_parts(self):
+        # g = a^-1 derivative with the prefactor's -1/(2 r0) added to the diagonal last, bit for bit
+        for seed in (0, 1, 2):
+            ext = ExtensionMatrix(haar_unitary(seed))
+            for r0 in (0.5, 0.05):
+                amat = a_matrix(ext, r0)
+                want = np.linalg.solve(amat.entries, amat.derivative)
+                want.flat[:: want.shape[0] + 1] -= 0.5 / r0
+                assert np.array_equal(g_from_u(ext, r0).entries, want)
+
 
 class TestLinkMap:
     def test_diagonal_extension_gives_diagonal_g(self, monopole):
@@ -260,9 +281,9 @@ class TestLinkMap:
         with pytest.raises(ArithmeticError, match="breakdown"):
             g_from_u(ext, 1e-8)
         # a NaN link value, here from NaN derivatives, fails the breakdown gate too
-        transfer = annulus._transfer
-        monkeypatch.setattr(annulus, "_transfer",
-                            lambda *args: (transfer(*args)[0], np.full((4, 4), np.nan)))
+        real = annulus.a_matrix
+        monkeypatch.setattr(annulus, "a_matrix",
+                            lambda *args: dataclasses.replace(real(*args), derivative=np.full((4, 4), np.nan)))
         with pytest.raises(LinkBreakdownError, match="breakdown"):
             g_from_u(ext, 0.1)
 
@@ -567,6 +588,16 @@ class TestOracleSpectrum:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             oracle_spectrum(bad, 1)
+
+    def test_nan_operator_is_past_the_float_range(self):
+        # one NaN tail entry: the norm bound is NaN, not the largest finite row sum, and the
+        # solve refuses it before the Hermiticity gate
+        ham = RadialHamiltonian(block=np.array([[3.0 + 0.0j]]), onsite=np.array([[1.0], [np.nan]]),
+                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+        assert math.isnan(ham.norm_upper_bound())
+        with pytest.raises(OverflowError, match="float range"):
+            oracle_spectrum(ham, 1)
 
     def test_recovers_analytic_bound_state(self, monopole):
         # the finite-difference spectrum knows only the Robin data, yet

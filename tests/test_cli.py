@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from radext import annulus, cli, dirac, extensions
+from radext import annulus, cli, dirac, extensions, specfun
 from radext.cli import (
     ConfigError,
     UnitarityError,
@@ -78,7 +78,7 @@ class TestParseConfig:
             ('{"tolerances": {}}', "unknown key"),
             ('{"model": {"type": "coulomb"}}', "model.type"),
             ('{"model": {"mu": true}}', "must be a number"),
-            ('{"oracle": {"n": 99}}', "n >= 100"),
+            ('{"oracle": {"n": 99}}', "at least 100"),
             ('{"oracle": {"r0": 50.0}}', "0 < r0 < R"),
             ('{"output": {"format": "xml"}}', "output.format"),
             ('{"extension": {}}', "exactly one"),
@@ -588,6 +588,17 @@ class TestExitCodes:
         assert cli.main(["gmap", "--config", path, "--r0", "5e-324"]) == 4
         assert capsys.readouterr().err.startswith("numerical error: I series")
 
+    @pytest.mark.parametrize("outer", [1e165, 1e200])
+    def test_grid_past_the_float_range_is_a_numerical_error(self, make_config, capsys, outer):
+        # at R = 1e165 the node-weight products overflow and would flush the nu = 1/2 hops to -0
+        # (a finite, wrong operator); at 1e200 the cell couplings themselves are NaN
+        path = make_config({"extension": {"diagonal_thetas": [0.3, 0.3, 0.3, 0.3]},
+                            "oracle": {"R": outer, "n": 100}})
+        assert cli.main(["oracle", "--config", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: the cells or weights of the grid")
+
 
 class TestDiracCheckCommand:
     def test_identity_rejected(self, make_config, capsys):
@@ -633,6 +644,18 @@ class TestDiracCheckCommand:
         assert cli.main(["dirac-check", "--config", path]) == 0
         _, rows = _csv_rows(capsys.readouterr().out)
         assert len(rows) == 8 and len(calls) == len(set(calls)) == 4
+
+    def test_quadrature_rule_is_built_once(self, make_config, capsys, monkeypatch):
+        # the 20-node rule of the lower-component quadrature is cached with the K band's 80-node
+        # one: one build for the twelve tail integrals of a dirac-check
+        built = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: built.append(n) or real(n))
+        specfun._gl_rule.cache_clear()
+        path = make_config({"extension": {"diagonal_thetas": [0, 0, 0, 0]}})
+        assert cli.main(["dirac-check", "--config", path]) == 0
+        capsys.readouterr()
+        assert built.count(20) == 1
 
     def test_inverse_square_rejected(self, make_config, capsys):
         path = make_config({"model": {"type": "inverse_square", "c": 0.1},

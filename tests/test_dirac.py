@@ -61,7 +61,7 @@ class TestDiracNormalizable:
     def test_divergent_slope_matches_analytic_rate(self):
         # independent route: quadrature of the lower-component tail over a
         # shrinking cutoff; the log-log slope must match -(2 exp + 3)
-        sol = DiracRadialSolution(kappa=-SQRT2, kind="S", energy=1.0, lam=1.0)
+        sol = DiracRadialSolution(kappa=-SQRT2, kind="S", energy=1.0, lam=1.0, mu=1.0)
 
         def tail(eps):
             val, _ = quad(
@@ -83,7 +83,7 @@ class TestDiracRadialSolution:
         # relation; check it against a finite difference of the upper one
         for kind, energy in (("N", 1.0), ("S", 1.0), ("B", -0.5)):
             sol = DiracRadialSolution(
-                kappa=-SQRT2, kind=kind, energy=energy, lam=1.0
+                kappa=-SQRT2, kind=kind, energy=energy, lam=1.0, mu=1.0
             )
             h = 1e-6
             for r in (0.7, 1.3):
@@ -100,7 +100,7 @@ class TestDiracRadialSolution:
     def test_upper_is_scaled_bessel(self):
         from radext.specfun import bessel_j
 
-        sol = DiracRadialSolution(kappa=0.0, kind="N", energy=0.3, lam=2.0)
+        sol = DiracRadialSolution(kappa=0.0, kind="N", energy=0.3, lam=2.0, mu=1.0)
         r = 0.9
         assert_allclose(
             sol.upper(r), bessel_j(0.5, 2.0 * r) / math.sqrt(r), rtol=1e-12
@@ -108,17 +108,22 @@ class TestDiracRadialSolution:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
-            DiracRadialSolution(kappa=0.0, kind="X", energy=1.0, lam=1.0)
+            DiracRadialSolution(kappa=0.0, kind="X", energy=1.0, lam=1.0, mu=1.0)
         with pytest.raises(ValueError, match="lam"):
-            DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=0.0)
+            DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=0.0, mu=1.0)
         with pytest.raises(ValueError, match="lam"):
-            DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=-2.0)
+            DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=-2.0, mu=1.0)
         # energy at the lower continuum edge makes the transport blow up
         with pytest.raises(ValueError, match="nonzero"):
             DiracRadialSolution(kappa=0.0, kind="N", energy=-1.0, lam=1.0, mu=1.0)
         # half-odd kappa gives integer order, outside the profile family
         with pytest.raises(ValueError):
-            DiracRadialSolution(kappa=0.5, kind="N", energy=1.0, lam=1.0)
+            DiracRadialSolution(kappa=0.5, kind="N", energy=1.0, lam=1.0, mu=1.0)
+
+    def test_mass_is_required(self):
+        # the mass belongs to the model: the solution sets none of its own
+        with pytest.raises(TypeError, match="mu"):
+            DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=1.0)
 
 
 class TestRelativisticLambda:
