@@ -397,21 +397,29 @@ class RadialHamiltonian:
 
     def norm_upper_bound(self) -> float:
         """||H||_inf, the largest absolute row sum; NaN where any entry is."""
-        hops = np.abs(self.hops)
-        rows = np.abs(self.onsite) + hops
+        hops, rows = np.abs(self.hops), np.abs(self.onsite)
+        rows += hops
         rows[:-1] += hops[1:]
         first = np.abs(self.block).sum(axis=1) + hops[0]
         return float(np.maximum(first.max(), rows.max()))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector of length size, or for each column of a (size, m) block."""
+    def matvec(self, x: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+        """H x for a vector of length size, or for each column of a (size, m) block.
+
+        With shift, one value per column, H x - x shift: an eigenpair residual. The result is
+        formed in place, with one scratch array for the products.
+        """
         x = np.asarray(x)
         cols = x.reshape(-1, self.n_channels, 1 if x.ndim == 1 else x.shape[1])
         onsite, hops = self.onsite[..., None], self.hops[..., None]
         y = np.empty(cols.shape, dtype=np.result_type(x, self.block))
+        scratch = np.empty_like(y)
         y[0] = self.block @ cols[0]
-        y[1:] = onsite * cols[1:] + hops * cols[:-1]
-        y[:-1] += hops * cols[1:]
+        np.multiply(onsite, cols[1:], out=y[1:])
+        y[1:] += np.multiply(hops, cols[:-1], out=scratch[1:])
+        y[:-1] += np.multiply(hops, cols[1:], out=scratch[:-1])
+        if shift is not None:
+            y -= np.multiply(cols, shift, out=scratch)
         return y.reshape(x.shape)
 
     def dense(self) -> np.ndarray:
@@ -471,6 +479,13 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     Hermitian part of that boundary term: Hermitian by construction, so
     the anti-Hermitian rounding of g never reaches the operator.
 
+    Cells or weights past the float range raise OverflowError. The arrays
+    are formed in place: the operator keeps the n + 2 nodes and n_ch (2n +
+    1) floats of onsite and hops, and assembly allocates besides only the
+    cells and one scratch array, 2 n_ch (n + 2) floats, and the link map's
+    n_ch x n_ch matrices. For one channel at n = 8000 that is 0.19 MB kept
+    at a tracemalloc peak of 0.33 MB.
+
     Otherwise (Dirichlet wall, or a regular or overcritical channel in the
     set) the three-point rows on the grid's nodes apply: u = r psi with
     the coupling/(2 mu r^2) potential, and a Robin row at the r0 node.
@@ -493,33 +508,45 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         if not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
 
-    nodes = grid.r0 + h * np.arange(grid.n + 2)  # r0, the n interior points, R
+    nodes = np.arange(grid.n + 2, dtype=float)  # r0, the n interior points, R
+    nodes *= h
+    nodes += grid.r0
     if robin and all(0.0 < ch.nu_sq < 1.0 for ch in channels):
         nodes[0] = nodes[1] / 16.0
         radii = nodes[:-1]
-        ends = np.concatenate(([0.0], nodes))
-        # channel-major (n_ch, node) arrays: numpy runs fast along the long axis
+        # channel-major (n_ch, node) arrays: numpy runs fast along the long axis. Each is formed
+        # in place, and onsite and hops are kept: cell and one scratch array are all else
         t = 2.0 * np.array([ch.nu for ch in channels])[:, None]
+        cell, scratch = np.empty((n_ch, grid.n + 2)), np.empty((n_ch, grid.n + 2))
+        onsite, hops = np.empty((n_ch, grid.n + 1)), np.empty((n_ch, grid.n))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # cell i spans [ends[i], ends[i + 1]]: the sub-cell at the origin first, the wall's last
-            cell = t / np.diff(ends ** t)
+            # cell i spans [node i - 1, node i], the sub-cell from the origin first and the wall's
+            # last; its coupling is t / (r_i^t - r_(i-1)^t), and the origin's power is 0
+            powers = np.power(nodes, t, out=scratch)
+            cell[:, 0] = powers[:, 0]
+            np.subtract(powers[:, 1:], powers[:, :-1], out=cell[:, 1:])
+            np.divide(t, cell, out=cell)
             # node j weighs [mid of its left cell, mid of its right cell], node 0 from the origin;
             # mass is 2 mu times that weight
-            mids = (0.5 * (ends[2:] + ends[1:-1])) ** (2.0 - t)
-            mass = mids.copy()
-            mass[:, 1:] -= mids[:, :-1]
+            mids = np.add(nodes[1:], nodes[:-1], out=scratch[0, :-1])
+            mids = np.power(np.multiply(mids, 0.5, out=mids), 2.0 - t, out=onsite)
+            mass = scratch[:, :-1]
+            mass[:, 0] = mids[:, 0]
+            np.subtract(mids[:, 1:], mids[:, :-1], out=mass[:, 1:])
             mass *= 2.0 * mu / (2.0 - t)
-            pairs, firsts = mass[:, :-1] * mass[:, 1:], mass[:, :1] * mass[:, 0]
-            onsite = cell[:, 1:].copy()
-            onsite[:, 1:] += cell[:, 1:-1]
+            pairs, firsts = np.multiply(mass[:, :-1], mass[:, 1:], out=hops), mass[:, :1] * mass[:, 0]
+            # the products, not only the hops: an overflowed product flushes its hop to -0,
+            # finite and wrong; a max is NaN where any entry is, and a zero cell lost its power
+            # to overflow
+            if not (0.0 < cell.min() and cell.max() < math.inf and pairs.max() < math.inf
+                    and firsts.max() < math.inf):
+                raise OverflowError(f"the cells or weights of the grid r0 = {grid.r0}, R = {grid.R}, "
+                                    f"n = {grid.n} are past the float range")
+            onsite[:, 0] = cell[:, 1]
+            np.add(cell[:, 2:], cell[:, 1:-1], out=onsite[:, 1:])
             onsite /= mass
-            hops = -cell[:, 1:-1] / np.sqrt(pairs)
-        # the products, not only the hops: an overflowed product flushes its hop to -0, finite
-        # and wrong; a max is NaN where any entry is, and a zero cell lost its power to overflow
-        if not (0.0 < cell.min() and cell.max() < math.inf and pairs.max() < math.inf
-                and firsts.max() < math.inf):
-            raise OverflowError(f"the cells or weights of the grid r0 = {grid.r0}, R = {grid.R}, "
-                                f"n = {grid.n} are past the float range")
+            np.divide(cell[:, 1:-1], np.sqrt(pairs, out=hops), out=hops)
+            np.negative(hops, out=hops)
         onsite, hops = onsite.T, hops.T
         a, b = origin_pairs(u_from_g(g, params.deficiency_scale), channels, params.deficiency_scale)
         # (Q^-1 + D^-1)^-1 for Q = diag(2 nu) B A^-1 and D the sub-cell's coupling, A never inverted
@@ -601,6 +628,29 @@ def _secular_step(e1: float, f1: float, s1: float, e0: float, f0: float, s0: flo
     return best
 
 
+def _distinct_tails(operator: RadialHamiltonian) -> tuple[list[int], np.ndarray]:
+    """The first channel of each distinct tail, and each channel's tail, numbered in that order.
+
+    Channels of one order share their tail bit for bit in the extension reading, and channels of
+    one coupling in the three-point rows. Compared value by value, each channel against the tails
+    found before it, whole tails only where their first entries agree; a single channel compares
+    nothing.
+    """
+    diag, hops = operator.onsite, operator.hops[1:]
+    first = diag[0].tolist()
+    distinct: list[int] = []
+    which = np.empty(operator.n_channels, dtype=int)
+    for c in range(which.size):
+        for t, d in enumerate(distinct):
+            if first[c] == first[d] and (diag[:, c] == diag[:, d]).all() and (hops[:, c] == hops[:, d]).all():
+                which[c] = t
+                break
+        else:
+            which[c] = len(distinct)
+            distinct.append(c)
+    return distinct, which
+
+
 def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of an operator whose channels meet only at the first node.
 
@@ -622,11 +672,14 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     restarted past each negative pivot (a few us each), costs less than
     gttrf's extra passes over the tails and the pivots' reconstruction. A
     trial energy is its LAPACK calls and a fixed handful of array
-    operations: heevd works on its own copy of one array whose diagonal
-    alone each trial energy rewrites, and the first nodes' factors are
-    scalars. The negative pivots are a Sturm count of the tail levels
-    below E, and a vanishing one (under dstebz's pivmin, or exactly zero in
-    U) moves the probe off that tail level by eps ||H|| / 2. The same pivots
+    operations: both write their pivots over one workspace, heevd works on
+    its own copy of one array whose diagonal alone each trial energy
+    rewrites, and the first nodes' factors are scalars. The distinct tails
+    are found by comparing each channel's tail with those found before it,
+    and one tail is read in place. The negative pivots are a Sturm count
+    of the tail levels below E, and a vanishing one (under dstebz's pivmin,
+    or exactly zero in U) moves the probe off that tail level by
+    eps ||H|| / 2. The same pivots
     give x = (T_c - E)^-1 e_1 as the running product of the multipliers from
     the first node (what pttrs forms for e_1, free of cancellation), G_c =
     x_1 and G_c' = ||x||^2. No tail level is computed: each count narrows
@@ -690,21 +743,26 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
 
     n_ch, block, diag, hops = operator.n_channels, operator.block, operator.onsite, operator.hops
     couple = hops[0] ** 2
-    # the distinct tails, each node-reversed so that its factors run from the far end to its
-    # first node, side by side as the blocks of one tridiagonal (a zero hop between blocks)
-    tail_of: dict[bytes, int] = {}
-    which = [tail_of.setdefault(diag[:, c].tobytes() + hops[1:, c].tobytes(), len(tail_of)) for c in range(n_ch)]
-    distinct = [which.index(t) for t in range(len(tail_of))]
-    which = np.array(which)
+    distinct, which = _distinct_tails(operator)
     shared = np.bincount(which)
-    length = diag.shape[0]
-    rev = diag[::-1, distinct].T.ravel()
-    size = rev.size
-    rev_hops = np.zeros(size)
-    rev_hops.reshape(-1, length)[:, :-1] = hops[:0:-1, distinct].T
+    n_tails, length = len(distinct), diag.shape[0]
+    size = n_tails * length
+    # each node-reversed so that its factors run from the far end to its first node, side by side
+    # as the blocks of one tridiagonal (a zero hop between blocks, -0 once negated), with the hops
+    # negated: one tail is read in place
+    if n_tails == 1:
+        rev = diag[::-1, distinct[0]]
+    else:
+        rev = np.empty((n_tails, length))
+        for row, c in zip(rev, distinct):
+            row[:] = diag[::-1, c]
+        rev = rev.reshape(-1)
+    neg_hops = np.empty(size)
+    for row, c in zip(neg_hops.reshape(-1, length), distinct):
+        np.negative(hops[:0:-1, c], out=row[:-1])
+        row[-1] = -0.0
     # each tail's first node
     firsts = range(length - 1, size, length)
-    neg_hops = -rev_hops
     # up to this many tail levels, pttrf's restarts (a few us each) cost less than gttrf's
     # extra passes and its pivots' reconstruction
     few = 2 + size // 400
@@ -715,8 +773,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         # leads (gttrf takes no matrix below 3 x 3); the negated multipliers' numerators, with
         # 1 at each first node (x_1 = 1 / its pivot); each node's weight in the tail count (its
         # tail's channels); and gttrf's ipiv(m) = m + 1, the mark of a row interchange at step m
-        off = np.concatenate(([0.0], rev_hops[:-1]))
-        numer = -rev_hops
+        off = np.concatenate(([0.0], -neg_hops[:-1]))
+        numer = neg_hops.copy()
         numer[firsts] = 1.0
         weight = None if shared.max() == 1 else np.repeat(shared.astype(float), length)
         return (np.concatenate(([2.0 * norm + 1.0], rev)), off, -off, numer, weight,
@@ -725,7 +783,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     gttrf, gttrs, pttrf = get_lapack_funcs(("gttrf", "gttrs", "pttrf"), (diag,))
     heevd = get_lapack_funcs("heevd", (block,)) if n_ch > 1 else None
     # LAPACK's pivot floor for Sturm counts (dstebz's pivmin)
-    pivmin = _TINY * max(1.0, float(np.abs(rev_hops).max()) ** 2)
+    pivmin = _TINY * max(1.0, float(max(neg_hops.max(), -neg_hops.min())) ** 2)
     eps = _EPS
     tol = eps * norm
     # each level's bracket, the tail count at its ends (k for the unprobed top: a bracket whose
@@ -745,7 +803,9 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     work_diag = work.reshape(-1)[:: n_ch + 1]
     block_diag = work_diag.copy()
     weights_buf = np.empty((n_ch, n_ch))
-    n_tails = len(distinct)
+    # both factorizations write their pivots over this, the tails at [1:] (gttrf's padded form
+    # leads with one node), and a probe forms G_c' there once the pivots are read
+    pivots = np.empty(size + 1)
     # each channel's tail's first node
     spread_ends = np.arange(length - 1, size, length)[which]
 
@@ -759,7 +819,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         # diagonal holds; the pivot is w there, and -e w' / w past an interchange
         if restart or size < 2:
             # (gttrf takes no padded matrix below 3 x 3)
-            d, l = rev - energy, neg_hops.copy()
+            d, l = np.subtract(rev, energy, out=pivots[1:]), neg_hops.copy()
             total = start = 0
             while True:
                 if start < size - 1:
@@ -789,7 +849,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 l[end] = 1.0 / pivot
             return total, l
         padded, off, neg_off, numer, weight, swapped = padded_form()
-        dl, d, _, _, ipiv, info = gttrf(off, padded - energy, off, 0, 1)
+        dl, d, _, _, ipiv, info = gttrf(off, np.subtract(padded, energy, out=pivots), off, 0, 1)
         # a pivot vanishes exactly where U's diagonal does
         if info:
             return None
@@ -847,12 +907,18 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 below += sig[0] < 0.0
             else:
                 # G_c' = ||x_c||^2, over the contiguous reversed rows that x views
-                gp = np.square(mult.reshape(n_tails, length)).sum(axis=1)
+                gp = np.square(mult, out=pivots[1:]).reshape(n_tails, length).sum(axis=1)
                 weights = np.abs(vec, out=weights_buf)
                 np.multiply(weights, weights, out=weights)
                 slopes = ((couple * gp[which]) @ weights + 1.0).tolist()
                 sig = sig.tolist()
                 below += bisect.bisect_left(sig, 0.0)
+            # next to a tail level x reaches about 1 / the pivot there, which on a grid whose
+            # entries are some 1e-150 (R near 1e80 at n = 100) squares past the float range
+            if not math.isfinite(sum(slopes)):
+                grid = operator.grid
+                raise OverflowError(f"the tail solutions of the grid r0 = {grid.r0}, R = {grid.R}, "
+                                    f"n = {grid.n} leave the float range at E = {float(energy)!r}")
             at = _Probe(len(probes), energy, tail_count, sig, slopes, vec, x)
             # level i's function is the (i - P)-th eigenvalue of S
             for i in range(tail_count, min(tail_count + n_ch, k)):
@@ -938,7 +1004,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                     if done is not None:
                         break
                 else:
-                    raise ArithmeticError(f"tail solve singular at E = {lam!r}")
+                    raise ArithmeticError(f"tail solve singular at E = {float(lam)!r}")
                 x = solutions(done[1])
                 sig, vec = schur(energy, done[1], 1)
                 j = int(np.argmin(np.abs(sig)))
@@ -953,7 +1019,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
             floor = eps * max(-sig[0], sig[-1])
             if (abs(sig[j]) + floor) / size_v + abs(energy - lam) <= 1e-10 * norm:
                 out[0] = z / size_v
-                np.multiply(x[which].T, -hops[0] * z / size_v, out=out[1:])
+                # (no copy of x where no two channels share a tail)
+                np.multiply(x.T if n_tails == n_ch else x[which].T, -hops[0] * z / size_v, out=out[1:])
                 return
         # a tail state the complement does not see: one inverse-iteration step, (H - E) v = 1
         # by the same block elimination; an eigenvalue of S below its resolution divides as that
@@ -974,7 +1041,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
 
     vals = np.empty(k)
     vecs = np.empty((length + 1, n_ch, k), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(k):
             # the fitted steps since the last middle
             gaps = []
@@ -1015,7 +1082,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 # to working precision
                 stebz = get_lapack_funcs("stebz", (diag,))
                 # (stebz's wrapper takes no empty off-diagonal, so one node passes its zero hop)
-                found, w, _, _, info = stebz(rev, rev_hops[:max(size - 1, 1)], 1, lo[i], hi[i], 0, 0, 0.0, "E")
+                found, w, _, _, info = stebz(rev, -neg_hops[:max(size - 1, 1)], 1, lo[i], hi[i], 0, 0, 0.0, "E")
                 if info:
                     raise ArithmeticError(f"tail bisection failed (stebz info {info})")
                 if found:
@@ -1065,6 +1132,19 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     it: every pair must satisfy ||H v - lambda v|| <= 1e-8 ||H||_inf with H
     applied as built, one block product for all k, which catches wrong
     levels as much as non-convergence; a NaN residual fails.
+
+    Besides the operator, one solve on a RadialHamiltonian allocates the
+    tails' negated hops and one pivot workspace (N floats each, N the
+    distinct tails' nodes), one tail solution of N floats for each trial
+    energy that keeps a state (five or six for criterion 8's k = 1), the
+    k vectors, and for the residual one buffer and one scratch array of
+    the vectors' size, where H v - lambda v is formed in place (numpy
+    casts the real tails for the complex products through its own buffer
+    of up to 8192 entries). With assembly, criterion 8's single channel at
+    n = 8000 peaks at 0.91 MB (tracemalloc) and a Haar U at k = 12, n =
+    2000 at 4.9 MB. A trial energy whose tail solutions square past the
+    float range (entries some 1e-150 and below, as on a grid to R = 1e80
+    at n = 100) raises OverflowError that names the grid.
     """
     # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
     import scipy.linalg
@@ -1080,9 +1160,12 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     if not 1 <= k <= size:
         raise ValueError(f"k = {k} must lie between 1 and the matrix dimension {size}")
     if structured:
-        apply, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
+        residual, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
     else:
-        apply, defect, norm = H.__matmul__, float(np.abs(H - H.conj().T).max()), float(np.linalg.norm(H, np.inf))
+        defect, norm = float(np.abs(H - H.conj().T).max()), float(np.linalg.norm(H, np.inf))
+
+        def residual(vecs, vals):
+            return H @ vecs - vecs * vals
     if not norm < math.inf:
         raise OverflowError(f"operator norm ||H||_inf = {norm} is past the float range")
     gate = _HERMITICITY_TOL * max(1.0, norm)
@@ -1096,8 +1179,11 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
             vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    # one block product for every pair; the worst is NaN if any residual is
-    res = float(np.linalg.norm(apply(vecs) - vecs * vals, axis=0).max())
+    # one block product for every pair, and the squares of the real and imaginary parts summed
+    # per column in place; the worst is NaN if any residual is
+    r = residual(vecs, vals)
+    r = r.view(r.real.dtype).reshape(*r.shape, -1)
+    res = math.sqrt(float(np.einsum("ijk,ijk->j", r, r).max()))
     if not res <= 1e-8 * norm:  # a NaN residual fails too
         raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds 1e-8 * ||H|| = {1e-8 * norm:.3e}")
     return vals[:k]

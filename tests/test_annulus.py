@@ -9,6 +9,8 @@ converged run and serve as regression anchors.
 
 import dataclasses
 import math
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -387,6 +389,70 @@ class TestAssembly:
         rng = np.random.default_rng(5)
         x = rng.normal(size=ham.size) + 1j * rng.normal(size=ham.size)
         assert_allclose(ham.matvec(x), ham.dense() @ x, atol=1e-10)
+
+    def test_matvec_shift_is_the_residual(self):
+        # H x - x shift, one shift a column, in the buffer matvec returns: the same roundings as
+        # forming H x and subtracting
+        ham = _operator("extension-reading")
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(ham.size, 3)) + 1j * rng.normal(size=(ham.size, 3))
+        shift = rng.normal(size=3)
+        assert np.array_equal(ham.matvec(x, shift), ham.matvec(x) - x * shift)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_extension_reading_is_its_plain_formulas_bit_for_bit(self, seed):
+        # the arrays formed in place against the same formulas written as whole-array
+        # expressions: every entry identical
+        params, grid = ModelParams(), AnnulusGrid(r0=0.01, R=20.0, n=300)
+        ext = random_extension(seed)
+        g = g_from_u(ext, 0.01)
+        ham = assemble_radial_hamiltonian(params, grid, g, ext.channels)
+        nodes = grid.r0 + grid.h * np.arange(grid.n + 2)
+        nodes[0] = nodes[1] / 16.0
+        ends = np.concatenate(([0.0], nodes))
+        t = 2.0 * np.array([ch.nu for ch in ext.channels])[:, None]
+        cell = t / np.diff(ends ** t)
+        mids = (0.5 * (ends[2:] + ends[1:-1])) ** (2.0 - t)
+        mass = mids.copy()
+        mass[:, 1:] -= mids[:, :-1]
+        mass *= 2.0 * params.mu / (2.0 - t)
+        onsite = cell[:, 1:].copy()
+        onsite[:, 1:] += cell[:, 1:-1]
+        onsite /= mass
+        hops = -cell[:, 1:-1] / np.sqrt(mass[:, :-1] * mass[:, 1:])
+        a, b = origin_pairs(u_from_g(g, params.deficiency_scale), ext.channels, params.deficiency_scale)
+        inner = cell[:, 0]
+        edge = t * b @ np.linalg.solve(inner[:, None] * a + t * b, np.diag(inner))
+        edge /= np.sqrt(mass[:, :1] * mass[:, 0])
+        block = np.diag(onsite[:, 0]) + 0.5 * (edge + edge.conj().T)
+        for got, want in ((ham.onsite, onsite.T[1:]), (ham.hops, hops.T), (ham.radii, nodes[:-1]),
+                          (ham.block, block)):
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("outer", [1e80, 1e120, 1e155])
+    def test_tail_solutions_past_the_float_range_are_refused(self, outer):
+        # at R = 1e80 to 1e155 (n = 100) every entry is finite, some 1e-150 and below, but next to
+        # a tail level x = (T_c - E)^-1 e_1 reaches about 1 / the pivot there, and G_c' = ||x_c||^2
+        # overflows: a typed refusal that names the grid, and no RuntimeWarning (the test run
+        # makes those errors)
+        ext = ExtensionMatrix.from_diagonal_thetas([0.3] * 4)
+        ham = assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=1e-3, R=outer, n=100), g_from_u(ext, 1e-3),
+                                          ext.channels)
+        assert 0.0 < ham.norm_upper_bound() < 1e-150
+        with pytest.raises(OverflowError, match=re.escape(f"tail solutions of the grid r0 = 0.001, R = {outer!r}, "
+                                                          "n = 100 leave the float range at E = ")):
+            oracle_spectrum(ham, 4)
+
+    def test_far_grid_inside_the_float_range_is_solved(self):
+        # R = 1e70 and 1e76 at n = 100: the entries are some 1e-140 and 1e-152, and the levels
+        # scale as 1 / R^2 from those of R = 1e10
+        ext = ExtensionMatrix.from_diagonal_thetas([0.3] * 4)
+        g = g_from_u(ext, 1e-3)
+        levels = [oracle_spectrum(assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=1e-3, R=outer, n=100),
+                                                              g, ext.channels), 4) * outer ** 2
+                  for outer in (1e10, 1e70, 1e76)]
+        assert_allclose(levels[1:], [levels[0]] * 2, rtol=1e-6)
 
     def test_mismatch_validation(self, monopole):
         ext = random_extension(3)
@@ -799,6 +865,29 @@ class TestOracleSpectrum:
         # the single-channel solve at n = 100: at most 30 trial energies for 4 levels
         assert trials[4] <= 30
 
+    def test_channels_of_one_order_share_one_tail(self):
+        # eg = 1/2: one nu = 1/2 channel and three of nu = sqrt(2) - 1/2, whose tails are one
+        for seed in (1, 2):
+            ham = _coupled_operator(seed, 100)
+            distinct, which = annulus._distinct_tails(ham)
+            assert distinct == [0, 1]
+            assert which.tolist() == [0, 1, 1, 1]
+        ham, _ = _criterion_8_operator(0.5, 0.4, 100)
+        assert annulus._distinct_tails(ham)[0] == [0]
+
+    def test_three_point_rows_share_a_tail_only_at_one_coupling(self):
+        # the three-point rows carry coupling / (2 mu r^2): channels of one coupling share their
+        # tail, distinct couplings do not, though every hop is the same
+        params = ModelParams(model="inverse_square", c=0.0)
+        grid = AnnulusGrid(r0=0.05, R=10.0, n=120)
+        chans = tuple(ChannelSpec(m=0, nu_sq=nu_sq, l=0) for nu_sq in (1.65, 2.5, 1.65, 4.0))
+        ham = assemble_radial_hamiltonian(params, grid, None, chans)
+        distinct, which = annulus._distinct_tails(ham)
+        assert distinct == [0, 1, 3]
+        assert which.tolist() == [0, 1, 0, 2]
+        ham = _operator("robin-rows")
+        assert annulus._distinct_tails(ham)[1].tolist() == [0, 1, 1, 1]
+
     @pytest.mark.parametrize("n_ch", [1, 2])
     def test_tail_states_decoupled_to_working_precision(self, n_ch):
         # hops down to 1e-8 split each tail into nearly isolated pieces, whose states reach
@@ -837,6 +926,54 @@ class TestOracleSpectrum:
             levels.append(oracle_spectrum(ham, 1)[0])
         spread = max(levels) - min(levels)
         assert spread <= 1e-6 * abs(levels[1])
+
+
+def _traced_peak(build, k: int) -> int:
+    """tracemalloc's peak over assembling an operator and oracle_spectrum on it, caches warm."""
+    oracle_spectrum(build(), k)
+    tracemalloc.start()
+    try:
+        oracle_spectrum(build(), k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _haar_operator(n: int) -> RadialHamiltonian:
+    """The CI's k = 12 oracle: Haar seed 1 over the eg = 1/2 channels, r0 = 1e-3, R = 40."""
+    ext = ExtensionMatrix(haar_unitary(1), ModelParams())
+    return assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=1e-3, R=40.0, n=n), g_from_u(ext, 1e-3),
+                                       ext.channels)
+
+
+class TestAllocation:
+    """What one oracle op allocates: assembly, the solve and the residual check.
+
+    The bounds sit some 10% above the peaks measured with numpy 2.4 (0.91, 4.90 and 1.10 MB),
+    which had been 1.17, 6.43 and 1.40 MB with the temporaries of whole-array expressions.
+    """
+
+    def test_criterion_8_single_channel(self):
+        # n = 8000: about 0.19 MB kept by the operator, 0.13 MB by the vector, five or six
+        # trial energies' tail solutions of 64 kB, and the residual's buffer and scratch
+        for nu in (0.5, NU_EDGE):
+            assert _traced_peak(lambda: _criterion_8_operator(nu, 0.4, 8000)[0], 1) < 1.0e6
+
+    def test_coupled_haar_at_k_12(self):
+        # n = 2000: the twelve vectors (1.5 MB) and some 80 trial energies' tail solutions
+        # (32 kB each for the two distinct tails) are most of it
+        assert _traced_peak(lambda: _haar_operator(2000), 12) < 5.4e6
+
+    def test_coupled_haar_through_gttrf(self, monkeypatch):
+        # n = 400: past 2 + size / 400 expected tail levels a trial energy goes through gttrf,
+        # which writes its pivots over the same workspace as pttrf
+        calls = Counter()
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                            _no_stebz(scipy.linalg.get_lapack_funcs, calls, stebz=True))
+        oracle_spectrum(_haar_operator(400), 12)
+        monkeypatch.undo()
+        assert calls["gttrf"] > 0
+        assert _traced_peak(lambda: _haar_operator(400), 12) < 1.2e6
 
 
 class TestBoundaryFlux:

@@ -588,16 +588,36 @@ class TestExitCodes:
         assert cli.main(["gmap", "--config", path, "--r0", "5e-324"]) == 4
         assert capsys.readouterr().err.startswith("numerical error: I series")
 
-    @pytest.mark.parametrize("outer", [1e165, 1e200])
-    def test_grid_past_the_float_range_is_a_numerical_error(self, make_config, capsys, outer):
-        # at R = 1e165 the node-weight products overflow and would flush the nu = 1/2 hops to -0
-        # (a finite, wrong operator); at 1e200 the cell couplings themselves are NaN
+    @pytest.mark.parametrize(("outer", "what"), [(1e80, "tail solutions"), (1e120, "tail solutions"),
+                                                 (1e155, "tail solutions"), (1e165, "cells or weights"),
+                                                 (1e200, "cells or weights")])
+    def test_grid_past_the_float_range_is_a_numerical_error(self, make_config, capsys, outer, what):
+        # at R = 1e80 to 1e155 every entry is finite, but next to a tail level the solve's tail
+        # solutions square past the float range; at R = 1e165 the node-weight products overflow
+        # and would flush the nu = 1/2 hops to -0 (a finite, wrong operator); at 1e200 the cell
+        # couplings themselves are NaN. One line, and no RuntimeWarning (the test run makes
+        # those errors)
         path = make_config({"extension": {"diagonal_thetas": [0.3, 0.3, 0.3, 0.3]},
                             "oracle": {"R": outer, "n": 100}})
         assert cli.main(["oracle", "--config", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error: the cells or weights of the grid")
+        assert captured.err.startswith(f"numerical error: the {what} of the grid r0 = 0.001, R = {outer!r}, n = 100 ")
+        assert captured.err.count("\n") == 1
+
+    def test_no_numpy_scalar_repr_in_oracle_errors(self, make_config, capsys):
+        # numpy 2 writes a float64's repr as "np.float64(...)": no refusal of the oracle carries
+        # one, past the float range (the grid or the underflowing K_nu) or past working precision
+        docs = [{"extension": {"diagonal_thetas": [0.3] * 4}, "oracle": {"R": outer, "n": 100}}
+                for outer in (1e60, 1e80, 1e100, 1e120, 1e140, 1e155, 1e165, 1e200)]
+        docs += [{"extension": {"diagonal_thetas": [0, 0, 0, 0]}, "oracle": {"r0": 800, "R": 900, "n": 100}},
+                 {"extension": {"matrix": [[[z.real, z.imag] for z in row] for row in haar_unitary(1)]},
+                  "oracle": {"r0": 1e-8}}]
+        for doc in docs:
+            code = cli.main(["oracle", "--config", make_config(doc)])
+            err = capsys.readouterr().err
+            assert code in (0, 3, 4)
+            assert "np.float64" not in err and "float64(" not in err, err
 
 
 class TestDiracCheckCommand:
