@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -102,17 +102,24 @@ class BoundaryConditionMatrix:
 
     On the annulus g is the Robin condition (d_r psi)(r0) = g psi(r0). Over
     singular channels the oracle reads it as the link value of the
-    extension that induces it, with params.deficiency_scale (see
-    assemble_radial_hamiltonian).
+    extension that induces it, at that extension's deficiency scale (see
+    assemble_radial_hamiltonian). deficiency_scale records that scale:
+    g_from_u sets it, and a g built by hand carries None, read at the
+    oracle's params.deficiency_scale.
 
-    validate=False skips the Hermiticity gate; it exists only so tests can
-    probe the gate of assemble_radial_hamiltonian with broken input.
+    Construction computes the defect max|g - g^dag| once and stores it as
+    hermiticity_defect, with or without validate. validate=False skips only
+    the 1e-9 gate on it; it exists so tests can probe the gate of
+    assemble_radial_hamiltonian, which reads the stored defect, with broken
+    input.
     """
 
     r0: float
     channels: tuple[ChannelSpec, ...]
     entries: np.ndarray
     validate: bool = True
+    deficiency_scale: float | None = None
+    hermiticity_defect: float = field(init=False)
 
     def __post_init__(self):
         if not self.r0 > 0.0:
@@ -121,20 +128,18 @@ class BoundaryConditionMatrix:
         n = len(self.channels)
         if ents.shape != (n, n):
             raise ValueError(f"entries shape {ents.shape} does not match {n} channels")
-        if self.validate and not self.defect_of(ents) <= _HERMITICITY_TOL:
+        defect = self.defect_of(ents)
+        if self.validate and not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"boundary matrix is not Hermitian: defect "
-                                   f"{self.defect_of(ents):.3e} exceeds {_HERMITICITY_TOL:.1e}")
+                                   f"{defect:.3e} exceeds {_HERMITICITY_TOL:.1e}")
         ents.flags.writeable = False
         object.__setattr__(self, "entries", ents)
         object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "hermiticity_defect", defect)
 
     @staticmethod
     def defect_of(entries: np.ndarray) -> float:
         return float(np.abs(entries - entries.conj().T).max())
-
-    @property
-    def hermiticity_defect(self) -> float:
-        return self.defect_of(self.entries)
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ def exterior_tail_norm(nu: float, r0: float, scale: float) -> float:
     reproduces the whole-line norm pi / (8 s^2 cos(pi nu / 2)). Read from the
     link map's table.
     """
-    return float(per_order(_k_profile, (nu,), r0, scale)[0, 2].real)
+    return float(_k_rows((nu,), r0, scale)[5, 0].real)
 
 
 def _k_pair(nu: float, z: complex) -> tuple[complex, complex]:
@@ -209,16 +214,18 @@ def _k_pair(nu: float, z: complex) -> tuple[complex, complex]:
     return k, (nu / z) * k - bessel_k_complex(nu + 1.0, z)
 
 
-def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, float, float]:
-    """K_nu(a r), a K_nu'(a r), exterior_tail_norm and the weight c r^(-1/2) at one order.
+def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, complex, complex,
+                                                             float, float]:
+    """K_nu(a r), a K_nu'(a r), their conjugates, the weight c r^(-1/2) and exterior_tail_norm.
 
     a = (1 - i) s, and c = norm^(-1/2) is the exterior normalization: the
     profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate, as
-    K_nu(conj z) = conj K_nu(z). A NaN or infinite norm (a^2 - b^2
-    overflows at huge s), or one below the normal float range (K_nu
-    underflowed at large r), is past the float range: ArithmeticError. A
-    nonpositive norm of normal size means its two terms cancelled past
-    working precision (small r): LinkBreakdownError.
+    K_nu(conj z) = conj K_nu(z); the conjugates are the values a_matrix
+    adds on its diagonal, formed here once per order. A NaN or infinite
+    norm (a^2 - b^2 overflows at huge s), or one below the normal float
+    range (K_nu underflowed at large r), is past the float range:
+    ArithmeticError. A nonpositive norm of normal size means its two terms
+    cancelled past working precision (small r): LinkBreakdownError.
     """
     a = _deficiency_arg(+1, scale)
     b = a.conjugate()
@@ -231,17 +238,18 @@ def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, flo
             raise ArithmeticError(f"exterior norm came out nonpositive ({val}) at r0 = {r}")
         raise LinkBreakdownError(f"exterior norm came out nonpositive ({val}) at r0 = {r}: "
                                  "the radius is below the working-precision breakdown point")
-    return kva, a * kda, val.real, 1.0 / math.sqrt(val.real) * r ** (-0.5)
+    kda = a * kda
+    weight = 1.0 / math.sqrt(val.real) * r ** (-0.5)
+    return kva, kda, kva.conjugate(), kda.conjugate(), weight, val.real
 
 
-def _k_rows(channels: Sequence[ChannelSpec], r: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows K_nu(a r) and a K_nu'(a r), and the weight c r^(-1/2), per channel.
+def _k_rows(orders: tuple[float, ...], r: float, scale: float) -> np.ndarray:
+    """The per_order table of _k_profile as rows [quantity, channel], in _k_profile's order.
 
-    The per_order table of _k_profile: built once per process for each
-    channel set, radius and scale, whatever U reads it.
+    Built once per process for each set of orders, radius and scale,
+    whatever U reads it; the weight and the norm rows hold real values.
     """
-    rows = per_order(_k_profile, tuple(ch.nu for ch in channels), r, scale).T
-    return rows[:2], rows[3].real
+    return per_order(_k_profile, orders, r, scale).T
 
 
 def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
@@ -254,11 +262,12 @@ def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
-    rows, weight = _k_rows(extension.channels, r, extension.params.deficiency_scale)
+    rows = _k_rows(extension.orders, r, extension.params.deficiency_scale)
+    weight = rows[4].real
     # conj(U conj(K)) = conj(U) K exactly, and the diagonal's conj(K) is added in place through
     # a strided view: the reshape is a view only because ExtensionMatrix stores U C-contiguous
-    sums = extension.entries.conj() * rows[:, None, :]
-    sums.reshape(2, -1)[:, :: weight.size + 1] += rows.conj()
+    sums = extension.entries.conj() * rows[:2, None, :]
+    sums.reshape(2, -1)[:, :: weight.size + 1] += rows[2:4]
     sums *= weight
     entries, deriv = sums
     # s[0] / s[-1] is what np.linalg.cond computes, without its wrapper's overhead
@@ -280,17 +289,24 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
     Hermiticity of the result is the consistency theorem for the link;
     a defect above 1e-6 signals numerical breakdown (r0 too small for
     working precision) and raises LinkBreakdownError instead of returning
-    garbage. The scale is the extension's own: a scale passed must equal it.
+    garbage; a defect in (1e-9, 1e-6] is BoundaryConditionMatrix's
+    HermiticityError. The defect is computed once, by that constructor, and
+    again only to pick the error. The scale is the extension's own: a scale
+    passed must equal it, and g records it.
     """
-    _own_param(extension, "deficiency_scale", scale)
+    scale = _own_param(extension, "deficiency_scale", scale)
     amat = a_matrix(extension, r0)
     g = np.linalg.solve(amat.entries, amat.derivative)
     g.flat[:: g.shape[0] + 1] -= 0.5 / r0
-    defect = BoundaryConditionMatrix.defect_of(g)
-    if not defect <= _BREAKDOWN_TOL:
-        raise LinkBreakdownError(f"link map lost Hermiticity at r0 = {r0}: defect {defect:.3e}; "
-                                 "the radius is below the working-precision breakdown point")
-    return BoundaryConditionMatrix(r0=r0, channels=extension.channels, entries=g)
+    try:
+        return BoundaryConditionMatrix(r0=r0, channels=extension.channels, entries=g,
+                                       deficiency_scale=scale)
+    except HermiticityError:
+        defect = BoundaryConditionMatrix.defect_of(g)
+        if defect <= _BREAKDOWN_TOL:
+            raise
+    raise LinkBreakdownError(f"link map lost Hermiticity at r0 = {r0}: defect {defect:.3e}; "
+                             "the radius is below the working-precision breakdown point")
 
 
 def diagonal_link_value(nu: float, theta: float, r0: float, scale: float) -> complex:
@@ -330,7 +346,8 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     a single channel's U is unimodular by construction, so only the bound
     sees it.
     """
-    (k, kd), weight = _k_rows(g.channels, g.r0, scale)
+    rows = _k_rows(tuple(ch.nu for ch in g.channels), g.r0, scale)
+    k, kd, weight = rows[0], rows[1], rows[4].real
     vp = weight * k
     # K / (2 r0) correctly rounded part by part: numpy's complex division multiplies by a
     # rounded reciprocal
@@ -449,7 +466,9 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
 
     When every channel is singular (0 < nu < 1), g is read as the link
     value of the extension that induces it, with params.deficiency_scale,
-    and the extension's own problem is solved on [0, R]:
+    and the extension's own problem is solved on [0, R]. A g that records
+    another scale (g.deficiency_scale, set by g_from_u) is refused with
+    ValueError, as it would be read as a different extension:
 
       * U = u_from_g(g) and (A, B) = origin_pairs(U); a radius past
         working precision raises LinkBreakdownError;
@@ -504,6 +523,10 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
                              f"the {n_ch} channels given")
         if abs(g.r0 - grid.r0) > 1e-12 * grid.r0:
             raise ValueError(f"boundary matrix radius {g.r0} does not match grid r0 {grid.r0}")
+        if g.deficiency_scale not in (None, params.deficiency_scale):
+            raise ValueError(f"boundary matrix is the link value at deficiency_scale = "
+                             f"{g.deficiency_scale!r}, not at the params' "
+                             f"{params.deficiency_scale!r}")
         defect = g.hermiticity_defect
         if not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")

@@ -233,13 +233,16 @@ def singular_count(params: ModelParams) -> int:
 def per_order(fn: Callable[..., object], orders: tuple[float, ...], *args) -> np.ndarray:
     """Read-only table of fn(nu, *args), one row per entry of orders.
 
-    orders is tuple(ch.nu for ch in channels), and fn a module-level
-    function of (nu, *args). fn is called once per distinct order, and the
-    table once per process for each (fn, orders, args): the deficiency
-    subspaces are fixed by the order and the scale alone, so every caller
-    keys a table on the U-independent data and forms its sums with U per
-    call. The cache is a bounded LRU (256 tables); an exception is not
-    cached, so a call that raised raises again.
+    orders is the Bessel order of each channel, in channel order: an
+    extension's ExtensionMatrix.orders, formed once when U is built, or
+    tuple(ch.nu for ch in channels) where only a channel list is at hand.
+    fn is a module-level function of (nu, *args). fn is called once per
+    distinct order, and the table once per process for each (fn, orders,
+    args): the deficiency subspaces are fixed by the order and the scale
+    alone, so every caller keys a table on the U-independent data and forms
+    its sums with U per call. A reader that wants its quantities as rows
+    reads the transpose, a view. The cache is a bounded LRU (256 tables);
+    an exception is not cached, so a call that raised raises again.
     """
     values = {nu: fn(nu, *args) for nu in dict.fromkeys(orders)}
     table = np.array([values[nu] for nu in orders])

@@ -88,7 +88,8 @@ def unitarity_defect(entries: np.ndarray) -> float:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     gram = entries.conj().T @ entries
-    return float(np.abs(gram - np.eye(entries.shape[0])).max())
+    gram.flat[:: entries.shape[0] + 1] -= 1.0  # minus I, on the diagonal alone
+    return float(np.abs(gram).max())
 
 
 def check_unitary(entries: np.ndarray) -> None:
@@ -108,11 +109,17 @@ class ExtensionMatrix:
     Construction fails loudly if the channel set is empty or overcritical,
     if U is not n x n, or if U is not unitary (check_unitary). U may come in
     any array layout; entries is a read-only C-contiguous copy of it.
+
+    Construction also forms what every reader of U shares, once: orders,
+    the Bessel order of each channel (the key of its per_order tables), and
+    unmixed, the read-only mask of the channels U leaves unmixed (_unmixed).
     """
 
     entries: np.ndarray
-    params: ModelParams = field(default_factory=ModelParams)
+    params: ModelParams = ModelParams()
     channels: tuple[ChannelSpec, ...] = field(init=False)
+    orders: tuple[float, ...] = field(init=False)
+    unmixed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = singular_count(self.params)  # counted before listed: eg = 1e8 lists 2e8 channels
@@ -124,17 +131,20 @@ class ExtensionMatrix:
         if not chans:
             raise ValueError("the model has no singular channels: the operator is essentially "
                              "self-adjoint and has no extension family")
-        for ch in chans:
-            ch.nu  # rejects overcritical channels, which have no deficiency vectors
+        # ch.nu rejects overcritical channels, which have no deficiency vectors
+        object.__setattr__(self, "orders", tuple(ch.nu for ch in chans))
         object.__setattr__(self, "channels", chans)
         check_unitary(ents)
         ents.flags.writeable = False
         object.__setattr__(self, "entries", ents)
+        unmixed = _unmixed(ents)
+        unmixed.flags.writeable = False
+        object.__setattr__(self, "unmixed", unmixed)
 
     @functools.cached_property
     def small_r_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """origin_pairs of this extension, built once and read-only."""
-        pairs = origin_pairs(self.entries, self.channels, self.params.deficiency_scale)
+        pairs = _origin_pairs(self.entries, self.orders, self.params.deficiency_scale)
         for arr in pairs:
             arr.flags.writeable = False
         return pairs
@@ -250,7 +260,13 @@ def origin_pairs(u: np.ndarray, channels: Sequence[ChannelSpec],
     path, read by the oracle and, through ExtensionMatrix.small_r_pairs, by
     domain_vector_smallr, boundary_form and the matching.
     """
-    lead, sub = per_order(_plus_pair, tuple(ch.nu for ch in channels), scale).T
+    return _origin_pairs(u, tuple(ch.nu for ch in channels), scale)
+
+
+def _origin_pairs(u: np.ndarray, orders: tuple[float, ...],
+                  scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """origin_pairs over the channels of the given orders."""
+    lead, sub = per_order(_plus_pair, orders, scale).T
     # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
     return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
 
@@ -282,7 +298,7 @@ def boundary_form(extension: ExtensionMatrix) -> np.ndarray:
     regular wave and adds a zero eigenvalue, not a state.
     """
     a, b = extension.small_r_pairs
-    two_nu = np.array([2.0 * ch.nu for ch in extension.channels])
+    two_nu = 2.0 * np.array(extension.orders)
     return a.conj().T @ (two_nu[:, None] * b)
 
 
@@ -385,14 +401,14 @@ def bound_states(extension: ExtensionMatrix, mu: float | None = None) -> list[Bo
     """
     mu = _own_param(extension, "mu", mu)
     ents = extension.entries
-    unmixed = _unmixed(ents)
     unit = mu * (extension.params.deficiency_scale / mu) ** 2
     out: list[BoundState] = []
-    for idx, ch in enumerate(extension.channels):
-        if not unmixed[idx]:
+    for ch, nu, unmixed, u_diag in zip(extension.channels, extension.orders, extension.unmixed,
+                                       ents.diagonal()):
+        if not unmixed:
             continue
-        theta = cmath.phase(ents[idx, idx])
-        energy = bound_state_energy_theta(theta, ch.nu, unit)
+        theta = cmath.phase(u_diag)
+        energy = bound_state_energy_theta(theta, nu, unit)
         if energy is not None:
             out.append(BoundState(channel=ch, theta=theta, energy=energy,
                                   lam=math.sqrt(2.0 * mu) * math.sqrt(-energy)))
@@ -449,22 +465,25 @@ def _waves(nu: float, lam: float) -> tuple[float, float, float, float]:
 
 
 def _matching(extension: ExtensionMatrix, energy: float,
-              mu: float | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """scattering_eigenstate's (regular, singular) [channel, source] and condition, all sources at once."""
+              mu: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """scattering_eigenstate's (regular, singular) [channel, source], all sources at once.
+
+    The third array holds each channel's matching condition, whose maximum
+    only scattering_eigenstate reads.
+    """
     mu = _own_param(extension, "mu", mu)
     if not energy > 0.0:
         raise ValueError(f"scattering states require energy > 0, got {energy}")
     lam = math.sqrt(2.0 * mu) * math.sqrt(energy)
     a, b = extension.small_r_pairs
-    orders = tuple(ch.nu for ch in extension.channels)
-    sing_minus, sing_plus, reg_plus, cond = per_order(_waves, orders, lam).T[..., None]
+    sing_minus, sing_plus, reg_plus, cond = per_order(_waves, extension.orders, lam).T[..., None]
     with np.errstate(all="ignore"):
         singular = a / sing_minus
         regular = (b - singular * sing_plus) / reg_plus
     # a singular amplitude past the float range carries its regular one with it
     if not np.isfinite(regular).all():
         raise OverflowError(f"matched amplitudes leave the float range at E = {energy!r}, mu = {mu!r}")
-    return regular, singular, float(cond.max())
+    return regular, singular, cond
 
 
 def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int,
@@ -485,7 +504,7 @@ def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int
     return MixingSolution(energy=energy, source_index=source,
                           source_channel=extension.channels[source],
                           amplitudes=tuple(zip(regular[:, source], singular[:, source])),
-                          condition_number=cond)
+                          condition_number=float(cond.max()))
 
 
 def mixing_matrix(extension: ExtensionMatrix, energy: float,
@@ -504,12 +523,13 @@ def mixing_matrix(extension: ExtensionMatrix, energy: float,
 def _unmixed(entries: np.ndarray) -> np.ndarray:
     """Per channel idx, True iff no |U| off the diagonal in row or column idx exceeds 1e-10.
 
-    The one unmixed rule: bound_states, is_angular_momentum_conserving and
-    is_dirac_consistent read it.
+    The one unmixed rule, formed once per U as ExtensionMatrix.unmixed: bound_states,
+    is_angular_momentum_conserving and is_dirac_consistent read that mask.
     """
     off = np.abs(entries)
-    np.fill_diagonal(off, 0.0)
-    return np.maximum(off.max(axis=1), off.max(axis=0)) <= _DIAGONAL_TOL
+    off.flat[:: len(off) + 1] = 0.0
+    # row idx of max(|U|, |U|^T) holds row idx and column idx of |U|
+    return np.maximum(off, off.T).max(axis=1) <= _DIAGONAL_TOL
 
 
 def is_angular_momentum_conserving(extension: ExtensionMatrix) -> bool:
@@ -519,7 +539,7 @@ def is_angular_momentum_conserving(extension: ExtensionMatrix) -> bool:
     e^(i theta_0) (+) e^(i theta_1) I_3 at eg = 1/2 and e^(i theta) I at eg >= 1. The Dirac
     family is one; a diagonal U with distinct j = 1 phases passes here but is not invariant.
     """
-    return bool(_unmixed(extension.entries).all())
+    return bool(extension.unmixed.all())
 
 
 def _dirac_value(nu: float) -> complex:
@@ -553,8 +573,7 @@ def is_dirac_consistent(extension: ExtensionMatrix) -> bool:
     if params.model != "monopole" or params.eg != 0.5:
         raise ValueError("the Dirac-consistency test encodes the j = 0 / j = 1 channels of the "
                          f"monopole at eg = 1/2; got model {params.model!r}, eg = {params.eg}")
-    ents = extension.entries
-    unmixed = _unmixed(ents)
-    u_required = dirac_consistent_value(extension.channels[1].nu)
+    ents, unmixed = extension.entries, extension.unmixed
+    u_required = dirac_consistent_value(extension.orders[1])
     return all(unmixed[idx] and abs(ents[idx, idx] - u_required) <= _DIAGONAL_TOL
                for idx in range(1, len(ents)))

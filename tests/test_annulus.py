@@ -40,6 +40,7 @@ from radext.annulus import (
 )
 from radext.channels import ChannelSpec, ModelParams, per_order
 from radext.extensions import ExtensionMatrix, mixing_matrix, origin_pairs, random_extension
+from radext.extensions import bound_states
 from radext.extensions import bound_state_energy_theta, dirac_consistent_value, haar_unitary
 from radext.specfun import bessel_j, gamma_fn
 from radext.specfun import bessel_k_complex
@@ -263,6 +264,32 @@ class TestLinkMap:
             g_from_u(random_extension(4), r0)
             assert calls == []
 
+    def test_defect_is_computed_once_per_link(self, monkeypatch):
+        # BoundaryConditionMatrix stores the defect it gates on; g_from_u forms it again only
+        # on a refusal, to choose between the breakdown and the Hermiticity error
+        calls = []
+        real = BoundaryConditionMatrix.defect_of
+        monkeypatch.setattr(BoundaryConditionMatrix, "defect_of",
+                            staticmethod(lambda ents: calls.append(1) or real(ents)))
+        for seed in (1, 5):
+            for r0 in (0.5, 0.05, 0.01):
+                calls.clear()
+                g = g_from_u(random_extension(seed), r0)
+                assert len(calls) == 1
+                assert g.hermiticity_defect == real(g.entries)
+        for r0, error in ((1e-6, annulus.HermiticityError), (1e-8, LinkBreakdownError)):
+            calls.clear()
+            with pytest.raises(error):
+                g_from_u(random_extension(7), r0)
+            assert len(calls) == 2
+
+    def test_g_records_its_extensions_scale(self):
+        for params in (ModelParams(), ModelParams(deficiency_scale=2.0), ModelParams(mu=3.0)):
+            g = g_from_u(ExtensionMatrix(np.eye(4), params), 0.1)
+            assert g.deficiency_scale == params.deficiency_scale
+        hand = BoundaryConditionMatrix(r0=0.1, channels=g.channels, entries=g.entries)
+        assert hand.deficiency_scale is None
+
     def test_hermitian_across_seeds_and_radii(self):
         for seed in range(10):
             ext = random_extension(seed)
@@ -383,6 +410,31 @@ class TestAssembly:
                                      validate=False)
         with pytest.raises(annulus.HermiticityError, match="refusing"):
             assemble_radial_hamiltonian(monopole, grid, gb, ext.channels)
+
+    def test_g_is_read_only_at_its_extensions_scale(self):
+        # four phases 0.3 at r0 = 0.01, 400 points to R = 20: read at s = 2 or at mu = 2 (s = mu
+        # by default) this g gave -0.7343, -0.4201 and -0.3671, -0.2101 silently, where its
+        # extension's levels are -0.7782, -0.7479
+        u = np.diag(np.exp(np.full(4, 0.3j)))
+        grid = AnnulusGrid(r0=0.01, R=20.0, n=400)
+        g = g_from_u(ExtensionMatrix(u), 0.01)
+        for params in (ModelParams(deficiency_scale=2.0), ModelParams(mu=2.0)):
+            with pytest.raises(ValueError, match="deficiency_scale = 1.0, not at the params' 2.0"):
+                assemble_radial_hamiltonian(params, grid, g, g.channels)
+        # the g of each params' own extension gives that extension's closed forms (worst
+        # 3.8e-3 at s = 2, where the states sit closer to the origin on the same grid)
+        for params in (ModelParams(), ModelParams(deficiency_scale=2.0), ModelParams(mu=2.0),
+                       ModelParams(mu=2.0, deficiency_scale=1.0)):
+            ext = ExtensionMatrix(u, params)
+            ham = assemble_radial_hamiltonian(params, grid, g_from_u(ext, 0.01), ext.channels)
+            want = sorted(state.energy for state in bound_states(ext))[:2]
+            assert_allclose(oracle_spectrum(ham, 2), want, rtol=5e-3)
+        # a g built by hand records no scale and is read at the params' own, as before
+        hand = BoundaryConditionMatrix(r0=0.01, channels=g.channels, entries=g.entries)
+        assemble_radial_hamiltonian(ModelParams(deficiency_scale=2.0), grid, hand, g.channels)
+        blocks = [assemble_radial_hamiltonian(ModelParams(), grid, data, g.channels).block
+                  for data in (hand, g)]
+        assert np.array_equal(*blocks)
 
     def test_matvec_matches_dense(self):
         ham = _operator("extension-reading")

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from radext import dirac
 from radext.dirac import (
     DiracRadialSolution,
     RelativisticLambda,
@@ -57,6 +58,18 @@ class TestDiracNormalizable:
         assert dirac_normalizable(0.0, "S") is True
         assert dirac_normalizable(-SQRT2, "N") is True
         assert dirac_normalizable(-SQRT2, "S") is False
+
+    def test_two_tail_integrals_per_verdict(self, monkeypatch):
+        # the slope reads the integrals at eps = 1e-4 and 1e-6 only, so no third is formed
+        calls = []
+        real = dirac._tail_integral
+        monkeypatch.setattr(dirac, "_tail_integral", lambda sol, eps, upper: calls.append(
+            (sol.kappa, sol.kind, eps)) or real(sol, eps, upper))
+        for kappa in (0.0, -SQRT2):
+            for kind in ("N", "S"):
+                calls.clear()
+                dirac_normalizable(kappa, kind)
+                assert calls == [(kappa, kind, 1e-4), (kappa, kind, 1e-6)]
 
     def test_divergent_slope_matches_analytic_rate(self):
         # independent route: quadrature of the lower-component tail over a

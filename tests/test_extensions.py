@@ -59,6 +59,14 @@ class TestUnitarityChecks:
         ExtensionMatrix(h)
         assert unitarity_defect(h) <= 1e-14
 
+    def test_defect_is_the_plain_formula_bit_for_bit(self):
+        # U^dag U - I is formed with I subtracted on the diagonal in place, without an identity
+        rng = np.random.default_rng(9)
+        mats = [haar_unitary(rng, n) for n in (1, 2, 4, 9)] + [2.0 * np.eye(3), np.full((2, 2), np.nan)]
+        for u in mats:
+            want = np.abs(u.conj().T @ u - np.eye(len(u))).max()
+            assert np.array_equal(unitarity_defect(u), want, equal_nan=True)
+
     def test_shape_requirements(self):
         with pytest.raises(ValueError, match="4x4 over the 4 singular"):
             ExtensionMatrix(np.eye(3))  # the eg = 1/2 set has four channels
@@ -92,6 +100,41 @@ class TestExtensionMatrix:
             assert np.array_equal(got, ref)
             with pytest.raises(ValueError):
                 got[0, 0] = 0.0
+
+    def test_orders_and_unmixed_mask_are_formed_once_and_frozen(self):
+        # the orders key every per_order table of U; the mask is the one unmixed rule's
+        rotated = np.eye(4, dtype=complex)
+        rotated[1:3, 1:3] = [[0.6, -0.8], [0.8, 0.6]]
+        ext = ExtensionMatrix(rotated)
+        assert ext.orders == tuple(ch.nu for ch in ext.channels) == (0.5, NU_EDGE, NU_EDGE, NU_EDGE)
+        assert ext.unmixed.tolist() == [True, False, False, True]
+        with pytest.raises(ValueError):
+            ext.unmixed[0] = False
+        with pytest.raises(AttributeError):
+            ext.orders = (0.5,)
+
+    def test_unmixed_mask_is_its_plain_formula(self):
+        # row and column maxima off the diagonal, against the tolerance, for mixed and unmixed U
+        rng = np.random.default_rng(8)
+        mats = [haar_unitary(rng) for _ in range(5)] + [np.eye(4), SWAP_01, np.diag([1j, 1, -1, 1])]
+        for u in mats:
+            off = np.abs(u)
+            np.fill_diagonal(off, 0.0)
+            want = np.maximum(off.max(axis=1), off.max(axis=0)) <= 1e-10
+            assert np.array_equal(ExtensionMatrix(u).unmixed, want)
+
+    def test_unmixed_is_formed_once_across_its_readers(self, monkeypatch):
+        calls = []
+        real = extensions._unmixed
+        monkeypatch.setattr(extensions, "_unmixed", lambda ents: calls.append(1) or real(ents))
+        u_d = dirac_consistent_value(NU_EDGE)
+        for u in (haar_unitary(2), np.eye(4), np.diag([1.0, u_d, u_d, u_d])):
+            calls.clear()
+            ext = ExtensionMatrix(u)
+            bound_states(ext, 1.0)
+            is_dirac_consistent(ext)
+            is_angular_momentum_conserving(ext)
+            assert len(calls) == 1
 
     def test_unsupported_coupling_rejected(self):
         ext = ExtensionMatrix(np.eye(2), ModelParams(eg=1.0))
@@ -627,9 +670,9 @@ class TestBoundaryForm:
                               params)
         band = _form_band(ext)
         a, b = extensions.origin_pairs(1.01 * ext.entries, ext.channels, params.deficiency_scale)
-        stretched = SimpleNamespace(small_r_pairs=(a, b), channels=ext.channels)
+        stretched = SimpleNamespace(small_r_pairs=(a, b), orders=ext.orders)
         a, b = ext.small_r_pairs
-        conjugated = SimpleNamespace(small_r_pairs=(a, b.conj()), channels=ext.channels)
+        conjugated = SimpleNamespace(small_r_pairs=(a, b.conj()), orders=ext.orders)
         for mutant in (stretched, conjugated):
             assert _defect(boundary_form(mutant)) > 1e6 * band
 
