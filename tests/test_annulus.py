@@ -283,13 +283,6 @@ class TestLinkMap:
                 g_from_u(random_extension(7), r0)
             assert len(calls) == 2
 
-    def test_g_records_its_extensions_scale(self):
-        for params in (ModelParams(), ModelParams(deficiency_scale=2.0), ModelParams(mu=3.0)):
-            g = g_from_u(ExtensionMatrix(np.eye(4), params), 0.1)
-            assert g.deficiency_scale == params.deficiency_scale
-        hand = BoundaryConditionMatrix(r0=0.1, channels=g.channels, entries=g.entries)
-        assert hand.deficiency_scale is None
-
     def test_hermitian_across_seeds_and_radii(self):
         for seed in range(10):
             ext = random_extension(seed)
@@ -426,11 +419,14 @@ class TestAssembly:
         for params in (ModelParams(), ModelParams(deficiency_scale=2.0), ModelParams(mu=2.0),
                        ModelParams(mu=2.0, deficiency_scale=1.0)):
             ext = ExtensionMatrix(u, params)
-            ham = assemble_radial_hamiltonian(params, grid, g_from_u(ext, 0.01), ext.channels)
+            own = g_from_u(ext, 0.01)
+            assert own.deficiency_scale == params.deficiency_scale
+            ham = assemble_radial_hamiltonian(params, grid, own, ext.channels)
             want = sorted(state.energy for state in bound_states(ext))[:2]
             assert_allclose(oracle_spectrum(ham, 2), want, rtol=5e-3)
         # a g built by hand records no scale and is read at the params' own, as before
         hand = BoundaryConditionMatrix(r0=0.01, channels=g.channels, entries=g.entries)
+        assert hand.deficiency_scale is None
         assemble_radial_hamiltonian(ModelParams(deficiency_scale=2.0), grid, hand, g.channels)
         blocks = [assemble_radial_hamiltonian(ModelParams(), grid, data, g.channels).block
                   for data in (hand, g)]
