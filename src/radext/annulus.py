@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ChannelSpec, ModelParams, per_order
-from .extensions import ExtensionMatrix, _deficiency_arg, _own_param, origin_pairs, unitarity_defect
+from .extensions import ExtensionMatrix, _deficiency_arg, _origin_pairs, _own_param, unitarity_defect
 from .specfun import bessel_k_complex
 
 __all__ = [
@@ -96,7 +96,7 @@ class LinkBreakdownError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryConditionMatrix:
     """Hermitian Robin data g at radius r0 over an ordered channel list.
 
@@ -111,7 +111,7 @@ class BoundaryConditionMatrix:
     hermiticity_defect, with or without validate. validate=False skips only
     the 1e-9 gate on it; it exists so tests can probe the gate of
     assemble_radial_hamiltonian, which reads the stored defect, with broken
-    input.
+    input. It compares and hashes by identity, as its entries are an array.
     """
 
     r0: float
@@ -169,7 +169,7 @@ class AnnulusGrid:
         return (self.R - self.r0) / (self.n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """The matrix a(r) of conjugated, exterior-normalized domain profiles, and its K' part.
 
@@ -215,13 +215,17 @@ def _k_pair(nu: float, z: complex) -> tuple[complex, complex]:
 
 
 def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, complex, complex,
-                                                             float, float]:
-    """K_nu(a r), a K_nu'(a r), their conjugates, the weight c r^(-1/2) and exterior_tail_norm.
+                                                             float, float, complex, complex,
+                                                             complex, complex]:
+    """One order's K values and profile at r, every U-independent value the link map reads.
 
-    a = (1 - i) s, and c = norm^(-1/2) is the exterior normalization: the
-    profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its conjugate, as
-    K_nu(conj z) = conj K_nu(z); the conjugates are the values a_matrix
-    adds on its diagonal, formed here once per order. A NaN or infinite
+    In order: K_nu(a r), a K_nu'(a r), their conjugates, the weight
+    c r^(-1/2), exterior_tail_norm, phi_+(r), phi_+'(r), phi_-(r) and
+    phi_-'(r). a = (1 - i) s, and c = norm^(-1/2) is the exterior
+    normalization: the profile phi_+ is c r^(-1/2) K_nu(a r) and phi_- its
+    conjugate, as K_nu(conj z) = conj K_nu(z). The K conjugates are the
+    values a_matrix adds on its diagonal, and the profile values those
+    u_from_g solves with, formed here once per order. A NaN or infinite
     norm (a^2 - b^2 overflows at huge s), or one below the normal float
     range (K_nu underflowed at large r), is past the float range:
     ArithmeticError. A nonpositive norm of normal size means its two terms
@@ -240,7 +244,11 @@ def _k_profile(nu: float, r: float, scale: float) -> tuple[complex, complex, com
                                  "the radius is below the working-precision breakdown point")
     kda = a * kda
     weight = 1.0 / math.sqrt(val.real) * r ** (-0.5)
-    return kva, kda, kva.conjugate(), kda.conjugate(), weight, val.real
+    vp = weight * kva
+    # K / (2 r) correctly rounded part by part: complex division multiplies by a rounded reciprocal
+    dp = weight * (kda - complex(kva.real / (2.0 * r), kva.imag / (2.0 * r)))
+    return (kva, kda, kva.conjugate(), kda.conjugate(), weight, val.real,
+            vp, dp, vp.conjugate(), dp.conjugate())
 
 
 def _k_rows(orders: tuple[float, ...], r: float, scale: float) -> np.ndarray:
@@ -336,8 +344,9 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
 
         (diag(phi_+) + U diag(phi_-)) conj(g) = diag(phi_+') + U diag(phi_-'),
 
-    one linear solve for U with the exterior-normalized profiles of g_from_u.
-    The Hermitian part of g is read, and every Hermitian g maps to a
+    one linear solve for U with the exterior-normalized profiles of g_from_u,
+    read from its K-profile table, as they do not depend on U. The
+    Hermitian part of g is read, and every Hermitian g maps to a
     unitary U. In working precision the diagonal of
     diag(phi_-') - diag(phi_-) conj(g) cancels down to a relative r0^(2 nu)
     as r0 -> 0, and the rounding of g grows by that factor. When that
@@ -346,13 +355,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     a single channel's U is unimodular by construction, so only the bound
     sees it.
     """
-    rows = _k_rows(tuple(ch.nu for ch in g.channels), g.r0, scale)
-    k, kd, weight = rows[0], rows[1], rows[4].real
-    vp = weight * k
-    # K / (2 r0) correctly rounded part by part: numpy's complex division multiplies by a
-    # rounded reciprocal
-    dp = weight * (kd - (k.real / (2.0 * g.r0) + 1j * (k.imag / (2.0 * g.r0))))
-    vm, dm = vp.conj(), dp.conj()
+    vp, dp, vm, dm = _k_rows(tuple(ch.nu for ch in g.channels), g.r0, scale)[6:]
     gc = 0.5 * (g.entries.T + g.entries.conj())  # conj of the Hermitian part
     lhs = np.diag(dm) - vm[:, None] * gc
     rhs = vp[:, None] * gc - np.diag(dp)
@@ -370,7 +373,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialHamiltonian:
     """Discretized coupled-channel operator, node-major, whose channels meet only at node 0.
 
@@ -391,7 +394,9 @@ class RadialHamiltonian:
     Dirichlet wall). Past node 0 each channel is its own real tridiagonal
     tail: onsite[i] holds node i + 1, and hops[i] joins node i to node
     i + 1, so hops[0] links the block to the tails. Component index =
-    node * n_ch + channel.
+    node * n_ch + channel. In the extension reading every operator on one
+    grid shares its read-only onsite, hops and radii. Like the other
+    records that hold arrays, it compares and hashes by identity.
     """
 
     block: np.ndarray
@@ -449,6 +454,82 @@ class RadialHamiltonian:
         return out
 
 
+class _ReadingGrid(NamedTuple):
+    """The half of the extension reading that U does not touch, on one grid; every array read-only.
+
+    radii, onsite and hops are the operator's own (onsite from node 1 on); t is 2 nu per channel,
+    as a column; inner the sub-cell coupling D; first_diag the first node's diag(onsite) and
+    first_scale sqrt(m_i m_j), m the first node's weight.
+    """
+
+    radii: np.ndarray
+    onsite: np.ndarray
+    hops: np.ndarray
+    t: np.ndarray
+    inner: np.ndarray
+    first_diag: np.ndarray
+    first_scale: np.ndarray
+
+
+# a handful of grids: a family of U runs on few grids (two alternate in the coupled benchmark,
+# and its diagonal-U check adds one channel of each order), while each table holds some 3 N floats
+_GRID_TABLES = 4
+
+
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _reading_grid(orders: tuple[float, ...], grid: AnnulusGrid, mu: float) -> _ReadingGrid:
+    """The extension reading's grid part for channels of these orders: built once per grid.
+
+    Everything here is fixed by the orders, the grid and the mass, so every operator on one
+    grid shares these arrays and forms only its first-node block per U (see
+    assemble_radial_hamiltonian). The cache is a bounded LRU of _GRID_TABLES tables; an
+    exception is not cached, so a grid past the float range raises OverflowError on every call.
+    """
+    n_ch, h = len(orders), grid.h
+    nodes = np.arange(grid.n + 2, dtype=float)  # the origin's sub-cell end, the n interior points, R
+    nodes *= h
+    nodes += grid.r0
+    nodes[0] = nodes[1] / 16.0
+    # channel-major (n_ch, node) arrays: numpy runs fast along the long axis. Each is formed in
+    # place, and onsite and hops are kept: cell and one scratch array are all else
+    t = 2.0 * np.array(orders)[:, None]
+    cell, scratch = np.empty((n_ch, grid.n + 2)), np.empty((n_ch, grid.n + 2))
+    onsite, hops = np.empty((n_ch, grid.n + 1)), np.empty((n_ch, grid.n))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # cell i spans [node i - 1, node i], the sub-cell from the origin first and the wall's
+        # last; its coupling is t / (r_i^t - r_(i-1)^t), and the origin's power is 0
+        powers = np.power(nodes, t, out=scratch)
+        cell[:, 0] = powers[:, 0]
+        np.subtract(powers[:, 1:], powers[:, :-1], out=cell[:, 1:])
+        np.divide(t, cell, out=cell)
+        # node j weighs [mid of its left cell, mid of its right cell], node 0 from the origin;
+        # mass is 2 mu times that weight
+        mids = np.add(nodes[1:], nodes[:-1], out=scratch[0, :-1])
+        mids = np.power(np.multiply(mids, 0.5, out=mids), 2.0 - t, out=onsite)
+        mass = scratch[:, :-1]
+        mass[:, 0] = mids[:, 0]
+        np.subtract(mids[:, 1:], mids[:, :-1], out=mass[:, 1:])
+        mass *= 2.0 * mu / (2.0 - t)
+        pairs, firsts = np.multiply(mass[:, :-1], mass[:, 1:], out=hops), mass[:, :1] * mass[:, 0]
+        # the products, not only the hops: an overflowed product flushes its hop to -0,
+        # finite and wrong; a max is NaN where any entry is, and a zero cell lost its power
+        # to overflow
+        if not (0.0 < cell.min() and cell.max() < math.inf and pairs.max() < math.inf
+                and firsts.max() < math.inf):
+            raise OverflowError(f"the cells or weights of the grid r0 = {grid.r0}, R = {grid.R}, "
+                                f"n = {grid.n} are past the float range")
+        onsite[:, 0] = cell[:, 1]
+        np.add(cell[:, 2:], cell[:, 1:-1], out=onsite[:, 1:])
+        onsite /= mass
+        np.divide(cell[:, 1:-1], np.sqrt(pairs, out=hops), out=hops)
+        np.negative(hops, out=hops)
+    inner, first_diag, first_scale = cell[:, 0].copy(), np.diag(onsite[:, 0]), np.sqrt(firsts)
+    for arr in (nodes, onsite, hops, t, inner, first_diag, first_scale):
+        arr.flags.writeable = False
+    # (the views of read-only arrays are read-only)
+    return _ReadingGrid(nodes[:-1], onsite.T[1:], hops.T, t, inner, first_diag, first_scale)
+
+
 def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
                                 g: BoundaryConditionMatrix | None,
                                 channels: Sequence[ChannelSpec]) -> RadialHamiltonian:
@@ -498,12 +579,19 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     Hermitian part of that boundary term: Hermitian by construction, so
     the anti-Hermitian rounding of g never reaches the operator.
 
-    Cells or weights past the float range raise OverflowError. The arrays
-    are formed in place: the operator keeps the n + 2 nodes and n_ch (2n +
-    1) floats of onsite and hops, and assembly allocates besides only the
-    cells and one scratch array, 2 n_ch (n + 2) floats, and the link map's
-    n_ch x n_ch matrices. For one channel at n = 8000 that is 0.19 MB kept
-    at a tracemalloc peak of 0.33 MB.
+    Only the first-node block depends on U. The rest, the nodes, the
+    cells, the weights, onsite and hops, is fixed by the channel orders,
+    the grid and mu, and is built once per grid (_reading_grid, a bounded
+    LRU of a few grids): every operator on one grid shares those read-only
+    arrays, and a further U forms only u_from_g, origin_pairs and the
+    boundary term (73 us of a four-channel assembly at n = 100, 145 us when
+    each built its grid; timeit minima on a 2-core Xeon). Cells or weights
+    past the float range raise OverflowError, on every call. A first build
+    forms the arrays in place: the table keeps the n + 2 nodes and n_ch
+    (2n + 1) floats of onsite and hops, and the build allocates besides
+    only the cells and one scratch array, 2 n_ch (n + 2) floats. For one
+    channel at n = 8000 that is 0.20 MB kept at a tracemalloc peak of
+    0.33 MB; an assembly on a grid already built peaks at 8 kB.
 
     Otherwise (Dirichlet wall, or a regular or overcritical channel in the
     set) the three-point rows on the grid's nodes apply: u = r psi with
@@ -531,65 +619,31 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         if not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"refusing non-Hermitian boundary data: defect {defect:.3e}")
 
+    if robin and all(0.0 < ch.nu_sq < 1.0 for ch in channels):
+        orders = tuple(ch.nu for ch in channels)
+        tab = _reading_grid(orders, grid, mu)
+        a, b = _origin_pairs(u_from_g(g, params.deficiency_scale), orders, params.deficiency_scale)
+        # (Q^-1 + D^-1)^-1 for Q = diag(2 nu) B A^-1 and D the sub-cell's coupling, A never inverted
+        b = tab.t * b
+        edge = b @ np.linalg.solve(tab.inner[:, None] * a + b, np.diag(tab.inner))
+        edge /= tab.first_scale
+        block = tab.first_diag + 0.5 * (edge + edge.conj().T)
+        block.flags.writeable = False
+        return RadialHamiltonian(block=block, onsite=tab.onsite, hops=tab.hops, radii=tab.radii, grid=grid)
+
     nodes = np.arange(grid.n + 2, dtype=float)  # r0, the n interior points, R
     nodes *= h
     nodes += grid.r0
-    if robin and all(0.0 < ch.nu_sq < 1.0 for ch in channels):
-        nodes[0] = nodes[1] / 16.0
-        radii = nodes[:-1]
-        # channel-major (n_ch, node) arrays: numpy runs fast along the long axis. Each is formed
-        # in place, and onsite and hops are kept: cell and one scratch array are all else
-        t = 2.0 * np.array([ch.nu for ch in channels])[:, None]
-        cell, scratch = np.empty((n_ch, grid.n + 2)), np.empty((n_ch, grid.n + 2))
-        onsite, hops = np.empty((n_ch, grid.n + 1)), np.empty((n_ch, grid.n))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # cell i spans [node i - 1, node i], the sub-cell from the origin first and the wall's
-            # last; its coupling is t / (r_i^t - r_(i-1)^t), and the origin's power is 0
-            powers = np.power(nodes, t, out=scratch)
-            cell[:, 0] = powers[:, 0]
-            np.subtract(powers[:, 1:], powers[:, :-1], out=cell[:, 1:])
-            np.divide(t, cell, out=cell)
-            # node j weighs [mid of its left cell, mid of its right cell], node 0 from the origin;
-            # mass is 2 mu times that weight
-            mids = np.add(nodes[1:], nodes[:-1], out=scratch[0, :-1])
-            mids = np.power(np.multiply(mids, 0.5, out=mids), 2.0 - t, out=onsite)
-            mass = scratch[:, :-1]
-            mass[:, 0] = mids[:, 0]
-            np.subtract(mids[:, 1:], mids[:, :-1], out=mass[:, 1:])
-            mass *= 2.0 * mu / (2.0 - t)
-            pairs, firsts = np.multiply(mass[:, :-1], mass[:, 1:], out=hops), mass[:, :1] * mass[:, 0]
-            # the products, not only the hops: an overflowed product flushes its hop to -0,
-            # finite and wrong; a max is NaN where any entry is, and a zero cell lost its power
-            # to overflow
-            if not (0.0 < cell.min() and cell.max() < math.inf and pairs.max() < math.inf
-                    and firsts.max() < math.inf):
-                raise OverflowError(f"the cells or weights of the grid r0 = {grid.r0}, R = {grid.R}, "
-                                    f"n = {grid.n} are past the float range")
-            onsite[:, 0] = cell[:, 1]
-            np.add(cell[:, 2:], cell[:, 1:-1], out=onsite[:, 1:])
-            onsite /= mass
-            np.divide(cell[:, 1:-1], np.sqrt(pairs, out=hops), out=hops)
-            np.negative(hops, out=hops)
-        onsite, hops = onsite.T, hops.T
-        a, b = origin_pairs(u_from_g(g, params.deficiency_scale), channels, params.deficiency_scale)
-        # (Q^-1 + D^-1)^-1 for Q = diag(2 nu) B A^-1 and D the sub-cell's coupling, A never inverted
-        inner = cell[:, 0]
-        b = t * b
-        edge = b @ np.linalg.solve(inner[:, None] * a + b, np.diag(inner))
-        edge /= np.sqrt(firsts)
-        block = np.diag(onsite[0]) + 0.5 * (edge + edge.conj().T)
-    else:
-        radii = nodes[:-1] if robin else nodes[1:-1]
-        coupling = np.array([ch.coupling for ch in channels])
-        kin = 1.0 / (mu * h * h)
-        onsite = kin + coupling[None, :] / (2.0 * mu * radii[:, None] ** 2)
-        hops = np.full((radii.size - 1, n_ch), -0.5 * kin)
-        block = np.diag(onsite[0]).astype(complex)
-        if robin:
-            block += (np.eye(n_ch, dtype=complex) / grid.r0 + g.entries) / (mu * h)
-            # symmetry-restoring rescale of the r0 node makes its outward hop sqrt(2) * hop
-            hops[0] *= math.sqrt(2.0)
-
+    radii = nodes[:-1] if robin else nodes[1:-1]
+    coupling = np.array([ch.coupling for ch in channels])
+    kin = 1.0 / (mu * h * h)
+    onsite = kin + coupling[None, :] / (2.0 * mu * radii[:, None] ** 2)
+    hops = np.full((radii.size - 1, n_ch), -0.5 * kin)
+    block = np.diag(onsite[0]).astype(complex)
+    if robin:
+        block += (np.eye(n_ch, dtype=complex) / grid.r0 + g.entries) / (mu * h)
+        # symmetry-restoring rescale of the r0 node makes its outward hop sqrt(2) * hop
+        hops[0] *= math.sqrt(2.0)
     onsite = onsite[1:]
     for arr in (block, onsite, hops, radii):
         arr.flags.writeable = False
@@ -600,8 +654,8 @@ class _Probe(NamedTuple):
     """One trial energy E of the Schur solve, where the tail count P stays below k.
 
     sig and slopes list S(E)'s eigenvalues, ascending, and the slopes 1 +
-    sum_c |v_c|^2 t_c^2 G_c' of their fall; vec holds the eigenvectors and x
-    the tail solutions (T_c - E)^-1 e_1, one distinct tail a row, in node order.
+    sum_c |v_c|^2 t_c^2 G_c' of their fall; vec holds the eigenvectors. Its
+    tail solutions are kept apart, only while a level can still take them.
     """
 
     number: int
@@ -610,7 +664,6 @@ class _Probe(NamedTuple):
     sig: list
     slopes: list
     vec: np.ndarray
-    x: np.ndarray
 
 
 def _secular_step(e1: float, f1: float, s1: float, e0: float, f0: float, s0: float,
@@ -752,13 +805,17 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     eigenvalue sigma and the hops signed as stored, so that (H - E) v =
     [sigma z; 0] and ||v||^2 is the slope; its residual at lambda is at most
     (|sigma| + eps ||S||) / ||v|| + |E - lambda| (heevd resolves sigma only
-    to eps ||S||, and next to a tail level S is huge). A bound above 1e-10
-    ||H|| marks a tail state that the complement does not see: rounding can
-    let the count close next to it rather than on it, and a channel that the
-    block does not couple carries its tail levels unseen. There a pass at
-    lambda, and if need be one inverse-iteration step, (H - lambda) v = 1 by
-    the same block elimination, gives that state, with S's eigenvalues below
-    eps ||S|| taken at that size. An exactly singular tail moves lambda by
+    to eps ||S||, and next to a tail level S is huge). A probe keeps its
+    tail solutions only while a level can still take its vector: up to the
+    end of its last level, and at that level only until another probe of
+    that last level outbids it, its bound staying below the probe's at
+    every lambda in [-||H||, ||H||] past rounding. A bound above 1e-10
+    ||H|| marks a tail state that the complement does not see: rounding
+    can let the count close next to it rather than on it, and a channel
+    that the block does not couple carries its tail levels unseen. There a
+    pass at lambda, and if need be one inverse-iteration step, (H - lambda)
+    v = 1 by the same block elimination, gives that state, with S's
+    eigenvalues below eps ||S|| taken at that size. An exactly singular tail moves lambda by
     eps ||H||. Degenerate levels take distinct eigenvectors of S at one
     probe.
     """
@@ -809,6 +866,10 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     pivmin = _TINY * max(1.0, float(max(neg_hops.max(), -neg_hops.min())) ** 2)
     eps = _EPS
     tol = eps * norm
+    # a probe outbids another whose rho exceeds (its rho + their energies' distance + pad) grow:
+    # its residual bound rho + |E - lambda| is then the smaller at every lambda in [-||H||,
+    # ||H||], past the rounding of both
+    outbid_pad, outbid_grow = 8.0 * tol, 1.0 + 8.0 * eps
     # each level's bracket, the tail count at its ends (k for the unprobed top: a bracket whose
     # ends differ holds a tail level) and the probe that set them (None for none or one with
     # no state); plain lists, as each probe moves a run of them
@@ -820,6 +881,11 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     branches: list[list[_Probe]] = [[] for _ in range(k)]
     # every probed energy, in order
     probes: list[float] = []
+    # the tail solutions (T_c - E)^-1 e_1 of the probes whose vector a level can still take, one
+    # distinct tail a row in node order, by the probe's last level and its number; and the
+    # probes of the level being solved whose last level it is, with their rho (below)
+    held: list[dict[int, np.ndarray]] = [{} for _ in range(k)]
+    live: list[tuple[_Probe, float]] = []
     block00, couple0 = block[0, 0].real, couple[0]
     # heevd's input, whose diagonal each trial energy rewrites (heevd works on a copy)
     work = block.copy()
@@ -904,13 +970,13 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
             raise ArithmeticError(f"Schur complement eigensolve failed (heevd info {info})")
         return sig, vec
 
-    def probe(energy: float, step: float, keep: bool, expected: int) -> None:
-        # one trial energy (moved off a tail level), narrowing every bracket; no state kept where
-        # the count alone reaches k, or where only the count is asked for (not keep): that
-        # needs S's eigenvalues, which need no more of the tails than G_c = 1 / the first
-        # node's pivot. A restart costs less than gttrf's extra passes while no more than
-        # 2 + size / 400 tail levels are expected below E
-        restart = expected <= few
+    def probe(energy: float, step: float, keep: bool, level: int) -> None:
+        # one trial energy (moved off a tail level) for this level, narrowing every bracket; no
+        # state kept where the count alone reaches k, or where only the count is asked for (not
+        # keep): that needs S's eigenvalues, which need no more of the tails than G_c = 1 / the
+        # first node's pivot. A restart costs less than gttrf's extra passes while no more than
+        # 2 + size / 400 tail levels are expected below E, the count at the level's lower end
+        restart = lo_tails[level] <= few
         out = factor(energy, restart, k)
         while out is None:
             # half the width at which a bracket closes: a bracket still open holds the move
@@ -942,10 +1008,29 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 grid = operator.grid
                 raise OverflowError(f"the tail solutions of the grid r0 = {grid.r0}, R = {grid.R}, "
                                     f"n = {grid.n} leave the float range at E = {float(energy)!r}")
-            at = _Probe(len(probes), energy, tail_count, sig, slopes, vec, x)
-            # level i's function is the (i - P)-th eigenvalue of S
+            at = _Probe(len(probes), energy, tail_count, sig, slopes, vec)
+            # level i's function is the (i - P)-th eigenvalue of S; the loop leaves i at the last
+            # level whose branch the probe joins
             for i in range(tail_count, min(tail_count + n_ch, k)):
                 branches[i].append(at)
+            if i != level:
+                held[i][at.number] = x
+            else:
+                # a level's vector comes from its probe of least residual bound rho + |E -
+                # lambda|: a probe that another outbids at every lambda cannot give it, and is
+                # dropped at its last level
+                rho = abs(sig[level - tail_count]) / math.sqrt(slopes[level - tail_count])
+                for entry in live[:]:
+                    other, other_rho = entry
+                    gap = abs(other.energy - energy) + outbid_pad
+                    if other_rho > (rho + gap) * outbid_grow:
+                        live.remove(entry)
+                        del held[level][other.number]
+                    elif rho > (other_rho + gap) * outbid_grow:
+                        break
+                else:
+                    live.append((at, rho))
+                    held[level][at.number] = x
         probes.append(energy)
         # lo and hi stay sorted, so the ends a probe moves are one run each
         up, down = bisect.bisect_left(lo, energy), bisect.bisect_right(hi, energy)
@@ -1035,7 +1120,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 size_v = math.sqrt(1.0 + float(np.sum(couple * np.abs(vec[:, j]) ** 2 * gp)))
             else:
                 # ||v||^2 is the slope
-                energy, x, vec, sig = probe_at.energy, probe_at.x, probe_at.vec, probe_at.sig
+                energy, vec, sig = probe_at.energy, probe_at.vec, probe_at.sig
+                x = held[min(probe_at.tails + n_ch, k) - 1][probe_at.number]
                 j = i - probe_at.tails
                 size_v = math.sqrt(probe_at.slopes[j])
             z = vec[:, j]
@@ -1092,8 +1178,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 if energy is None or not a < energy < b or stalled:
                     energy, cross = middle(i), False
                     gaps = []
-                # the tail count at the bracket's lower end is the fewest below the trial energy
-                probe(energy, energy - last, not cross, lo_tails[i])
+                probe(energy, energy - last, not cross, i)
             else:
                 raise ArithmeticError(f"Schur-Newton iteration for level {i} did not converge")
             # the model's root, which rounding can leave just outside the bracket (or the
@@ -1122,6 +1207,9 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                         if bound < best:
                             near, best = r, bound
             eigvec(vals[i], near, i)
+            # no later level takes the tail solutions of the probes whose last level this is
+            held[i].clear()
+            live.clear()
     vecs = vecs.reshape(-1, k)
     order = np.argsort(vals, kind="stable")
     if (order == np.arange(k)).all():
@@ -1159,15 +1247,18 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     Besides the operator, one solve on a RadialHamiltonian allocates the
     tails' negated hops and one pivot workspace (N floats each, N the
     distinct tails' nodes), one tail solution of N floats for each trial
-    energy that keeps a state (five or six for criterion 8's k = 1), the
-    k vectors, and for the residual one buffer and one scratch array of
-    the vectors' size, where H v - lambda v is formed in place (numpy
+    energy whose vector a level can still take (no more than two at a
+    time of the five or six that keep a state for criterion 8's k = 1),
+    the k vectors, and for the residual one buffer and one scratch array
+    of the vectors' size, where H v - lambda v is formed in place (numpy
     casts the real tails for the complex products through its own buffer
-    of up to 8192 entries). With assembly, criterion 8's single channel at
-    n = 8000 peaks at 0.91 MB (tracemalloc) and a Haar U at k = 12, n =
-    2000 at 4.9 MB. A trial energy whose tail solutions square past the
-    float range (entries some 1e-150 and below, as on a grid to R = 1e80
-    at n = 100) raises OverflowError that names the grid.
+    of up to 8192 entries). With a first assembly on its grid, criterion
+    8's single channel peaks at 0.71 MB (tracemalloc) at n = 8000 and at
+    1.29 MB at n = 16000, and a Haar U at k = 12, n = 2000 at 4.9 MB, most
+    of it the vectors and the residual's arrays. A trial energy whose tail
+    solutions square past the float range (entries some 1e-150 and below,
+    as on a grid to R = 1e80 at n = 100) raises OverflowError that names
+    the grid.
     """
     # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
     import scipy.linalg

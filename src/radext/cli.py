@@ -79,7 +79,7 @@ class OracleParams:
     k: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     params: ModelParams
     matrix: np.ndarray | None

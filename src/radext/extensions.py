@@ -100,7 +100,7 @@ def check_unitary(entries: np.ndarray) -> None:
                              f"exceeds tolerance {_UNITARITY_TOL:.1e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionMatrix:
     """A validated member U of the U(n) family over canonical_channels(params).
 
@@ -113,6 +113,7 @@ class ExtensionMatrix:
     Construction also forms what every reader of U shares, once: orders,
     the Bessel order of each channel (the key of its per_order tables), and
     unmixed, the read-only mask of the channels U leaves unmixed (_unmixed).
+    It compares and hashes by identity, as its fields hold arrays.
     """
 
     entries: np.ndarray

@@ -337,6 +337,16 @@ class TestLinkMap:
         for seed in range(10):
             assert raw(outputs(seed, cold=True)) == raw(outputs(seed, cold=False))
 
+    def test_profile_rows_are_their_plain_formulas_bit_for_bit(self):
+        # the table's phi_+-(r) and phi_+-'(r), formed per order, against the whole-array
+        # expressions of the K rows that u_from_g would form per call
+        for r, scale in ((0.5, 1.0), (0.01, 1.0), (1e-4, 2.0), (0.3, 1e-3)):
+            rows = annulus._k_rows((0.5, NU_EDGE, NU_EDGE, NU_EDGE), r, scale)
+            k, kd, weight = rows[0], rows[1], rows[4].real
+            vp = weight * k
+            dp = weight * (kd - (k.real / (2.0 * r) + 1j * (k.imag / (2.0 * r))))
+            assert rows[6:].tobytes() == np.array([vp, dp, vp.conj(), dp.conj()]).tobytes()
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_link_map_reads_u_in_any_array_layout(self, seed):
         # ExtensionMatrix stores U C-contiguous, so a transposed view and u_from_g's own
@@ -513,6 +523,60 @@ class TestAssembly:
             assemble_radial_hamiltonian(monopole, grid_off, g, ext.channels)
         with pytest.raises(ValueError, match="at least one"):
             assemble_radial_hamiltonian(monopole, grid, None, ())
+
+
+class TestGridTable:
+    """The extension reading's grid part, built once per grid and shared by every U on it."""
+
+    @staticmethod
+    def _assemble(seed: int, n: int = 100) -> RadialHamiltonian:
+        ext = random_extension(seed)
+        return assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=0.01, R=40.0, n=n),
+                                           g_from_u(ext, 0.01), ext.channels)
+
+    def test_operators_on_one_grid_share_the_grid_part(self):
+        annulus._reading_grid.cache_clear()
+        first, second = self._assemble(1), self._assemble(2)
+        for name in ("onsite", "hops", "radii"):
+            assert getattr(first, name) is getattr(second, name)
+        assert not np.array_equal(first.block, second.block)
+        for arr in (second.block, second.onsite, second.hops, second.radii):
+            assert not arr.flags.writeable
+        # the block formed on the warm table is the one formed on a cold one, bit for bit
+        annulus._reading_grid.cache_clear()
+        assert self._assemble(2).block.tobytes() == second.block.tobytes()
+
+    def test_second_assembly_builds_no_tails(self):
+        annulus._reading_grid.cache_clear()
+        self._assemble(1)
+        self._assemble(2)
+        assert annulus._reading_grid.cache_info().misses == 1
+
+    def test_table_evicts_past_its_bound(self):
+        annulus._reading_grid.cache_clear()
+        bound = annulus._GRID_TABLES
+        hams = [self._assemble(1, n) for n in range(100, 101 + bound)]
+        info = annulus._reading_grid.cache_info()
+        assert info.misses == bound + 1 and info.currsize == info.maxsize == bound
+        # the oldest grid was evicted: built again, to the same values
+        again = self._assemble(1, 100)
+        assert annulus._reading_grid.cache_info().misses == bound + 2
+        assert again.onsite is not hams[0].onsite
+        assert np.array_equal(again.onsite, hams[0].onsite)
+        assert self._assemble(1, 100 + bound).onsite is hams[-1].onsite
+
+    @pytest.mark.parametrize("outer", [1e165, 1e200])
+    def test_grid_past_the_float_range_raises_on_every_call(self, outer):
+        # weight products overflow at R = 1e165, cell couplings at 1e200 (n = 100): the refusal
+        # is never cached
+        ext = ExtensionMatrix.from_diagonal_thetas([0.3] * 4)
+        grid, g = AnnulusGrid(r0=1e-3, R=outer, n=100), g_from_u(ext, 1e-3)
+        annulus._reading_grid.cache_clear()
+        for calls in (1, 2):
+            with pytest.raises(OverflowError, match="past the float range"):
+                assemble_radial_hamiltonian(ext.params, grid, g, ext.channels)
+            info = annulus._reading_grid.cache_info()
+            assert info.misses == calls and info.currsize == 0
 
 
 def _broken(ham: RadialHamiltonian) -> RadialHamiltonian:
@@ -976,15 +1040,21 @@ class TestOracleSpectrum:
         assert spread <= 1e-6 * abs(levels[1])
 
 
-def _traced_peak(build, k: int) -> int:
-    """tracemalloc's peak over assembling an operator and oracle_spectrum on it, caches warm."""
+def _traced_peak(build, k: int, label: str) -> int:
+    """tracemalloc's peak over assembling an operator and oracle_spectrum on it, printed.
+
+    The K-profile tables are warm and the grid table cold, so the peak covers building the tails.
+    """
     oracle_spectrum(build(), k)
+    annulus._reading_grid.cache_clear()
     tracemalloc.start()
     try:
         oracle_spectrum(build(), k)
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"{label}: tracemalloc peak {peak / 1e6:.3f} MB")
+    return peak
 
 
 def _haar_operator(n: int) -> RadialHamiltonian:
@@ -997,20 +1067,31 @@ def _haar_operator(n: int) -> RadialHamiltonian:
 class TestAllocation:
     """What one oracle op allocates: assembly, the solve and the residual check.
 
-    The bounds sit some 10% above the peaks measured with numpy 2.4 (0.91, 4.90 and 1.10 MB),
-    which had been 1.17, 6.43 and 1.40 MB with the temporaries of whole-array expressions.
+    The bounds sit some 10% above the peaks measured with numpy 2.4 (0.71, 1.29, 4.90 and
+    1.10 MB), which had been 0.91, 1.80, 4.90 and 1.10 MB while every trial energy's tail
+    solutions were kept to the end of the solve, and 1.17, 6.43 and 1.40 MB with the
+    temporaries of whole-array expressions. Each test prints its peaks.
     """
 
     def test_criterion_8_single_channel(self):
-        # n = 8000: about 0.19 MB kept by the operator, 0.13 MB by the vector, five or six
-        # trial energies' tail solutions of 64 kB, and the residual's buffer and scratch
+        # n = 8000: about 0.19 MB kept by the operator, 0.13 MB by the vector, the tail solutions
+        # of the two trial energies whose vector may still be chosen (64 kB each), and the
+        # residual's buffer and scratch
         for nu in (0.5, NU_EDGE):
-            assert _traced_peak(lambda: _criterion_8_operator(nu, 0.4, 8000)[0], 1) < 1.0e6
+            peak = _traced_peak(lambda: _criterion_8_operator(nu, 0.4, 8000)[0], 1, f"nu = {nu:.4f}, n = 8000")
+            assert peak < 0.8e6
+
+    def test_criterion_8_single_channel_at_n_16000(self):
+        # the ladder's doubled grid, every part twice as large; five or six trial energies keep
+        # a state, and no more than two of their tail solutions are held at once
+        for nu in (0.5, NU_EDGE):
+            peak = _traced_peak(lambda: _criterion_8_operator(nu, 0.4, 16000)[0], 1, f"nu = {nu:.4f}, n = 16000")
+            assert peak < 1.42e6
 
     def test_coupled_haar_at_k_12(self):
-        # n = 2000: the twelve vectors (1.5 MB) and some 80 trial energies' tail solutions
-        # (32 kB each for the two distinct tails) are most of it
-        assert _traced_peak(lambda: _haar_operator(2000), 12) < 5.4e6
+        # n = 2000: the twelve vectors (1.5 MB) with the residual's buffer and scratch of their
+        # size are most of it; the solve alone peaks at about 3.0 MB
+        assert _traced_peak(lambda: _haar_operator(2000), 12, "Haar U, k = 12, n = 2000") < 5.4e6
 
     def test_coupled_haar_through_gttrf(self, monkeypatch):
         # n = 400: past 2 + size / 400 expected tail levels a trial energy goes through gttrf,
@@ -1021,7 +1102,7 @@ class TestAllocation:
         oracle_spectrum(_haar_operator(400), 12)
         monkeypatch.undo()
         assert calls["gttrf"] > 0
-        assert _traced_peak(lambda: _haar_operator(400), 12) < 1.2e6
+        assert _traced_peak(lambda: _haar_operator(400), 12, "Haar U, k = 12, n = 400") < 1.2e6
 
 
 class TestBoundaryFlux:

@@ -6,6 +6,7 @@ unitarity or Hermiticity violation, 4 numerical failure.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -797,3 +798,22 @@ class TestUnits:
         # range, not a breakdown of the link map (exit 3) nor a breakdown radius
         code, out, err = self._run(make_config, capsys, command, "haar", {"deficiency_scale": 1e300})
         assert (code, out) == (4, "") and err.startswith("numerical error: exterior norm")
+
+
+def test_array_records_compare_by_identity():
+    # the frozen records that hold arrays: == is identity, and hash and set membership work,
+    # where the generated __eq__ raised ValueError on an array's truth value and __hash__
+    # TypeError
+    ext = ExtensionMatrix(np.eye(4))
+    g = annulus.g_from_u(ext, 0.1)
+    grid = annulus.AnnulusGrid(r0=0.1, R=5.0, n=100)
+    records = [ext, g, annulus.a_matrix(ext, 0.1),
+               annulus.assemble_radial_hamiltonian(ext.params, grid, g, ext.channels),
+               parse_config(json.dumps({"extension": {"matrix": SWAP_JSON}}))]
+    assert [type(rec).__name__ for rec in records] == ["ExtensionMatrix", "BoundaryConditionMatrix",
+                                                       "TransferMatrix", "RadialHamiltonian", "RunConfig"]
+    for rec in records:
+        twin = dataclasses.replace(rec)
+        assert rec == rec and rec != twin
+        assert hash(rec) == hash(rec)
+        assert rec in {rec} and twin not in {rec} and len({rec, twin}) == 2
