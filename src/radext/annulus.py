@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ChannelSpec, ModelParams, per_order
-from .extensions import ExtensionMatrix, _deficiency_arg, _origin_pairs, _own_param, unitarity_defect
+from .extensions import ExtensionMatrix, _deficiency_arg, _is_integer, _origin_pairs, _own_param, unitarity_defect
 from .specfun import bessel_k_complex
 
 __all__ = [
@@ -161,6 +161,10 @@ class AnnulusGrid:
     def __post_init__(self):
         if not 0.0 < self.r0 < self.R:
             raise ValueError("need 0 < r0 < R")
+        if not math.isfinite(self.R):
+            raise ValueError(f"R must be finite, got {self.R}")
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 100:
             raise ValueError(f"n must be at least 100, got {self.n}")
 
@@ -655,7 +659,7 @@ class _Probe(NamedTuple):
 
     sig and slopes list S(E)'s eigenvalues, ascending, and the slopes 1 +
     sum_c |v_c|^2 t_c^2 G_c' of their fall; vec holds the eigenvectors. Its
-    tail solutions are kept apart, only while a level can still take them.
+    tail solutions are kept apart, by each unsolved level whose latest probe it is.
     """
 
     number: int
@@ -800,24 +804,21 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     (heevd reads no more, and the diagonal's imaginary part not at all).
 
     Each unit vector, node-major like matvec's argument, comes from the
-    probe of its level with the least residual bound, with no pass of its
-    own: v = [z; -t_c z_c x_c], z the eigenvector of S(E) for the level's
-    eigenvalue sigma and the hops signed as stored, so that (H - E) v =
-    [sigma z; 0] and ||v||^2 is the slope; its residual at lambda is at most
-    (|sigma| + eps ||S||) / ||v|| + |E - lambda| (heevd resolves sigma only
-    to eps ||S||, and next to a tail level S is huge). A probe keeps its
-    tail solutions only while a level can still take its vector: up to the
-    end of its last level, and at that level only until another probe of
-    that last level outbids it, its bound staying below the probe's at
-    every lambda in [-||H||, ||H||] past rounding. A bound above 1e-10
-    ||H|| marks a tail state that the complement does not see: rounding
-    can let the count close next to it rather than on it, and a channel
-    that the block does not couple carries its tail levels unseen. There a
-    pass at lambda, and if need be one inverse-iteration step, (H - lambda)
-    v = 1 by the same block elimination, gives that state, with S's
-    eigenvalues below eps ||S|| taken at that size. An exactly singular tail moves lambda by
-    eps ||H||. Degenerate levels take distinct eigenvectors of S at one
-    probe.
+    latest probe on its level's branch, with no pass of its own: v = [z;
+    -t_c z_c x_c], z the eigenvector of S(E) for the level's eigenvalue
+    sigma and the hops signed as stored, so that (H - E) v = [sigma z; 0]
+    and ||v||^2 is the slope; its residual at lambda is at most (|sigma| +
+    eps ||S||) / ||v|| + |E - lambda| (heevd resolves sigma only to eps
+    ||S||, and next to a tail level S is huge). The latest probe lies, as a
+    rule, nearest the root, and its tail solutions are the only ones that a
+    level keeps, until it ends. A bound above 1e-10 ||H|| marks a tail state
+    that the complement does not see: rounding can let the count close next
+    to it rather than on it, and a channel that the block does not couple
+    carries its tail levels unseen. There a pass at lambda, and if need be
+    one inverse-iteration step, (H - lambda) v = 1 by the same block
+    elimination, gives that state, with S's eigenvalues below eps ||S||
+    taken at that size. An exactly singular tail moves lambda by eps ||H||.
+    Degenerate levels take distinct eigenvectors of S at one probe.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -866,10 +867,6 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     pivmin = _TINY * max(1.0, float(max(neg_hops.max(), -neg_hops.min())) ** 2)
     eps = _EPS
     tol = eps * norm
-    # a probe outbids another whose rho exceeds (its rho + their energies' distance + pad) grow:
-    # its residual bound rho + |E - lambda| is then the smaller at every lambda in [-||H||,
-    # ||H||], past the rounding of both
-    outbid_pad, outbid_grow = 8.0 * tol, 1.0 + 8.0 * eps
     # each level's bracket, the tail count at its ends (k for the unprobed top: a bracket whose
     # ends differ holds a tail level) and the probe that set them (None for none or one with
     # no state); plain lists, as each probe moves a run of them
@@ -881,11 +878,9 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     branches: list[list[_Probe]] = [[] for _ in range(k)]
     # every probed energy, in order
     probes: list[float] = []
-    # the tail solutions (T_c - E)^-1 e_1 of the probes whose vector a level can still take, one
-    # distinct tail a row in node order, by the probe's last level and its number; and the
-    # probes of the level being solved whose last level it is, with their rho (below)
-    held: list[dict[int, np.ndarray]] = [{} for _ in range(k)]
-    live: list[tuple[_Probe, float]] = []
+    # each unsolved level's latest probe and its tail solutions (T_c - E)^-1 e_1, one distinct
+    # tail a row in node order: the level takes its vector from there
+    latest: list = [None] * k
     block00, couple0 = block[0, 0].real, couple[0]
     # heevd's input, whose diagonal each trial energy rewrites (heevd works on a copy)
     work = block.copy()
@@ -1009,28 +1004,11 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 raise OverflowError(f"the tail solutions of the grid r0 = {grid.r0}, R = {grid.R}, "
                                     f"n = {grid.n} leave the float range at E = {float(energy)!r}")
             at = _Probe(len(probes), energy, tail_count, sig, slopes, vec)
-            # level i's function is the (i - P)-th eigenvalue of S; the loop leaves i at the last
-            # level whose branch the probe joins
+            # level i's function is the (i - P)-th eigenvalue of S
             for i in range(tail_count, min(tail_count + n_ch, k)):
                 branches[i].append(at)
-            if i != level:
-                held[i][at.number] = x
-            else:
-                # a level's vector comes from its probe of least residual bound rho + |E -
-                # lambda|: a probe that another outbids at every lambda cannot give it, and is
-                # dropped at its last level
-                rho = abs(sig[level - tail_count]) / math.sqrt(slopes[level - tail_count])
-                for entry in live[:]:
-                    other, other_rho = entry
-                    gap = abs(other.energy - energy) + outbid_pad
-                    if other_rho > (rho + gap) * outbid_grow:
-                        live.remove(entry)
-                        del held[level][other.number]
-                    elif rho > (other_rho + gap) * outbid_grow:
-                        break
-                else:
-                    live.append((at, rho))
-                    held[level][at.number] = x
+                if i >= level:
+                    latest[i] = at, x
         probes.append(energy)
         # lo and hi stay sorted, so the ends a probe moves are one run each
         up, down = bisect.bisect_left(lo, energy), bisect.bisect_right(hi, energy)
@@ -1100,13 +1078,13 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 return e1, step, True, s1
         return None if across else (e1, f1 / s1, False, s1)
 
-    def eigvec(lam: float, near: _Probe | None, i: int) -> None:
+    def eigvec(lam: float, near: tuple[_Probe, np.ndarray] | None, i: int) -> None:
         # level i's unit vector into vecs: v = [z; -t_c z_c x_c] from S's eigenvector z at a
         # probe E, (H - E) v = [sigma z; 0], a residual |sigma| / ||v|| + |E - lam|, with sigma
-        # good to eps ||S||; from the probe given, else from a pass at lam
+        # good to eps ||S||; from the probe given with its tail solutions, else from a pass at lam
         out = vecs[:, :, i]
-        for probe_at in ((near, None) if near is not None else (None,)):
-            if probe_at is None:
+        for source in ((near, None) if near is not None else (None,)):
+            if source is None:
                 for energy in (lam, lam + max(tol, 2.0 * pivmin)):
                     done = factor(energy, False, math.inf)
                     if done is not None:
@@ -1120,8 +1098,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                 size_v = math.sqrt(1.0 + float(np.sum(couple * np.abs(vec[:, j]) ** 2 * gp)))
             else:
                 # ||v||^2 is the slope
+                probe_at, x = source
                 energy, vec, sig = probe_at.energy, probe_at.vec, probe_at.sig
-                x = held[min(probe_at.tails + n_ch, k) - 1][probe_at.number]
                 j = i - probe_at.tails
                 size_v = math.sqrt(probe_at.slopes[j])
             z = vec[:, j]
@@ -1184,7 +1162,7 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
             # the model's root, which rounding can leave just outside the bracket (or the
             # count's rounding can leave the ends crossed)
             vals[i] = 0.5 * (lo[i] + hi[i]) if fit is None else min(max(fit[0] + fit[1], lo[i]), hi[i])
-            near, found = None, 0
+            found = 0
             if hi_tails[i] > lo_tails[i] and lo[i] < hi[i]:
                 # a bracket that closed across a tail level returns it: that state is decoupled
                 # to working precision
@@ -1195,21 +1173,9 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
                     raise ArithmeticError(f"tail bisection failed (stebz info {info})")
                 if found:
                     vals[i] = w[0]
-            if not found and fit is not None and branches[i]:
-                # the probe whose vector has the least residual bound, ||v||^2 being the slope; the
-                # latest lie nearest, and a probe farther than the best bound cannot beat it
-                best = math.inf
-                for r in reversed(branches[i]):
-                    miss = abs(r.energy - vals[i])
-                    if miss < best:
-                        j = i - r.tails
-                        bound = abs(r.sig[j]) / math.sqrt(r.slopes[j]) + miss
-                        if bound < best:
-                            near, best = r, bound
-            eigvec(vals[i], near, i)
-            # no later level takes the tail solutions of the probes whose last level this is
-            held[i].clear()
-            live.clear()
+            # a tail level, or a level that no model reached, takes a pass at lambda instead
+            eigvec(vals[i], latest[i] if not found and fit is not None else None, i)
+            latest[i] = None
     vecs = vecs.reshape(-1, k)
     order = np.argsort(vals, kind="stable")
     if (order == np.arange(k)).all():
@@ -1221,8 +1187,8 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     """k lowest eigenvalues of a Hermitian operator, with residual checks.
 
     Takes a dense Hermitian ndarray or a RadialHamiltonian through one flow:
-    1 <= k <= size, then the Hermiticity gate defect <= 1e-9 max(1,
-    ||H||_inf). The gate is on the operator's own scale: a g that passes
+    an integer 1 <= k <= size, then the Hermiticity gate defect <= 1e-9
+    max(1, ||H||_inf). The gate is on the operator's own scale: a g that passes
     the 1e-9 boundary-data gate puts at most 1e-9 / (mu h) into the
     first-node block of the three-point rows, and ||H||_inf >= 1 / (mu h^2),
     so for h <= 1 the two gates agree. A dense operator goes to eigh. In a
@@ -1246,16 +1212,16 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
 
     Besides the operator, one solve on a RadialHamiltonian allocates the
     tails' negated hops and one pivot workspace (N floats each, N the
-    distinct tails' nodes), one tail solution of N floats for each trial
-    energy whose vector a level can still take (no more than two at a
-    time of the five or six that keep a state for criterion 8's k = 1),
-    the k vectors, and for the residual one buffer and one scratch array
-    of the vectors' size, where H v - lambda v is formed in place (numpy
-    casts the real tails for the complex products through its own buffer
-    of up to 8192 entries). With a first assembly on its grid, criterion
-    8's single channel peaks at 0.71 MB (tracemalloc) at n = 8000 and at
-    1.29 MB at n = 16000, and a Haar U at k = 12, n = 2000 at 4.9 MB, most
-    of it the vectors and the residual's arrays. A trial energy whose tail
+    distinct tails' nodes), one tail solution of N floats for each unsolved
+    level, its latest trial energy's (for criterion 8's k = 1, one kept
+    and one being formed at a time), the k vectors, and for the residual
+    one buffer and one scratch array of the vectors' size, where H v -
+    lambda v is formed in place (numpy casts the real tails for the complex
+    products through its own buffer of up to 8192 entries). With a first
+    assembly on its grid, criterion 8's single channel peaks at 0.71 MB
+    (tracemalloc) at n = 8000 and at 1.29 MB at n = 16000, and a Haar U at
+    k = 12, n = 2000 at 4.9 MB, most of it the vectors and the residual's
+    arrays (the solve alone peaks at 2.1 MB). A trial energy whose tail
     solutions square past the float range (entries some 1e-150 and below,
     as on a grid to R = 1e80 at n = 100) raises OverflowError that names
     the grid.
@@ -1271,8 +1237,8 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("operator must be square")
         size = H.shape[0]
-    if not 1 <= k <= size:
-        raise ValueError(f"k = {k} must lie between 1 and the matrix dimension {size}")
+    if not (_is_integer(k) and 1 <= k <= size):
+        raise ValueError(f"k = {k} must be an integer between 1 and the matrix dimension {size}")
     if structured:
         residual, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
     else:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -272,14 +273,25 @@ def _origin_pairs(u: np.ndarray, orders: tuple[float, ...],
     return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool (numpy reads a bool index as a mask)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_source(extension: ExtensionMatrix, source) -> None:
+    # explicit: numpy would read source = -1 as the last column, and True as a mask
+    if not (_is_integer(source) and 0 <= source < len(extension.channels)):
+        raise ValueError(f"source index {source} out of range: need an integer in "
+                         f"[0, {len(extension.channels)})")
+
+
 def domain_vector_smallr(extension: ExtensionMatrix, source: int) -> list[SmallRBehavior]:
     """Small-r coefficient pairs, per channel, of the domain vector phi^(source).
 
     Normalization constants are folded in, so these pairs describe the actual
     function phi_+^(source) + sum_ch U[source, ch] phi_-^(ch): column source of origin_pairs.
     """
-    if not 0 <= source < len(extension.channels):
-        raise ValueError(f"source index {source} out of range")
+    _check_source(extension, source)
     a, b = extension.small_r_pairs
     return [SmallRBehavior(ch.nu, a[idx, source], b[idx, source])
             for idx, ch in enumerate(extension.channels)]
@@ -498,9 +510,7 @@ def scattering_eigenstate(extension: ExtensionMatrix, energy: float, source: int
     vanishes faster at the origin and does not alter the matching. The
     result is column source of mixing_matrix, at the extension's own mu.
     """
-    # explicit: numpy would read source = -1 as the last column
-    if not 0 <= source < len(extension.channels):
-        raise ValueError(f"source index {source} out of range")
+    _check_source(extension, source)
     regular, singular, cond = _matching(extension, energy, mu)
     return MixingSolution(energy=energy, source_index=source,
                           source_channel=extension.channels[source],

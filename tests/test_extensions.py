@@ -262,8 +262,11 @@ class TestDomainVectorSmallR:
         assert_allclose(pairs[0].c_minus, plus.c_minus, rtol=1e-14)
 
     def test_source_range(self, identity_ext):
-        with pytest.raises(ValueError):
-            domain_vector_smallr(identity_ext, 4)
+        # True would otherwise be read as a mask, 1.0 as an index error
+        for src in (4, -1, True, 1.0):
+            with pytest.raises(ValueError, match="out of range"):
+                domain_vector_smallr(identity_ext, src)
+        assert domain_vector_smallr(identity_ext, np.int64(1)) == domain_vector_smallr(identity_ext, 1)
 
     @pytest.mark.parametrize("eg", [0.5, 1.0, 1.5])
     def test_matches_the_deficiency_vectors(self, eg):
@@ -519,10 +522,11 @@ class TestScatteringAndMixing:
             assert abs(cond - ref) <= 32.0 * eps * ref * ref
 
     def test_source_range(self, identity_ext):
-        # -1 would otherwise read the last column
-        for src in (-1, 4):
+        # -1 would otherwise read the last column, True be returned as the source index
+        for src in (-1, 4, True, 1.0):
             with pytest.raises(ValueError, match="out of range"):
                 scattering_eigenstate(identity_ext, 1.0, src, 1.0)
+        assert scattering_eigenstate(identity_ext, 1.0, np.int64(1), 1.0).source_index == 1
 
     @pytest.mark.parametrize("eg", [0.5, 1.0, 1.5])
     def test_matches_the_per_channel_matching(self, eg):
