@@ -39,7 +39,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -731,6 +735,35 @@ def _distinct_tails(operator: RadialHamiltonian) -> tuple[list[int], np.ndarray]
     return distinct, which
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, without the scipy.linalg package.
+
+    The Schur solve reads dpttrf, dgttrf, dgttrs, dstebz and zheevd from it:
+    the very objects that scipy.linalg.get_lapack_funcs hands out for real
+    and complex double arrays. Where the module is already loaded, that one
+    is returned. Otherwise the top-level scipy package is imported (its
+    platform set-up, 10-17 ms on a 2-core Xeon) and the extension is loaded
+    from scipy's linalg directory under its own name (3-5 ms), so that a
+    later import of scipy.linalg reuses it: the package's __init__, which
+    pulls in numpy.f2py, unittest and email (0.16-0.23 s), never runs for
+    it. Where the file is not found, the package import gives the same
+    module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of an operator whose channels meet only at the first node.
 
@@ -820,8 +853,6 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
     taken at that size. An exactly singular tail moves lambda by eps ||H||.
     Degenerate levels take distinct eigenvectors of S at one probe.
     """
-    from scipy.linalg import get_lapack_funcs
-
     n_ch, block, diag, hops = operator.n_channels, operator.block, operator.onsite, operator.hops
     couple = hops[0] ** 2
     distinct, which = _distinct_tails(operator)
@@ -861,8 +892,9 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         return (np.concatenate(([2.0 * norm + 1.0], rev)), off, -off, numer, weight,
                 np.arange(2, size + 2, dtype=np.int32))
 
-    gttrf, gttrs, pttrf = get_lapack_funcs(("gttrf", "gttrs", "pttrf"), (diag,))
-    heevd = get_lapack_funcs("heevd", (block,)) if n_ch > 1 else None
+    lapack = _lapack()
+    gttrf, gttrs, pttrf = lapack.dgttrf, lapack.dgttrs, lapack.dpttrf
+    heevd = lapack.zheevd if n_ch > 1 else None
     # LAPACK's pivot floor for Sturm counts (dstebz's pivmin)
     pivmin = _TINY * max(1.0, float(max(neg_hops.max(), -neg_hops.min())) ** 2)
     eps = _EPS
@@ -1166,9 +1198,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
             if hi_tails[i] > lo_tails[i] and lo[i] < hi[i]:
                 # a bracket that closed across a tail level returns it: that state is decoupled
                 # to working precision
-                stebz = get_lapack_funcs("stebz", (diag,))
                 # (stebz's wrapper takes no empty off-diagonal, so one node passes its zero hop)
-                found, w, _, _, info = stebz(rev, -neg_hops[:max(size - 1, 1)], 1, lo[i], hi[i], 0, 0, 0.0, "E")
+                found, w, _, _, info = lapack.dstebz(rev, -neg_hops[:max(size - 1, 1)], 1, lo[i], hi[i], 0, 0, 0.0, "E")
                 if info:
                     raise ArithmeticError(f"tail bisection failed (stebz info {info})")
                 if found:
@@ -1226,9 +1257,6 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     as on a grid to R = 1e80 at n = 100) raises OverflowError that names
     the grid.
     """
-    # imported here: scipy.linalg costs about 0.26 s of start-up that only the eigensolve needs
-    import scipy.linalg
-
     structured = isinstance(operator, RadialHamiltonian)
     if structured:
         size = operator.size
@@ -1256,8 +1284,11 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
         if structured:
             vals, vecs = _schur_eigenpairs(operator, k, norm)
         else:
+            # imported here: the scipy.linalg package costs 0.16-0.23 s of start-up, and the
+            # structured solve reads its LAPACK routines without it (_lapack)
+            import scipy.linalg
             vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
     # one block product for every pair, and the squares of the real and imaginary parts summed
     # per column in place; the worst is NaN if any residual is
