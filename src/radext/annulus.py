@@ -268,6 +268,57 @@ def _k_rows(orders: tuple[float, ...], r: float, scale: float) -> np.ndarray:
     return per_order(_k_profile, orders, r, scale).T
 
 
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, without the scipy package's __init__.
+
+    The one LAPACK source of the module: the link map reads zgesdd (a_matrix's
+    singular values) and zgesv (_solve), the Schur solve dpttrf, dgttrf,
+    dgttrs, dstebz and zheevd; the very objects that
+    scipy.linalg.get_lapack_funcs hands out for real and complex double
+    arrays. Where the module is already loaded, that one is returned.
+    Otherwise scipy's directory comes from its import spec, without running
+    the package, and the extension is loaded from its linalg directory under
+    its own name (2.5 ms on a 2-core Xeon), so that a later import of
+    scipy.linalg reuses it. Neither the scipy package's __init__ (version
+    check, config and _distributor_init, about 8 ms, none of which the
+    extension needs on Linux) nor the scipy.linalg package's (numpy.f2py,
+    unittest and email, 0.16-0.23 s) runs for it. Where scipy's spec or the
+    extension's file is not found, or loading it raises ImportError (as
+    where the package's __init__ must first add DLL directories), the
+    package import gives the same module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "linalg") for p in package.submodule_search_locations])
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            sys.modules.pop(name, None)
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by zgesv, the LU solve with partial pivoting that np.linalg.solve calls.
+
+    As from np.linalg.solve, the result is C-ordered (zgesv writes it Fortran-ordered), so the
+    products formed from it round as before, and an exactly singular a raises
+    np.linalg.LinAlgError.
+    """
+    x, info = _lapack().zgesv(a, b)[2:]
+    if info:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.ascontiguousarray(x)
+
+
 def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     """Transfer matrix a(r) and its K' part; rows index the source, columns the channel.
 
@@ -286,8 +337,11 @@ def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     sums.reshape(2, -1)[:, :: weight.size + 1] += rows[2:4]
     sums *= weight
     entries, deriv = sums
-    # s[0] / s[-1] is what np.linalg.cond computes, without its wrapper's overhead
-    s = np.linalg.svd(entries, compute_uv=False)
+    # s[0] / s[-1] is what np.linalg.cond computes, from the singular values of the same
+    # zgesdd that np.linalg.svd calls, read without numpy.linalg's wrapper
+    s, info = _lapack().zgesdd(entries, compute_uv=0)[1::2]
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
     cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
         raise LinkBreakdownError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
@@ -312,7 +366,7 @@ def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) 
     """
     scale = _own_param(extension, "deficiency_scale", scale)
     amat = a_matrix(extension, r0)
-    g = np.linalg.solve(amat.entries, amat.derivative)
+    g = _solve(amat.entries, amat.derivative)
     g.flat[:: g.shape[0] + 1] -= 0.5 / r0
     try:
         return BoundaryConditionMatrix(r0=r0, channels=extension.channels, entries=g,
@@ -368,7 +422,7 @@ def u_from_g(g: BoundaryConditionMatrix, scale: float) -> np.ndarray:
     lhs = np.diag(dm) - vm[:, None] * gc
     rhs = vp[:, None] * gc - np.diag(dp)
     try:
-        u = np.linalg.solve(lhs.T, rhs.T).T
+        u = _solve(lhs.T, rhs.T).T
     except np.linalg.LinAlgError as exc:
         raise LinkBreakdownError(f"link map is not invertible at r0 = {g.r0}: {exc}") from exc
     gap = np.maximum(np.abs(np.diag(lhs)), np.finfo(float).tiny)
@@ -633,7 +687,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         a, b = _origin_pairs(u_from_g(g, params.deficiency_scale), orders, params.deficiency_scale)
         # (Q^-1 + D^-1)^-1 for Q = diag(2 nu) B A^-1 and D the sub-cell's coupling, A never inverted
         b = tab.t * b
-        edge = b @ np.linalg.solve(tab.inner[:, None] * a + b, np.diag(tab.inner))
+        edge = b @ _solve(tab.inner[:, None] * a + b, np.diag(tab.inner))
         edge /= tab.first_scale
         block = tab.first_diag + 0.5 * (edge + edge.conj().T)
         block.flags.writeable = False
@@ -733,35 +787,6 @@ def _distinct_tails(operator: RadialHamiltonian) -> tuple[list[int], np.ndarray]
             which[c] = len(distinct)
             distinct.append(c)
     return distinct, which
-
-
-@functools.cache
-def _lapack():
-    """scipy's f2py LAPACK extension, scipy.linalg._flapack, without the scipy.linalg package.
-
-    The Schur solve reads dpttrf, dgttrf, dgttrs, dstebz and zheevd from it:
-    the very objects that scipy.linalg.get_lapack_funcs hands out for real
-    and complex double arrays. Where the module is already loaded, that one
-    is returned. Otherwise the top-level scipy package is imported (its
-    platform set-up, 10-17 ms on a 2-core Xeon) and the extension is loaded
-    from scipy's linalg directory under its own name (3-5 ms), so that a
-    later import of scipy.linalg reuses it: the package's __init__, which
-    pulls in numpy.f2py, unittest and email (0.16-0.23 s), never runs for
-    it. Where the file is not found, the package import gives the same
-    module.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
-    if spec is None:
-        from scipy.linalg import _flapack
-        return _flapack
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:

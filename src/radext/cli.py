@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import annulus, dirac, extensions
+from . import annulus, extensions
 from .channels import ModelParams, channel_ladder, singular_count
 from .extensions import UnitarityError
 
@@ -375,6 +375,9 @@ def _cmd_oracle(args, cfg: RunConfig) -> int:
 
 
 def _cmd_dirac_check(args, cfg: RunConfig) -> int:
+    # imported here: no other subcommand reads dirac, whose import costs each cold process 3-4 ms
+    from . import dirac
+
     if cfg.params.model != "monopole":
         raise ConfigError("dirac-check requires the monopole model")
     ext = cfg.to_extension()

@@ -227,6 +227,17 @@ class TestTransferMatrix:
                 want.flat[:: want.shape[0] + 1] -= 0.5 / r0
                 assert np.array_equal(g_from_u(ext, r0).entries, want)
 
+    def test_lapack_failures_raise_numpy_errors(self, monkeypatch):
+        # LAPACK's info > 0 is the np.linalg.LinAlgError that numpy's wrappers raised for it
+        ext = ExtensionMatrix(haar_unitary(3))
+        svd_fails, solve_fails = _reporting_info("zgesdd"), _reporting_info("zgesv")
+        monkeypatch.setattr(annulus, "_lapack", svd_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            a_matrix(ext, 0.1)
+        monkeypatch.setattr(annulus, "_lapack", solve_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            g_from_u(ext, 0.1)
+
 
 class TestLinkMap:
     def test_diagonal_extension_gives_diagonal_g(self, monopole):
@@ -366,6 +377,29 @@ class TestLinkMap:
         g = g_from_u(ExtensionMatrix(u), 1e-2)
         again = g_from_u(ExtensionMatrix(u_from_g(g, 1.0)), 1e-2)
         assert np.abs(again.entries - g.entries).max() <= 1e-14 * np.abs(g.entries).max()
+
+    def test_link_map_reads_its_lapack_from_the_extension(self, monkeypatch):
+        # numpy.linalg is out of the link map: one g_from_u is one gesdd, a(r)'s singular values,
+        # and one gesv; an extension reading solves twice, for U (u_from_g) and at the edge
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        calls = Counter()
+        monkeypatch.setattr(annulus, "_lapack", _no_stebz(calls))
+        ext = ExtensionMatrix(haar_unitary(3))
+        g = g_from_u(ext, 0.01)
+        assert calls == Counter(gesdd=1, gesv=1)
+        calls.clear()
+        assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=0.01, R=40.0, n=100), g, ext.channels)
+        assert calls == Counter(gesv=2)
+
+    def test_singular_inverse_is_a_link_breakdown(self, monkeypatch):
+        g = g_from_u(ExtensionMatrix(haar_unitary(3)), 0.1)
+        monkeypatch.setattr(annulus, "_lapack", _reporting_info("zgesv"))
+        with pytest.raises(LinkBreakdownError, match="not invertible"):
+            u_from_g(g, 1.0)
 
     def test_diagonal_link_is_real(self):
         for nu in (0.5, NU_EDGE):
@@ -633,7 +667,8 @@ def _no_stebz(calls: Counter, stebz: bool = False):
     stebz=True lets it through. Each call of a routine counts in calls, by name without its type
     prefix. A trial energy of the Schur solve factors the tails once, by gttrf or by pttrf on all
     of them ("trial" counts both; pttrf's restarts past negative pivots are shorter), and with
-    several channels makes one heevd. The stand-in holds only the routines that the solve reads.
+    several channels makes one heevd. Every other routine of the extension, such as the link
+    map's gesdd and gesv, is forwarded and counted the same way.
     """
     lapack = annulus._lapack()
     # the lengths pttrf was called on: the longest is all the tails
@@ -649,8 +684,28 @@ def _no_stebz(calls: Counter, stebz: bool = False):
                 calls["trial"] += 1
             return func(*a, **kw)
         return call
-    routines = types.SimpleNamespace(**{name: counted(name[1:], getattr(lapack, name))
-                                        for name in ("dpttrf", "dgttrf", "dgttrs", "dstebz", "zheevd")})
+    class Routines:
+        def __getattr__(self, name):
+            return counted(name[1:], getattr(lapack, name))
+
+    routines = Routines()
+    return lambda: routines
+
+
+def _reporting_info(name: str):
+    """A stand-in for annulus._lapack whose routine of this name does its work and reports info = 1.
+
+    That is LAPACK's report of an SVD that did not converge (gesdd) or of an exactly singular
+    factor (gesv). Every other routine is the extension's own.
+    """
+    lapack = annulus._lapack()
+
+    class Routines:
+        def __getattr__(self, attr):
+            func = getattr(lapack, attr)
+            return (lambda *a, **kw: (*func(*a, **kw)[:-1], 1)) if attr == name else func
+
+    routines = Routines()
     return lambda: routines
 
 

@@ -1,15 +1,20 @@
-"""Import hygiene: scipy and numpy.polynomial are loaded only where they are used.
+"""Import hygiene: scipy, numpy.polynomial and radext.dirac are loaded only where they are used.
 
 Every subcommand runs as a fresh process, so start-up cost is part of each
-run. Only the oracle loads any scipy: the top-level package and the f2py
-LAPACK extension, scipy.linalg._flapack, whose routines the Schur solve
-reads (annulus._lapack). The scipy.linalg package, whose __init__ pulls in
-numpy.f2py and unittest, stays unloaded; its dense eigh is imported only for
-a dense operator. No other subcommand loads any scipy (the Dirac check's
-quadrature is a numpy Gauss-Legendre rule). numpy.polynomial builds that
-rule and the one of the rotated-contour K band, which no subcommand but
-dirac-check reaches. Each check runs in a fresh interpreter and asserts on
-the modules loaded, never on wall time.
+run. The subcommands that form a link map or solve the oracle (gmap, r0scan
+and oracle) load one piece of scipy: the f2py LAPACK extension,
+scipy.linalg._flapack, whose zgesdd and zgesv the link map reads and whose
+tridiagonal and Hermitian routines the Schur solve reads (annulus._lapack).
+Neither the scipy package nor scipy.linalg is imported for it: the
+extension is loaded by its path, and their __init__s (platform set-up, and
+numpy.f2py and unittest for scipy.linalg) never run; the dense eigh is
+imported only for a dense operator. No other subcommand loads any scipy
+(the Dirac check's quadrature is a numpy Gauss-Legendre rule). Where the
+extension cannot be loaded by its path, the package import gives the same
+routines and the same numbers. numpy.polynomial builds that rule and the one
+of the rotated-contour K band, and radext.dirac holds the check itself:
+no subcommand but dirac-check loads either. Each check runs in a fresh
+interpreter and asserts on the modules loaded, never on wall time.
 """
 
 import json
@@ -40,11 +45,13 @@ from radext import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "polynomial": polynomial(), "f2py": sorted(m for m in sys.modules if m.startswith("numpy.f2py"))}))
+                  "polynomial": polynomial(), "f2py": sorted(m for m in sys.modules if m.startswith("numpy.f2py")),
+                  "dirac": "radext.dirac" in sys.modules}))
 """
 
-# one coupled solve (pttrf, gttrf and heevd) of a Haar U at k = 12, n = 400: its levels as exact
-# hex strings, a digest of its vectors, and whether the scipy.linalg package got loaded
+# one coupled solve (pttrf, gttrf and heevd) of a Haar U at k = 12, n = 400: digests of its link
+# value g and its vectors, its levels as exact hex strings, and whether the scipy.linalg package
+# got loaded
 SOLVE = """
 import hashlib, json, sys
 from radext import annulus
@@ -52,12 +59,12 @@ from radext.annulus import AnnulusGrid, assemble_radial_hamiltonian, g_from_u, o
 from radext.channels import ModelParams
 from radext.extensions import ExtensionMatrix, haar_unitary
 ext = ExtensionMatrix(haar_unitary(1), ModelParams())
-ham = assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=1e-3, R=40.0, n=400), g_from_u(ext, 1e-3),
-                                  ext.channels)
+g = g_from_u(ext, 1e-3)
+ham = assemble_radial_hamiltonian(ext.params, AnnulusGrid(r0=1e-3, R=40.0, n=400), g, ext.channels)
 levels = oracle_spectrum(ham, 12)
 vecs = annulus._schur_eigenpairs(ham, 12, ham.norm_upper_bound())[1]
-solved = {"levels": [x.hex() for x in levels.tolist()], "vectors": hashlib.sha256(vecs.tobytes()).hexdigest(),
-          "package": "scipy.linalg" in sys.modules}
+solved = {"g": hashlib.sha256(g.entries.tobytes()).hexdigest(), "levels": [x.hex() for x in levels.tolist()],
+          "vectors": hashlib.sha256(vecs.tobytes()).hexdigest(), "package": "scipy.linalg" in sys.modules}
 """
 
 # the extension's file not found: the path finder answers None to annulus._lapack, which looks
@@ -70,6 +77,19 @@ def find_spec(fullname, path=None, target=None):
         return None
     return real_find_spec(fullname, path, target)
 importlib.machinery.PathFinder.find_spec = staticmethod(find_spec)
+"""
+
+# the extension found but failing to load by its path, as where the scipy package's __init__ must
+# first add DLL directories: its exec_module raises ImportError until the scipy.linalg package is
+# loaded, and succeeds for the package's own import after annulus._lapack dropped its entry
+EXEC_FAILS = """
+import importlib.machinery, sys
+real_exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+def exec_module(self, module):
+    if module.__name__ == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+        raise ImportError("DLL load failed while importing _flapack")
+    return real_exec_module(self, module)
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
 """
 
 
@@ -105,8 +125,6 @@ def test_import_cli_loads_no_scipy():
     ["channels", "--jmax", "3"],
     ["bound-states"],
     ["smatrix", "--E", "1.0"],
-    ["gmap", "--r0", "0.1"],
-    ["r0scan", "--r0-list", "0.1,0.01"],
     ["emit-config"],
     ["dirac-check"],
 ], ids=lambda argv: argv[0])
@@ -118,18 +136,23 @@ def test_subcommand_loads_no_scipy(argv, config):
     assert out["scipy"] == []
     if argv[0] != "dirac-check":  # its quadrature is numpy's Gauss-Legendre rule
         assert out["polynomial"] == []
+        assert not out["dirac"]
 
 
-@pytest.mark.parametrize("command, module", [
-    ("oracle", "scipy.linalg._flapack"),
-])
-def test_subcommand_loads_its_scipy_part(command, module, config):
-    out = _scipy_after(RUN_MAIN, command, "--config", config)
+@pytest.mark.parametrize("argv", [
+    ["gmap", "--r0", "0.1"],
+    ["r0scan", "--r0-list", "0.1,0.01"],
+    ["oracle"],
+], ids=lambda argv: argv[0])
+def test_subcommand_loads_its_scipy_part(argv, config):
+    out = _scipy_after(RUN_MAIN, argv[0], "--config", config, *argv[1:])
     assert out["code"] == 0
-    assert module in out["scipy"]
-    # the extension alone, without the scipy.linalg package and what its __init__ pulls in
-    assert "scipy.linalg" not in out["scipy"]
+    # the extension alone, without the scipy and scipy.linalg packages and what their __init__s
+    # pull in
+    assert out["scipy"] == ["scipy.linalg._flapack"]
     assert out["f2py"] == []
+    assert out["polynomial"] == []
+    assert not out["dirac"]
 
 
 def test_package_imported_after_a_solve_reuses_its_routines():
@@ -158,6 +181,23 @@ def test_package_fallback_gives_the_same_levels():
     fallback = _scipy_after(NOT_FOUND + SOLVE + "print(json.dumps(solved))")
     assert not found["package"]
     assert fallback["package"]
+    assert fallback["levels"] == found["levels"]
+    assert fallback["vectors"] == found["vectors"]
+
+
+def test_failed_load_falls_back_to_the_package():
+    # where loading the extension by its path raises ImportError, annulus._lapack drops the entry
+    # it registered and takes the package's module, which gives the same g, levels and vectors
+    found = _scipy_after(SOLVE + "print(json.dumps(solved))")
+    fallback = _scipy_after(EXEC_FAILS + SOLVE + """
+import scipy.linalg
+solved["module"] = annulus._lapack() is sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack
+print(json.dumps(solved))
+""")
+    assert not found["package"]
+    assert fallback["package"]
+    assert fallback["module"]
+    assert fallback["g"] == found["g"]
     assert fallback["levels"] == found["levels"]
     assert fallback["vectors"] == found["vectors"]
 
