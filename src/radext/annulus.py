@@ -44,7 +44,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -112,8 +112,8 @@ class BoundaryConditionMatrix:
     oracle's params.deficiency_scale.
 
     Construction computes the defect max|g - g^dag| once and stores it as
-    hermiticity_defect, with or without validate. validate=False skips only
-    the 1e-9 gate on it; it exists so tests can probe the gate of
+    hermiticity_defect. validate, read by the constructor alone, is not kept:
+    validate=False skips only the 1e-9 gate, so tests can probe the gate of
     assemble_radial_hamiltonian, which reads the stored defect, with broken
     input. It compares and hashes by identity, as its entries are an array.
     """
@@ -121,11 +121,11 @@ class BoundaryConditionMatrix:
     r0: float
     channels: tuple[ChannelSpec, ...]
     entries: np.ndarray
-    validate: bool = True
+    validate: InitVar[bool] = True
     deficiency_scale: float | None = None
     hermiticity_defect: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
         if not self.r0 > 0.0:
             raise ValueError("r0 must be positive")
         ents = np.array(self.entries, dtype=complex)
@@ -133,7 +133,7 @@ class BoundaryConditionMatrix:
         if ents.shape != (n, n):
             raise ValueError(f"entries shape {ents.shape} does not match {n} channels")
         defect = self.defect_of(ents)
-        if self.validate and not defect <= _HERMITICITY_TOL:
+        if validate and not defect <= _HERMITICITY_TOL:
             raise HermiticityError(f"boundary matrix is not Hermitian: defect "
                                    f"{defect:.3e} exceeds {_HERMITICITY_TOL:.1e}")
         ents.flags.writeable = False
@@ -185,7 +185,6 @@ class TransferMatrix:
     -1/(2 r) to g's diagonal after the solve, as solve(a, a) is not exactly I.
     """
 
-    r: float
     entries: np.ndarray
     derivative: np.ndarray
     condition_number: float
@@ -345,7 +344,7 @@ def a_matrix(extension: ExtensionMatrix, r: float) -> TransferMatrix:
     cond = float(s[0] / s[-1]) if s[-1] else math.inf
     if not cond < _COND_LIMIT:
         raise LinkBreakdownError(f"transfer matrix singular at r = {r}: condition number {cond:.3e}")
-    return TransferMatrix(r=r, entries=entries, derivative=deriv, condition_number=cond)
+    return TransferMatrix(entries=entries, derivative=deriv, condition_number=cond)
 
 
 def g_from_u(extension: ExtensionMatrix, r0: float, scale: float | None = None) -> BoundaryConditionMatrix:
@@ -456,15 +455,15 @@ class RadialHamiltonian:
     Dirichlet wall). Past node 0 each channel is its own real tridiagonal
     tail: onsite[i] holds node i + 1, and hops[i] joins node i to node
     i + 1, so hops[0] links the block to the tails. Component index =
-    node * n_ch + channel. In the extension reading every operator on one
-    grid shares its read-only onsite, hops and radii. Like the other
-    records that hold arrays, it compares and hashes by identity.
+    node * n_ch + channel; the grid fixes the nodes. In the extension
+    reading every operator on one grid shares its read-only onsite and
+    hops. Like the other records that hold arrays, it compares and hashes
+    by identity.
     """
 
     block: np.ndarray
     onsite: np.ndarray
     hops: np.ndarray
-    radii: np.ndarray
     grid: AnnulusGrid
 
     @property
@@ -477,7 +476,7 @@ class RadialHamiltonian:
 
     def hermiticity_defect(self) -> float:
         # the tails are real symmetric, so only the block can carry a defect
-        return float(np.abs(self.block - self.block.conj().T).max())
+        return BoundaryConditionMatrix.defect_of(self.block)
 
     def norm_upper_bound(self) -> float:
         """||H||_inf, the largest absolute row sum; NaN where any entry is."""
@@ -519,12 +518,11 @@ class RadialHamiltonian:
 class _ReadingGrid(NamedTuple):
     """The half of the extension reading that U does not touch, on one grid; every array read-only.
 
-    radii, onsite and hops are the operator's own (onsite from node 1 on); t is 2 nu per channel,
-    as a column; inner the sub-cell coupling D; first_diag the first node's diag(onsite) and
-    first_scale sqrt(m_i m_j), m the first node's weight.
+    onsite and hops are the operator's own (onsite from node 1 on); t is 2 nu per channel, as a
+    column; inner the sub-cell coupling D; first_diag the first node's diag(onsite) and first_scale
+    sqrt(m_i m_j), m the first node's weight.
     """
 
-    radii: np.ndarray
     onsite: np.ndarray
     hops: np.ndarray
     t: np.ndarray
@@ -534,7 +532,7 @@ class _ReadingGrid(NamedTuple):
 
 
 # a handful of grids: a family of U runs on few grids (two alternate in the coupled benchmark,
-# and its diagonal-U check adds one channel of each order), while each table holds some 3 N floats
+# and its diagonal-U check adds one channel of each order), while each table holds some 2 N floats
 _GRID_TABLES = 4
 
 
@@ -586,10 +584,10 @@ def _reading_grid(orders: tuple[float, ...], grid: AnnulusGrid, mu: float) -> _R
         np.divide(cell[:, 1:-1], np.sqrt(pairs, out=hops), out=hops)
         np.negative(hops, out=hops)
     inner, first_diag, first_scale = cell[:, 0].copy(), np.diag(onsite[:, 0]), np.sqrt(firsts)
-    for arr in (nodes, onsite, hops, t, inner, first_diag, first_scale):
+    for arr in (onsite, hops, t, inner, first_diag, first_scale):
         arr.flags.writeable = False
     # (the views of read-only arrays are read-only)
-    return _ReadingGrid(nodes[:-1], onsite.T[1:], hops.T, t, inner, first_diag, first_scale)
+    return _ReadingGrid(onsite.T[1:], hops.T, t, inner, first_diag, first_scale)
 
 
 def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
@@ -649,11 +647,11 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
     boundary term (73 us of a four-channel assembly at n = 100, 145 us when
     each built its grid; timeit minima on a 2-core Xeon). Cells or weights
     past the float range raise OverflowError, on every call. A first build
-    forms the arrays in place: the table keeps the n + 2 nodes and n_ch
-    (2n + 1) floats of onsite and hops, and the build allocates besides
-    only the cells and one scratch array, 2 n_ch (n + 2) floats. For one
-    channel at n = 8000 that is 0.20 MB kept at a tracemalloc peak of
-    0.33 MB; an assembly on a grid already built peaks at 8 kB.
+    forms the arrays in place: the table keeps the n_ch (2n + 1) floats of
+    onsite and hops, and the build allocates besides only the n + 2 nodes,
+    the cells and one scratch array. For one channel at n = 8000 that is
+    0.13 MB kept at a tracemalloc peak of 0.33 MB; an assembly on a grid
+    already built peaks at 8 kB.
 
     Otherwise (Dirichlet wall, or a regular or overcritical channel in the
     set) the three-point rows on the grid's nodes apply: u = r psi with
@@ -691,7 +689,7 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         edge /= tab.first_scale
         block = tab.first_diag + 0.5 * (edge + edge.conj().T)
         block.flags.writeable = False
-        return RadialHamiltonian(block=block, onsite=tab.onsite, hops=tab.hops, radii=tab.radii, grid=grid)
+        return RadialHamiltonian(block=block, onsite=tab.onsite, hops=tab.hops, grid=grid)
 
     nodes = np.arange(grid.n + 2, dtype=float)  # r0, the n interior points, R
     nodes *= h
@@ -707,9 +705,9 @@ def assemble_radial_hamiltonian(params: ModelParams, grid: AnnulusGrid,
         # symmetry-restoring rescale of the r0 node makes its outward hop sqrt(2) * hop
         hops[0] *= math.sqrt(2.0)
     onsite = onsite[1:]
-    for arr in (block, onsite, hops, radii):
+    for arr in (block, onsite, hops):
         arr.flags.writeable = False
-    return RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=radii, grid=grid)
+    return RadialHamiltonian(block=block, onsite=onsite, hops=hops, grid=grid)
 
 
 class _Probe(NamedTuple):
@@ -1015,6 +1013,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         # S(E)'s eigenvalues, ascending, and with vectors its eigenvectors, from G_c = x_1, the
         # factor at each first node (1 / its pivot, or x_1 once the products are formed)
         if heevd is None:
+            # one channel's S is a scalar: through heevd and the coupled slope it took 13-15% longer
+            # (1131 -> 1279, 1041 -> 1192 us; minima over oracle_diag seed 11's 28 operators)
             return np.array([block00 - energy - couple0 * mult[-1]]), np.ones((1, 1))
         np.subtract(block_diag, energy + couple * mult[spread_ends], out=work_diag)
         sig, vec, info = heevd(work, vectors, 1)
@@ -1090,7 +1090,8 @@ def _schur_eigenpairs(operator: RadialHamiltonian, k: int, norm: float) -> tuple
         # (the probe nearest level i's bracket, the model's step from it, whether a second
         # probe shaped the step)
         # one channel: S is one function across its poles, so with no probe on level i's
-        # branch yet, the branch below steps across the pole it rises to
+        # branch yet, the branch below steps across the pole it rises to (without it, k = 2
+        # one-channel solves take 24% more trial energies, and some ask stebz for a level)
         across = n_ch == 1 and i > 0 and not branches[i]
         level = i - 1 if across else i
         branch = branches[level]
@@ -1295,7 +1296,7 @@ def oracle_spectrum(operator, k: int) -> np.ndarray:
     if structured:
         residual, defect, norm = operator.matvec, operator.hermiticity_defect(), operator.norm_upper_bound()
     else:
-        defect, norm = float(np.abs(H - H.conj().T).max()), float(np.linalg.norm(H, np.inf))
+        defect, norm = BoundaryConditionMatrix.defect_of(H), float(np.linalg.norm(H, np.inf))
 
         def residual(vecs, vals):
             return H @ vecs - vecs * vals

@@ -23,7 +23,7 @@ wavenumber sqrt(2 mu E') at small kinetic energy E'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +87,8 @@ class DiracRadialSolution:
     two terms would otherwise cancel at small x; for kappa < -1/2 the
     coefficient vanishes and the bracket is -x Z_(nu+1)(x). An order
     nu - 1 < 0 is reflected to 1 - nu. Finite differences are never
-    involved. The solution takes its mass: mu has no default.
+    involved. The solution takes its mass: mu has no default. Its order nu
+    is formed once, by the constructor.
     """
 
     kappa: float
@@ -95,6 +96,7 @@ class DiracRadialSolution:
     energy: float
     lam: float
     mu: float
+    nu: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -103,11 +105,7 @@ class DiracRadialSolution:
             raise ValueError("lam must be positive")
         if self.mu + self.energy == 0.0:
             raise ValueError("mu + E must be nonzero for the lower component")
-        nu_of(kappa=self.kappa)
-
-    @property
-    def nu(self) -> float:
-        return nu_of(kappa=self.kappa)
+        object.__setattr__(self, "nu", nu_of(kappa=self.kappa))
 
     def _radial(self, order: float, x: float) -> complex:
         if order < 0.0:

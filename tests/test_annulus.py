@@ -524,8 +524,7 @@ class TestAssembly:
         edge = t * b @ np.linalg.solve(inner[:, None] * a + t * b, np.diag(inner))
         edge /= np.sqrt(mass[:, :1] * mass[:, 0])
         block = np.diag(onsite[:, 0]) + 0.5 * (edge + edge.conj().T)
-        for got, want in ((ham.onsite, onsite.T[1:]), (ham.hops, hops.T), (ham.radii, nodes[:-1]),
-                          (ham.block, block)):
+        for got, want in ((ham.onsite, onsite.T[1:]), (ham.hops, hops.T), (ham.block, block)):
             assert got.shape == want.shape
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -578,10 +577,10 @@ class TestGridTable:
     def test_operators_on_one_grid_share_the_grid_part(self):
         annulus._reading_grid.cache_clear()
         first, second = self._assemble(1), self._assemble(2)
-        for name in ("onsite", "hops", "radii"):
+        for name in ("onsite", "hops"):
             assert getattr(first, name) is getattr(second, name)
         assert not np.array_equal(first.block, second.block)
-        for arr in (second.block, second.onsite, second.hops, second.radii):
+        for arr in (second.block, second.onsite, second.hops):
             assert not arr.flags.writeable
         # the block formed on the warm table is the one formed on a cold one, bit for bit
         annulus._reading_grid.cache_clear()
@@ -592,6 +591,25 @@ class TestGridTable:
         self._assemble(1)
         self._assemble(2)
         assert annulus._reading_grid.cache_info().misses == 1
+
+    def test_table_keeps_only_the_operators_arrays(self):
+        # criterion 8's one channel at n = 8000: the table keeps onsite (node 0's too) and hops,
+        # 2n + 1 floats, and the first node's four 1 x 1 arrays; the n + 2 nodes (64 kB) stay
+        # with the build
+        def kept(arrays) -> int:
+            owners = {}
+            for arr in arrays:
+                while arr.base is not None:
+                    arr = arr.base
+                owners[id(arr)] = arr
+            return sum(arr.nbytes for arr in owners.values())
+
+        annulus._reading_grid.cache_clear()
+        ham = _criterion_8_operator(0.5, 0.4, 8000)[0]
+        assert annulus._reading_grid.cache_info().currsize == 1
+        table = annulus._reading_grid((0.5,), ham.grid, 1.0)
+        assert kept((ham.onsite, ham.hops)) == 8 * (2 * ham.grid.n + 1)
+        assert kept(table) == kept((ham.onsite, ham.hops)) + 4 * 8
 
     def test_table_evicts_past_its_bound(self):
         annulus._reading_grid.cache_clear()
@@ -736,8 +754,7 @@ def _laplacian_like_operator(seed: int) -> tuple[RadialHamiltonian, int]:
     block = (m + m.conj().T) * scale * 10 ** rng.uniform(-2, 3)
     if rng.random() < 0.3:
         block = np.diag(np.diag(block).real).astype(complex)
-    ham = RadialHamiltonian(block=block, onsite=onsite, hops=hops, radii=np.arange(length + 1.0),
-                            grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+    ham = RadialHamiltonian(block=block, onsite=onsite, hops=hops, grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
     return ham, int(rng.integers(1, min(6, ham.size) + 1))
 
 
@@ -774,7 +791,7 @@ class TestOperatorContract:
 
     def test_matvec_norm_and_defect_match_dense(self, ham):
         dense = ham.dense()
-        assert dense.shape == (ham.size, ham.size) == (ham.radii.size * ham.n_channels,) * 2
+        assert dense.shape == (ham.size, ham.size) == ((ham.hops.shape[0] + 1) * ham.n_channels,) * 2
         norm = float(np.linalg.norm(dense, np.inf))
         rng = np.random.default_rng(5)
         x = rng.normal(size=ham.size) + 1j * rng.normal(size=ham.size)
@@ -829,8 +846,7 @@ class TestOracleSpectrum:
         # one NaN tail entry: the norm bound is NaN, not the largest finite row sum, and the
         # solve refuses it before the Hermiticity gate
         ham = RadialHamiltonian(block=np.array([[3.0 + 0.0j]]), onsite=np.array([[1.0], [np.nan]]),
-                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
-                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                hops=np.zeros((2, 1)), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert math.isnan(ham.norm_upper_bound())
         with pytest.raises(OverflowError, match="float range"):
             oracle_spectrum(ham, 1)
@@ -881,8 +897,7 @@ class TestOracleSpectrum:
         # its vector comes from inverse iteration, moved off the exact zero pivot of T - 3
         grid = AnnulusGrid(r0=0.1, R=1.0, n=100)
         ham = RadialHamiltonian(block=np.diag([5.0, 2.0]).astype(complex),
-                                onsite=np.array([[7.0, 3.0], [11.0, 13.0]]), hops=np.zeros((2, 2)),
-                                radii=np.arange(3.0), grid=grid)
+                                onsite=np.array([[7.0, 3.0], [11.0, 13.0]]), hops=np.zeros((2, 2)), grid=grid)
         assert_allclose(oracle_spectrum(ham, 3), [2.0, 3.0, 5.0], rtol=0.0, atol=0.0)
 
     def test_single_channel_levels_match_dense(self):
@@ -898,8 +913,7 @@ class TestOracleSpectrum:
     def test_single_channel_tail_level_is_returned_exactly(self):
         # zero hops: the lowest level is the tail's 3, below the block's 5
         ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[3.0], [7.0]]),
-                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
-                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                hops=np.zeros((2, 1)), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert oracle_spectrum(ham, 1)[0] == 3.0
         assert_allclose(oracle_spectrum(ham, 3), [3.0, 5.0, 7.0], rtol=0.0, atol=0.0)
 
@@ -907,7 +921,7 @@ class TestOracleSpectrum:
         # the top level 3.7 is ||H||_inf, which no trial energy probes: its bracket closes under
         # that bound, and the one-node tail (level 3) holds no level there
         ham = RadialHamiltonian(block=np.array([[3.0 + 0.0j]]), onsite=np.array([[3.0]]), hops=np.array([[0.7]]),
-                                radii=np.arange(2.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert ham.norm_upper_bound() == 3.7
         assert_allclose(oracle_spectrum(ham, 2), [2.3, 3.7], rtol=0.0, atol=2 * np.finfo(float).eps * 3.7)
 
@@ -916,14 +930,13 @@ class TestOracleSpectrum:
         # its vector comes from inverse iteration on the one-node tail
         for block, levels in ((5.0, [3.0, 5.0]), (1.0, [1.0, 3.0])):
             ham = RadialHamiltonian(block=np.array([[block + 0.0j]]), onsite=np.array([[3.0]]), hops=np.zeros((1, 1)),
-                                    radii=np.arange(2.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                    grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
             assert_allclose(oracle_spectrum(ham, 2), levels, rtol=0.0, atol=0.0)
 
     def test_probe_on_a_tail_level_moves_off_it(self):
         # zero hops and a tail level at 0, where the first probe lands: its pivot vanishes
         ham = RadialHamiltonian(block=np.array([[5.0 + 0.0j]]), onsite=np.array([[0.0], [7.0]]),
-                                hops=np.zeros((2, 1)), radii=np.arange(3.0),
-                                grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                hops=np.zeros((2, 1)), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         assert_allclose(oracle_spectrum(ham, 3), [0.0, 5.0, 7.0], rtol=0.0, atol=0.0)
 
     def test_lowest_level_needs_no_tail_bisection(self, monkeypatch):
@@ -1073,7 +1086,7 @@ class TestOracleSpectrum:
         block = rng.normal(size=(n_ch, n_ch)) + 1j * rng.normal(size=(n_ch, n_ch))
         hops = rng.normal(size=(120, n_ch)) * 10.0 ** rng.uniform(-8.0, 0.0, size=(120, n_ch))
         ham = RadialHamiltonian(block=block + block.conj().T, onsite=3.0 * rng.normal(size=(120, n_ch)),
-                                hops=hops, radii=np.arange(121.0), grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
+                                hops=hops, grid=AnnulusGrid(r0=0.1, R=1.0, n=100))
         norm = ham.norm_upper_bound()
         vals, vecs = annulus._schur_eigenpairs(ham, 6, norm)
         dense = ham.dense()
@@ -1309,9 +1322,14 @@ class TestExtensionReading:
         ext = random_extension(4)
         grid = AnnulusGrid(r0=0.1, R=5.0, n=200)
         ham = assemble_radial_hamiltonian(monopole, grid, g_from_u(ext, 0.1), ext.channels)
-        assert_allclose(ham.radii[1:], grid.r0 + grid.h * np.arange(1, grid.n + 1), rtol=1e-15)
-        assert_allclose(ham.radii[0], (grid.r0 + grid.h) / 16.0, rtol=1e-15)
+        # node 0 at r1/16, then the grid's n interior points: one unknown per node and channel.
+        # test_extension_reading_is_its_plain_formulas_bit_for_bit checks every entry those nodes
+        # give; node 0's place shows here in the coupling 2 nu / r^(2 nu) of the sub-cell [0, r1/16]
         assert ham.size == 4 * (grid.n + 1)
+        orders = tuple(ch.nu for ch in ext.channels)
+        t = 2.0 * np.array(orders)
+        inner = annulus._reading_grid(orders, grid, monopole.mu).inner
+        assert_allclose(inner, t / ((grid.r0 + grid.h) / 16.0) ** t, rtol=1e-14)
 
     def test_dirac_consistent_channel_has_the_regular_spectrum(self, monopole):
         # the Dirac-consistent value keeps only r^(1/2 + nu) at the origin (A = 0, Q

@@ -71,6 +71,27 @@ class TestDiracNormalizable:
                 dirac_normalizable(kappa, kind)
                 assert calls == [(kappa, kind, 1e-4), (kappa, kind, 1e-6)]
 
+    def test_order_is_formed_once_per_solution(self, monkeypatch):
+        # a verdict forms nu once for its exponent and once for the one solution it builds,
+        # however many of its some 480 quadrature nodes read it
+        orders, built = [], []
+        real = dirac.nu_of
+        monkeypatch.setattr(dirac, "nu_of", lambda **kw: orders.append(kw) or real(**kw))
+
+        class Counted(DiracRadialSolution):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(dirac, "DiracRadialSolution", Counted)
+        for kappa in (0.0, -SQRT2):
+            for kind in ("N", "S"):
+                orders.clear()
+                built.clear()
+                dirac_normalizable(kappa, kind)
+                assert len(built) == 1 and len(orders) == 2
+                assert built[0].nu == real(kappa=kappa)
+
     def test_divergent_slope_matches_analytic_rate(self):
         # independent route: quadrature of the lower-component tail over a
         # shrinking cutoff; the log-log slope must match -(2 exp + 3)
