@@ -378,8 +378,6 @@ def _cmd_dirac_check(args, cfg: RunConfig) -> int:
     # imported here: no other subcommand reads dirac, whose import costs each cold process 3-4 ms
     from . import dirac
 
-    if cfg.params.model != "monopole":
-        raise ConfigError("dirac-check requires the monopole model")
     ext = cfg.to_extension()
     consistent = extensions.is_dirac_consistent(ext)
     # a verdict depends on kappa and the branch alone: one quadrature per pair, not per channel

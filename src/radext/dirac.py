@@ -9,15 +9,15 @@ so a candidate upper profile is admissible only if the lower component it
 drags along is square integrable near the origin. Acting on a power r^a the
 transport operator gives (a + 1 + kappa) r^(a-1): the coefficient can
 cancel, promoting the lower component by two powers of r. That cancellation
-is what singles out the j = 0 sector as the only one whose singular branch
-survives relativistically, and hence what collapses the U(4) freedom of the
-Pauli problem to a single phase.
+is what lets the singular branch of a channel with kappa > -1/2 survive
+relativistically. extensions.is_dirac_consistent reads the verdict of every
+channel: at eg = 1/2 it collapses the U(4) freedom of the Pauli problem to a
+single phase, and at eg >= 1, where every singular channel has kappa = 0, it
+restricts nothing.
 
-This module computes the exponents, delivers normalizability verdicts by
-two independent routes (exponent arithmetic and direct quadrature of the
-lower component built from Bessel recurrences), and quantifies how the
-relativistic wavenumber sqrt(2 mu E' + E'^2) approaches the Pauli
-wavenumber sqrt(2 mu E') at small kinetic energy E'.
+This module computes the exponents and delivers normalizability verdicts by
+two independent routes: exponent arithmetic (LowerExponent.normalizable)
+and direct quadrature of the lower component built from Bessel recurrences.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "LowerExponent",
     "dirac_normalizable",
     "lower_exponent",
-    "relativistic_lambda",
 ]
 
 _CANCEL_TOL = 1e-12
@@ -47,6 +46,11 @@ _KINDS = ("N", "S", "B")
 class LowerExponent(NamedTuple):
     cancellation_coefficient: float
     leading_exponent: float
+
+    @property
+    def normalizable(self) -> bool:
+        """The exponent verdict: |g|^2 r^2 ~ r^(2p + 3) is integrable at 0 iff 2p + 3 > 0."""
+        return 2.0 * self.leading_exponent + 3.0 > 0.0
 
 
 def lower_exponent(kappa: float, kind: str) -> LowerExponent:
@@ -152,14 +156,14 @@ def dirac_normalizable(kappa: float, kind: str) -> bool:
     """Whether the lower component is square integrable at the origin.
 
     The verdict depends on kappa and the branch alone. Route one is exponent
-    arithmetic: with surviving exponent p the integral of |g|^2 r^2 behaves
-    as r^(2p + 3), convergent iff 2p + 3 > 0. Route two integrates the lower
+    arithmetic, LowerExponent.normalizable: with surviving exponent p the
+    integral of |g|^2 r^2 behaves as r^(2p + 3). Route two integrates the lower
     component at lam = mu = E = 1 over [eps, 1], r in units of 1/lam, at
     eps = 1e-4 and 1e-6, and classifies the growth slope per decade.
     The two verdicts must agree; a disagreement raises instead of picking a side.
     """
-    coeff, exponent = lower_exponent(kappa, kind)
-    analytic = 2.0 * exponent + 3.0 > 0.0
+    exponent = lower_exponent(kappa, kind)
+    analytic = exponent.normalizable
 
     sol = DiracRadialSolution(kappa=kappa, kind=kind, energy=1.0, lam=1.0, mu=1.0)
     wide, narrow = [_tail_integral(sol, eps, 1.0) for eps in (1e-4, 1e-6)]
@@ -172,29 +176,7 @@ def dirac_normalizable(kappa: float, kind: str) -> bool:
         raise ArithmeticError(f"quadrature trend inconclusive: growth slope {slope:.3f}/decade")
     if numeric != analytic:
         raise ArithmeticError(
-            f"normalizability routes disagree for kappa = {kappa}, kind = {kind}: "
-            f"exponent {exponent} says {analytic}, quadrature slope {slope:.3f} says {numeric}")
+            f"normalizability routes disagree for kappa = {kappa}, kind = {kind}: exponent "
+            f"{exponent.leading_exponent} says {analytic}, quadrature slope {slope:.3f} says {numeric}")
     return analytic
 
-
-class RelativisticLambda(NamedTuple):
-    lambda_rel: float
-    lambda_nr: float
-    rel_diff: float
-
-
-def relativistic_lambda(e_prime: float, mu: float) -> RelativisticLambda:
-    """Relativistic vs nonrelativistic wavenumber at kinetic energy E' = E - mu.
-
-    lambda_rel = sqrt(2 mu E' + E'^2) comes from E^2 = lambda^2 + mu^2;
-    lambda_nr = sqrt(2 mu E') is the Pauli value. Their relative difference
-    is about E'/(4 mu) at small E', which is how the nonrelativistic limit
-    recovers the Pauli solutions channel by channel.
-    """
-    rad = 2.0 * mu * e_prime + e_prime * e_prime
-    if e_prime < 0.0 or rad < 0.0:
-        raise ValueError(f"kinetic energy E' = {e_prime} outside the scattering branch")
-    lam_rel = math.sqrt(rad)
-    lam_nr = math.sqrt(2.0 * mu * e_prime)
-    rel = abs(lam_rel - lam_nr) / lam_nr if lam_nr > 0.0 else 0.0
-    return RelativisticLambda(lam_rel, lam_nr, rel)

@@ -17,10 +17,9 @@ subcritical 1/r^2. This module builds that family concretely:
     exactly when H_U is self-adjoint,
   * the distinguished diagonal value forced by the Dirac equation.
 
-The channel set is singular_channels(params) for any model; only
-is_dirac_consistent is tied to the four-channel eg = 1/2 set, whose
-j = 0 / j = 1 structure it encodes. Overcritical channels (nu^2 <= 0) have
-no deficiency vectors, and sets containing one are refused.
+The channel set is singular_channels(params) for any model, read whole by
+every function here. Overcritical channels (nu^2 <= 0) have no deficiency
+vectors, and sets containing one are refused.
 """
 
 from __future__ import annotations
@@ -571,20 +570,29 @@ def dirac_consistent_value(nu: float) -> complex:
     return complex(per_order(_dirac_value, (nu,))[0])
 
 
-def is_dirac_consistent(extension: ExtensionMatrix) -> bool:
-    """True iff U restricts to the one-parameter family the Dirac equation allows.
+@functools.lru_cache(maxsize=64)
+def _dirac_forbidden(params: ModelParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Indices and orders of the channels whose singular branch dirac's exponent verdict refuses."""
+    if params.model != "monopole":
+        raise ValueError(f"the Dirac verdict reads each channel's kappa; model {params.model!r} has none")
+    from . import dirac  # imported here: only this verdict and dirac-check read it
+    chans = canonical_channels(params)
+    idx = tuple(i for i, ch in enumerate(chans) if not dirac.lower_exponent(ch.kappa, "S").normalizable)
+    return idx, tuple(chans[i].nu for i in idx)
 
-    Channels 1-3 (the j = 1 triplet) must be unmixed (bound_states' rule)
-    with diagonal entries within the same 1e-10 of dirac_consistent_value
-    at their order; the j = 0 entry is the surviving free parameter. That
-    structure belongs to the monopole at eg = 1/2; any other channel set
-    raises ValueError.
+
+def is_dirac_consistent(extension: ExtensionMatrix) -> bool:
+    """True iff no domain function of U carries a singular wave the Dirac equation forbids.
+
+    The wave r^(-1/2 - nu) is forbidden in channel ch when dirac.lower_exponent(kappa, "S") is
+    not normalizable: the j = 1 triplet at eg = 1/2, no channel at eg >= 1. Row ch of A (small_r_pairs) is
+    lead_ch e_ch + conj(lead_ch) U[:, ch]^T; over conj(lead_ch) its entries are U[src, ch] off
+    the diagonal and U[ch, ch] - dirac_consistent_value(nu_ch) on it. So it vanishes exactly
+    when column ch of U is that value times e_ch, and unitarity clears row ch too: ch unmixed
+    (bound_states' rule), its diagonal within the same 1e-10 of the value. Reading U, not A,
+    keeps the verdict free of the deficiency scale. Inverse-square channels have no kappa.
     """
-    params = extension.params
-    if params.model != "monopole" or params.eg != 0.5:
-        raise ValueError("the Dirac-consistency test encodes the j = 0 / j = 1 channels of the "
-                         f"monopole at eg = 1/2; got model {params.model!r}, eg = {params.eg}")
+    forbidden, orders = _dirac_forbidden(extension.params)
     ents, unmixed = extension.entries, extension.unmixed
-    u_required = dirac_consistent_value(extension.orders[1])
-    return all(unmixed[idx] and abs(ents[idx, idx] - u_required) <= _DIAGONAL_TOL
-               for idx in range(1, len(ents)))
+    return all(unmixed[idx] and abs(ents[idx, idx] - u_d) <= _DIAGONAL_TOL
+               for idx, u_d in zip(forbidden, per_order(_dirac_value, orders)))

@@ -684,10 +684,26 @@ class TestDiracCheckCommand:
         assert cli.main(["dirac-check", "--config", path]) == 2
         capsys.readouterr()
 
-    def test_other_monopole_couplings_rejected(self, make_config, capsys):
-        path = make_config({"model": {"eg": 1.0}, "extension": {"diagonal_thetas": [0.0, 0.0]}})
-        assert cli.main(["dirac-check", "--config", path]) == 2
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("eg, n", [(1.0, 2), (1.5, 3), (2.0, 4)])
+    def test_other_monopole_couplings_admit_every_u(self, make_config, capsys, eg, n):
+        # every channel past eg = 1/2 has kappa = 0 and a normalizable singular branch
+        mat = [[[z.real, z.imag] for z in row] for row in haar_unitary(7, n)]
+        path = make_config({"model": {"eg": eg}, "extension": {"matrix": mat}})
+        assert cli.main(["dirac-check", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "# dirac_consistent: true" in out
+        _, rows = _csv_rows(out)
+        assert len(rows) == 2 * n and all(r[4] == "true" for r in rows if r[1] == "S")
+
+    def test_tiny_deficiency_scale_gives_the_same_verdict(self, make_config, capsys):
+        # small_r_pairs underflow at s = 1e-300, and the verdict does not read them
+        outs = []
+        for scale in (1.0, 1e-300):
+            path = make_config({"model": {"deficiency_scale": scale},
+                                "extension": {"diagonal_thetas": [0.3, 0.3, 0.3, 0.3]}})
+            assert cli.main(["dirac-check", "--config", path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "# dirac_consistent: false" in outs[0]
 
 
 class TestR0ScanCommand:

@@ -13,12 +13,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from radext import dirac
+from radext.channels import ModelParams
 from radext.dirac import (
     DiracRadialSolution,
-    RelativisticLambda,
     dirac_normalizable,
     lower_exponent,
-    relativistic_lambda,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -58,6 +57,16 @@ class TestDiracNormalizable:
         assert dirac_normalizable(0.0, "S") is True
         assert dirac_normalizable(-SQRT2, "N") is True
         assert dirac_normalizable(-SQRT2, "S") is False
+
+    def test_exponent_criterion_is_the_verdict_on_every_channel(self):
+        # extensions.is_dirac_consistent reads LowerExponent.normalizable alone: on every
+        # monopole channel it must be what dirac_normalizable returns after its quadrature
+        from radext.extensions import canonical_channels
+
+        for eg in (0.5, 1.0, 1.5, 2.0):
+            for kappa in {ch.kappa for ch in canonical_channels(ModelParams(eg=eg))}:
+                for kind in ("N", "S"):
+                    assert lower_exponent(kappa, kind).normalizable is dirac_normalizable(kappa, kind)
 
     def test_two_tail_integrals_per_verdict(self, monkeypatch):
         # the slope reads the integrals at eps = 1e-4 and 1e-6 only, so no third is formed
@@ -159,43 +168,3 @@ class TestDiracRadialSolution:
         with pytest.raises(TypeError, match="mu"):
             DiracRadialSolution(kappa=0.0, kind="N", energy=1.0, lam=1.0)
 
-
-class TestRelativisticLambda:
-    def test_zero_energy(self):
-        out = relativistic_lambda(0.0, mu=1.0)
-        assert isinstance(out, RelativisticLambda)
-        assert out.lambda_rel == 0.0
-        assert out.lambda_nr == 0.0
-        assert out.rel_diff == 0.0
-
-    def test_small_energy_ratio(self):
-        # leading correction to the momentum is e_prime / (4 mu)
-        out = relativistic_lambda(0.01, mu=1.0)
-        assert_allclose(out.lambda_rel, math.sqrt(0.02 + 1e-4), rtol=1e-12)
-        assert_allclose(out.lambda_nr, math.sqrt(0.02), rtol=1e-12)
-        assert_allclose(out.rel_diff, 0.0025, rtol=0.05)
-
-    def test_order_mu_energy(self):
-        out = relativistic_lambda(1.0, mu=1.0)
-        assert_allclose(out.lambda_rel, math.sqrt(3.0), rtol=1e-12)
-        assert_allclose(out.lambda_nr, SQRT2, rtol=1e-12)
-
-    def test_correction_shrinks_linearly(self):
-        diffs = []
-        for e_prime in (1e-1, 1e-2, 1e-3, 1e-4):
-            out = relativistic_lambda(e_prime, mu=1.0)
-            assert_allclose(out.rel_diff, e_prime / 4.0, rtol=0.05)
-            diffs.append(out.rel_diff)
-        assert all(b < a for a, b in zip(diffs, diffs[1:]))
-
-    def test_mu_scaling(self):
-        # e_prime and mu scaled together double the wavenumber but leave
-        # the relative gap unchanged
-        a = relativistic_lambda(0.01, mu=1.0)
-        b = relativistic_lambda(0.02, mu=2.0)
-        assert_allclose(b.rel_diff, a.rel_diff, rtol=1e-12)
-        assert_allclose(b.lambda_rel, 2.0 * a.lambda_rel, rtol=1e-12)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError, match="kinetic energy"):
-            relativistic_lambda(-0.1, mu=1.0)

@@ -760,11 +760,36 @@ class TestDiracConsistency:
             ext = ExtensionMatrix(np.diag([1.0, u1, u1, u1]) @ rot)
             assert is_dirac_consistent(ext) is consistent
 
-    def test_other_channel_sets_refused(self):
-        # the test encodes the j = 0 / j = 1 structure of the eg = 1/2 set only
-        for params, n in ((ModelParams(eg=1.0), 2), (ModelParams(model="inverse_square", c=0.1), 1)):
-            with pytest.raises(ValueError, match="eg = 1/2"):
-                is_dirac_consistent(ExtensionMatrix(np.eye(n), params))
+    def test_haar_members_refused(self):
+        assert not any(is_dirac_consistent(ExtensionMatrix(haar_unitary(seed))) for seed in range(200))
+
+    def test_family_with_random_j0_phases_accepted(self):
+        u1 = dirac_consistent_value(NU_EDGE)
+        alphas = np.random.default_rng(31).uniform(-math.pi, math.pi, 200)
+        assert all(is_dirac_consistent(ExtensionMatrix(np.diag([cmath.exp(1j * a), u1, u1, u1])))
+                   for a in alphas)
+
+    def test_j0_rotated_into_a_triplet_channel_refused(self):
+        # a family member whose j = 0 and j = 1, m = -1 channels turn into each other by 1e-8
+        u1 = dirac_consistent_value(NU_EDGE)
+        angle = 1e-8
+        rot = np.eye(4)
+        rot[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        assert is_dirac_consistent(ExtensionMatrix(np.diag([cmath.exp(0.3j), u1, u1, u1])))
+        assert not is_dirac_consistent(ExtensionMatrix(np.diag([cmath.exp(0.3j), u1, u1, u1]) @ rot))
+
+    def test_other_channel_sets(self):
+        # every channel at eg >= 1 has kappa = 0, whose singular branch the lower component
+        # keeps, so every U passes; the 1/r^2 channels carry no kappa and have no verdict
+        rng = np.random.default_rng(5)
+        for eg in (1.0, 1.5, 2.0):
+            params = ModelParams(eg=eg)
+            n = len(canonical_channels(params))
+            assert is_dirac_consistent(ExtensionMatrix(np.eye(n), params))
+            assert all(is_dirac_consistent(ExtensionMatrix(haar_unitary(rng, n), params))
+                       for _ in range(50))
+        with pytest.raises(ValueError, match="kappa"):
+            is_dirac_consistent(ExtensionMatrix(np.eye(1), ModelParams(model="inverse_square", c=0.1)))
 
 
 def test_normalization_scales_without_underflow():
