@@ -9,7 +9,8 @@ scattering mixing, and Robin boundary data on a small excised sphere.
 
 Modules:
     specfun     fractional-order Bessel/Macdonald functions and small-r data
-    channels    angular channel enumeration and quantum-number arithmetic
+    channels    angular channel enumeration, quantum-number arithmetic, the
+                input rules a config is checked by, and the typed refusals
     extensions  the U(n) family over the singular channels: deficiency
                 vectors, bound states, matching
     dirac       relativistic admissibility of the singular branches

@@ -49,8 +49,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, ModelParams, per_order
-from .extensions import ExtensionMatrix, _deficiency_arg, _is_integer, _origin_pairs, _own_param, unitarity_defect
+from .channels import (AnnulusGrid, ChannelSpec, HermiticityError, LinkBreakdownError, ModelParams, _is_integer,
+                       per_order, unitarity_defect)
+from .extensions import ExtensionMatrix, _deficiency_arg, _origin_pairs, _own_param
 from .specfun import bessel_k_complex
 
 __all__ = [
@@ -77,27 +78,6 @@ _HERMITICITY_TOL = 1e-9
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _BREAKDOWN_TOL = 1e-6
 _COND_LIMIT = 1e12
-
-
-class HermiticityError(ValueError):
-    """Boundary data or an operator failed its Hermiticity gate.
-
-    Boundary data g is held to a defect max|g - g^dag| <= 1e-9, by
-    BoundaryConditionMatrix and again by assemble_radial_hamiltonian; an
-    operator H to defect <= 1e-9 max(1, ||H||_inf), its own scale (see
-    oracle_spectrum). Each gate refuses a NaN defect.
-
-    The CLI reports it as a Hermiticity violation (exit 3).
-    """
-
-
-class LinkBreakdownError(ArithmeticError):
-    """The link map or its inverse left working precision at this radius.
-
-    That covers a singular transfer matrix a(r) (condition number past 1e12)
-    and an exterior norm whose terms cancelled to a nonpositive value.
-    The CLI reports it as a unitarity violation (exit 3).
-    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,37 +124,6 @@ class BoundaryConditionMatrix:
     @staticmethod
     def defect_of(entries: np.ndarray) -> float:
         return float(np.abs(entries - entries.conj().T).max())
-
-
-@dataclass(frozen=True)
-class AnnulusGrid:
-    """Uniform grid on [r0, R] with n interior points, h = (R - r0)/(n + 1).
-
-    A Robin boundary keeps the r0 node as an unknown (ghost-point
-    elimination), a Dirichlet boundary drops it; the outer wall at R is
-    always Dirichlet. The extension reading over singular channels puts
-    its first node at (r0 + h)/16 instead (see assemble_radial_hamiltonian).
-    No resolution rule is imposed: the standard bound-state runs (r0 = 1e-3,
-    R = 40, n = 8000) have h far above r0 and meet their stated accuracy.
-    """
-
-    r0: float
-    R: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 < self.r0 < self.R:
-            raise ValueError("need 0 < r0 < R")
-        if not math.isfinite(self.R):
-            raise ValueError(f"R must be finite, got {self.R}")
-        if not _is_integer(self.n):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 100:
-            raise ValueError(f"n must be at least 100, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return (self.R - self.r0) / (self.n + 1)
 
 
 @dataclass(frozen=True, eq=False)

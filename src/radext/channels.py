@@ -17,13 +17,16 @@ coupling is below 3/4). Channels with nu^2 <= 0 are overcritical: no real
 order exists and nu itself is undefined for them, though they still count as
 singular for enumeration purposes.
 
-Everything here is exact quantum-number arithmetic; no special functions.
+The channel algebra is exact quantum-number arithmetic; no special functions.
+The module also holds the CLI config parse's input rules and the typed refusals
+of exit 3, re-exported by extensions, annulus and cli: checking input loads no physics.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +34,7 @@ import numpy as np
 
 _TOL = 1e-12
 _INTEGER_TOL = 1e-9
+_UNITARITY_TOL = 1e-10
 
 _MODELS = ("monopole", "inverse_square")
 
@@ -248,3 +252,82 @@ def per_order(fn: Callable[..., object], orders: tuple[float, ...], *args) -> np
     table = np.array([values[nu] for nu in orders])
     table.flags.writeable = False
     return table
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool (numpy reads a bool index as a mask)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+class UnitarityError(ValueError):
+    """U is not unitary, so H_U is not self-adjoint; the CLI exits 3."""
+
+
+class HermiticityError(ValueError):
+    """Boundary data or an operator failed its Hermiticity gate.
+
+    Boundary data g is held to a defect max|g - g^dag| <= 1e-9, by
+    BoundaryConditionMatrix and again by assemble_radial_hamiltonian; an
+    operator H to defect <= 1e-9 max(1, ||H||_inf), its own scale (see
+    oracle_spectrum). Each gate refuses a NaN defect.
+
+    The CLI reports it as a Hermiticity violation (exit 3).
+    """
+
+
+class LinkBreakdownError(ArithmeticError):
+    """The link map or its inverse left working precision at this radius.
+
+    That covers a singular transfer matrix a(r) (condition number past 1e12)
+    and an exterior norm whose terms cancelled to a nonpositive value.
+    The CLI reports it as a unitarity violation (exit 3).
+    """
+
+
+def unitarity_defect(entries: np.ndarray) -> float:
+    """Max-norm of U^dag U - I for a square matrix of any size."""
+    entries = np.asarray(entries, dtype=complex)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
+    gram = entries.conj().T @ entries
+    gram.flat[:: entries.shape[0] + 1] -= 1.0  # minus I, on the diagonal alone
+    return float(np.abs(gram).max())
+
+
+def check_unitary(entries: np.ndarray) -> None:
+    """Raise UnitarityError unless unitarity_defect(entries) <= 1e-10; a NaN defect fails."""
+    defect = unitarity_defect(entries)
+    if not defect <= _UNITARITY_TOL:
+        raise UnitarityError(f"extension matrix is not unitary: defect {defect:.3e} "
+                             f"exceeds tolerance {_UNITARITY_TOL:.1e}")
+
+
+@dataclass(frozen=True)
+class AnnulusGrid:
+    """Uniform grid on [r0, R] with n interior points, h = (R - r0)/(n + 1).
+
+    A Robin boundary keeps the r0 node as an unknown (ghost-point
+    elimination), a Dirichlet boundary drops it; the outer wall at R is
+    always Dirichlet. The extension reading over singular channels puts
+    its first node at (r0 + h)/16 instead (see assemble_radial_hamiltonian).
+    No resolution rule is imposed: the standard bound-state runs (r0 = 1e-3,
+    R = 40, n = 8000) have h far above r0 and meet their stated accuracy.
+    """
+
+    r0: float
+    R: float
+    n: int
+
+    def __post_init__(self):
+        if not 0.0 < self.r0 < self.R:
+            raise ValueError("need 0 < r0 < R")
+        if not math.isfinite(self.R):
+            raise ValueError(f"R must be finite, got {self.R}")
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        if self.n < 100:
+            raise ValueError(f"n must be at least 100, got {self.n}")
+
+    @property
+    def h(self) -> float:
+        return (self.R - self.r0) / (self.n + 1)

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 config or schema error (an unreadable config or an
 unwritable output path included), 3 unitarity or Hermiticity violation, 4
 numerical failure (non-convergence, a value past the float range). main
 alone maps a failure's type to its code and stderr prefix, first match
-first:
+first (ConfigError is defined here, the three typed refusals in radext.channels):
 
     ConfigError                             2  config error
     UnitarityError, LinkBreakdownError      3  unitarity error
@@ -47,13 +47,15 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import annulus, extensions
-from .channels import ModelParams, channel_ladder, singular_count
-from .extensions import UnitarityError
+from .channels import (AnnulusGrid, HermiticityError, LinkBreakdownError, ModelParams, UnitarityError,
+                       channel_ladder, check_unitary, singular_count)
+
+if TYPE_CHECKING:
+    from .extensions import ExtensionMatrix
 
 __all__ = [
     "ConfigError",
@@ -88,11 +90,13 @@ class RunConfig:
     output_format: str
     output_path: str | None
 
-    def to_extension(self) -> extensions.ExtensionMatrix:
+    def to_extension(self) -> ExtensionMatrix:
         """The validated member of the U(n) family, at mass 1 and deficiency scale s/mu.
 
         An s/mu that is not a positive normal float is past the float range: ArithmeticError.
         """
+        # each handler imports the physics it runs, so a cold process compiles only those modules
+        from .extensions import ExtensionMatrix
         if self.matrix is None and self.diagonal_thetas is None:
             raise ConfigError("this subcommand needs an 'extension' section in the config")
         s, mu = self.params.deficiency_scale, self.params.mu
@@ -100,8 +104,8 @@ class RunConfig:
             raise ArithmeticError(f"deficiency_scale / mu is past the float range: {s!r} / {mu!r}")
         params = replace(self.params, mu=1.0, deficiency_scale=s / mu)
         if self.matrix is None:
-            return extensions.ExtensionMatrix.from_diagonal_thetas(self.diagonal_thetas, params)
-        return extensions.ExtensionMatrix(self.matrix, params)
+            return ExtensionMatrix.from_diagonal_thetas(self.diagonal_thetas, params)
+        return ExtensionMatrix(self.matrix, params)
 
 
 _MODEL_KEYS = {"type", "eg", "c", "mu", "deficiency_scale"}
@@ -157,8 +161,9 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON config and apply defaults.
 
     Raises ConfigError on schema violations and channel-count mismatches,
-    UnitarityError (extensions.check_unitary, the defect in the message)
-    when the extension matrix is not unitary.
+    UnitarityError (check_unitary, the defect in the message) when the
+    extension matrix is not unitary. Every rule read here is radext.channels',
+    so a config is refused before any physics module is imported.
     """
     try:
         data = json.loads(text)
@@ -194,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"channel-count mismatch: extension matrix is "
                                   f"{matrix.shape[0]}x{matrix.shape[1]} but the model has "
                                   f"{n_channels} singular channel(s)")
-            extensions.check_unitary(matrix)
+            check_unitary(matrix)
             matrix.flags.writeable = False
         else:
             raw = ext_raw["diagonal_thetas"]
@@ -210,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
     oracle = OracleParams(**{key: (_as_int if key in ("n", "k") else _as_float)("oracle", key, value)
                              for key, value in oracle_raw.items()})
     try:
-        annulus.AnnulusGrid(oracle.r0, oracle.R, oracle.n)
+        AnnulusGrid(oracle.r0, oracle.R, oracle.n)
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc
     if oracle.k < 1:
@@ -324,9 +329,10 @@ def _cmd_channels(args, _) -> int:
 
 
 def _cmd_bound_states(args, cfg: RunConfig) -> int:
+    from .extensions import bound_states
     ext = cfg.to_extension()
     rows = [[ext.channels.index(state.channel), state.theta, state.energy, state.lam]
-            for state in extensions.bound_states(ext)]
+            for state in bound_states(ext)]
     _write_table(cfg, "E in mu, lambda in mu, theta in radians",
                  ["channel", "theta", "E_over_mu", "lambda_over_mu"], rows)
     return 0
@@ -335,8 +341,9 @@ def _cmd_bound_states(args, cfg: RunConfig) -> int:
 def _cmd_smatrix(args, cfg: RunConfig) -> int:
     if not 0.0 < args.E < math.inf:
         raise ConfigError("--E must be positive and finite (units of mu)")
+    from .extensions import mixing_matrix
     ext = cfg.to_extension()
-    regular, singular = extensions.mixing_matrix(ext, args.E)
+    regular, singular = mixing_matrix(ext, args.E)
     rows = [[src, ch, a_n.real, a_n.imag, a_s.real, a_s.imag]
             for src in range(len(ext.channels))
             for ch, (a_n, a_s) in enumerate(zip(regular[:, src], singular[:, src]))]
@@ -348,7 +355,8 @@ def _cmd_smatrix(args, cfg: RunConfig) -> int:
 def _cmd_gmap(args, cfg: RunConfig) -> int:
     if not 0.0 < args.r0 < math.inf:
         raise ConfigError("--r0 must be positive and finite (units of 1/mu)")
-    bcm = annulus.g_from_u(cfg.to_extension(), args.r0)
+    from .annulus import g_from_u
+    bcm = g_from_u(cfg.to_extension(), args.r0)
     rows = [[i, j, z.real, z.imag] for (i, j), z in np.ndenumerate(bcm.entries)]
     _write_table(cfg, "r0 in 1/mu, g in mu", ["row", "col", "g_re", "g_im"], rows,
                  comments=[f"hermiticity_defect: {_fmt(bcm.hermiticity_defect)}"])
@@ -356,17 +364,19 @@ def _cmd_gmap(args, cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(args, cfg: RunConfig) -> int:
+    from .annulus import assemble_radial_hamiltonian, g_from_u, oracle_spectrum
+    from .extensions import bound_states, is_angular_momentum_conserving
     opts = cfg.oracle
     ext = cfg.to_extension()
     # the closed forms come before the link map, so an energy past the float range exits 4
     # first; an unmixed channel has at most one bound state, and those are the lowest levels
     analytic: list[float] = []
-    if extensions.is_angular_momentum_conserving(ext):
-        analytic = sorted(state.energy for state in extensions.bound_states(ext))
-    g = annulus.g_from_u(ext, opts.r0)
-    grid = annulus.AnnulusGrid(opts.r0, opts.R, opts.n)
-    ham = annulus.assemble_radial_hamiltonian(ext.params, grid, g, ext.channels)
-    levels = annulus.oracle_spectrum(ham, opts.k)
+    if is_angular_momentum_conserving(ext):
+        analytic = sorted(state.energy for state in bound_states(ext))
+    g = g_from_u(ext, opts.r0)
+    grid = AnnulusGrid(opts.r0, opts.R, opts.n)
+    ham = assemble_radial_hamiltonian(ext.params, grid, g, ext.channels)
+    levels = oracle_spectrum(ham, opts.k)
     analytic += [math.nan] * (len(levels) - len(analytic))
     rows = [[i, v, exact, abs(v - exact) / abs(exact)]
             for i, (v, exact) in enumerate(zip(levels, analytic))]
@@ -375,14 +385,13 @@ def _cmd_oracle(args, cfg: RunConfig) -> int:
 
 
 def _cmd_dirac_check(args, cfg: RunConfig) -> int:
-    # imported here: no other subcommand reads dirac, whose import costs each cold process 3-4 ms
-    from . import dirac
-
+    from .dirac import dirac_normalizable, lower_exponent
+    from .extensions import is_dirac_consistent
     ext = cfg.to_extension()
-    consistent = extensions.is_dirac_consistent(ext)
+    consistent = is_dirac_consistent(ext)
     # a verdict depends on kappa and the branch alone: one quadrature per pair, not per channel
-    normalizable = functools.cache(dirac.dirac_normalizable)
-    rows = [[idx, kind, *dirac.lower_exponent(ch.kappa, kind), normalizable(ch.kappa, kind)]
+    normalizable = functools.cache(dirac_normalizable)
+    rows = [[idx, kind, *lower_exponent(ch.kappa, kind), normalizable(ch.kappa, kind)]
             for idx, ch in enumerate(ext.channels) for kind in ("N", "S")]
     _write_table(cfg, "exponents dimensionless",
                  ["channel", "kind", "cancel_coeff", "exponent", "normalizable"], rows,
@@ -397,7 +406,8 @@ def _cmd_r0scan(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--r0-list must be comma-separated numbers: {exc}") from exc
     if not seq or any(not 0.0 < v < math.inf for v in seq):
         raise ConfigError("--r0-list needs positive finite radii")
-    result = annulus.r0_limit_scan(cfg.to_extension(), seq)
+    from .annulus import r0_limit_scan
+    result = r0_limit_scan(cfg.to_extension(), seq)
     comments = [] if result.breakdown_r0 is None else [f"breakdown_r0: {_fmt(result.breakdown_r0)}"]
     _write_table(cfg, "r0 in 1/mu, g in mu", ["r0", "gmax", "offdiag_norm"], list(result.rows),
                  comments=comments)
@@ -454,10 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (UnitarityError, annulus.LinkBreakdownError) as exc:  # before ValueError, UnitarityError's base
+    except (UnitarityError, LinkBreakdownError) as exc:  # before ValueError, UnitarityError's base
         print(f"unitarity error: {exc}", file=sys.stderr)
         return 3
-    except annulus.HermiticityError as exc:  # before ValueError, its base
+    except HermiticityError as exc:  # before ValueError, its base
         print(f"hermiticity error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -27,14 +27,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, ModelParams, per_order, singular_channels, singular_count
+from .channels import (_UNITARITY_TOL, ChannelSpec, ModelParams, UnitarityError, _is_integer, check_unitary,
+                       per_order, singular_channels, singular_count, unitarity_defect)
 from .specfun import SmallRBehavior, bessel_k_complex, small_arg_coeffs
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "unitarity_defect",
 ]
 
-_UNITARITY_TOL = 1e-10
 _DIAGONAL_TOL = 1e-10
 _THRESHOLD_TOL = 1e-10
 _POLE_TOL = 1e-12
@@ -76,28 +75,6 @@ def canonical_channels(params: ModelParams) -> tuple[ChannelSpec, ...]:
     tuple of frozen ChannelSpec it returns is immutable.
     """
     return tuple(singular_channels(params, cutoff=math.inf))
-
-
-class UnitarityError(ValueError):
-    """U is not unitary, so H_U is not self-adjoint; the CLI exits 3."""
-
-
-def unitarity_defect(entries: np.ndarray) -> float:
-    """Max-norm of U^dag U - I for a square matrix of any size."""
-    entries = np.asarray(entries, dtype=complex)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    gram = entries.conj().T @ entries
-    gram.flat[:: entries.shape[0] + 1] -= 1.0  # minus I, on the diagonal alone
-    return float(np.abs(gram).max())
-
-
-def check_unitary(entries: np.ndarray) -> None:
-    """Raise UnitarityError unless unitarity_defect(entries) <= 1e-10; a NaN defect fails."""
-    defect = unitarity_defect(entries)
-    if not defect <= _UNITARITY_TOL:
-        raise UnitarityError(f"extension matrix is not unitary: defect {defect:.3e} "
-                             f"exceeds tolerance {_UNITARITY_TOL:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,11 +247,6 @@ def _origin_pairs(u: np.ndarray, orders: tuple[float, ...],
     lead, sub = per_order(_plus_pair, orders, scale).T
     # the phi_- pairs are the conjugates of the phi_+ ones, as K_nu(conj z) = conj K_nu(z)
     return (np.diag(lead) + u * lead.conj()).T, (np.diag(sub) + u * sub.conj()).T
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, not a bool (numpy reads a bool index as a mask)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_source(extension: ExtensionMatrix, source) -> None:

@@ -1,15 +1,22 @@
-"""Channel enumeration and quantum-number arithmetic."""
+"""Channel enumeration, quantum-number arithmetic, and the input rules and typed refusals held here."""
 
 from __future__ import annotations
 
+import json
 import math
+import pickle
 
 import pytest
 from numpy.testing import assert_allclose
 
+from radext import annulus, channels, cli, extensions
 from radext.channels import (
+    AnnulusGrid,
     ChannelSpec,
+    HermiticityError,
+    LinkBreakdownError,
     ModelParams,
+    UnitarityError,
     channel_ladder,
     kappa_of,
     l_crit,
@@ -264,3 +271,59 @@ def test_per_order_tables_are_read_only():
     table = per_order(_doubled, (0.5, 0.25), 1.0)
     with pytest.raises(ValueError, match="read-only"):
         table[0] = 3.0
+
+
+# the input rules and typed refusals defined in channels, by the paths they were first read at
+REEXPORTS = [
+    (annulus, "AnnulusGrid"),
+    (annulus, "HermiticityError"),
+    (annulus, "LinkBreakdownError"),
+    (extensions, "UnitarityError"),
+    (extensions, "check_unitary"),
+    (extensions, "unitarity_defect"),
+    (cli, "UnitarityError"),
+]
+
+
+@pytest.mark.parametrize(("module", "name"), REEXPORTS,
+                         ids=[f"{module.__name__}.{name}" for module, name in REEXPORTS])
+def test_old_paths_give_the_one_object(module, name):
+    assert getattr(module, name) is getattr(channels, name)
+
+
+@pytest.mark.parametrize(("exc_type", "prefix"), [(UnitarityError, "unitarity error"),
+                                                  (LinkBreakdownError, "unitarity error"),
+                                                  (HermiticityError, "hermiticity error")],
+                         ids=lambda value: getattr(value, "__name__", None))
+def test_typed_refusal_from_the_link_map_keeps_its_exit_code(tmp_path, monkeypatch, capsys, exc_type, prefix):
+    # raised where the handler's lazily imported physics raises it
+    def fail(*args):
+        raise exc_type("forced")
+
+    monkeypatch.setattr(annulus, "g_from_u", fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"extension": {"diagonal_thetas": [0, 0, 0, 0]}}), encoding="utf-8")
+    assert cli.main(["gmap", "--config", str(path), "--r0", "0.1"]) == 3
+    assert capsys.readouterr().err == f"{prefix}: forced\n"
+
+
+def test_link_breakdown_of_a_haar_u_exits_3(tmp_path, capsys):
+    u = extensions.haar_unitary(1)
+    with pytest.raises(LinkBreakdownError):
+        annulus.g_from_u(extensions.ExtensionMatrix(u, ModelParams()), 1e-8)
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps({"extension": {"matrix": [[[z.real, z.imag] for z in row] for row in u]}}),
+                    encoding="utf-8")
+    assert cli.main(["gmap", "--config", str(path), "--r0", "1e-8"]) == 3
+    assert capsys.readouterr().err.startswith("unitarity error:")
+
+
+@pytest.mark.parametrize("obj", [UnitarityError("u"), HermiticityError("h"), LinkBreakdownError("l"),
+                                 AnnulusGrid(r0=1e-3, R=40.0, n=8000)], ids=lambda obj: type(obj).__name__)
+def test_refusals_and_grids_survive_pickle(obj):
+    back = pickle.loads(pickle.dumps(obj))
+    assert type(back) is type(obj)
+    if isinstance(obj, Exception):
+        assert back.args == obj.args
+    else:
+        assert back == obj and back.h == obj.h

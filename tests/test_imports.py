@@ -1,4 +1,4 @@
-"""Import hygiene: scipy, numpy.polynomial and radext.dirac are loaded only where they are used.
+"""Import hygiene: scipy, numpy.polynomial and each radext module are loaded only where they are used.
 
 Every subcommand runs as a fresh process, so start-up cost is part of each
 run. The subcommands that form a link map or solve the oracle (gmap, r0scan
@@ -13,8 +13,10 @@ imported only for a dense operator. No other subcommand loads any scipy
 extension cannot be loaded by its path, the package import gives the same
 routines and the same numbers. numpy.polynomial builds that rule and the one
 of the rotated-contour K band, and radext.dirac holds the check itself:
-no subcommand but dirac-check loads either. Each check runs in a fresh
-interpreter and asserts on the modules loaded, never on wall time.
+no subcommand but dirac-check loads either. Of radext itself, a config is
+parsed and refused with radext.channels alone, and each subcommand loads
+the physics modules its handler runs and no other. Each check runs in a
+fresh interpreter and asserts on the modules loaded, never on wall time.
 """
 
 import json
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import radext
+from radext.extensions import haar_unitary
 
 SRC = str(Path(radext.__file__).resolve().parents[1])
 
@@ -38,16 +41,29 @@ def polynomial():
     return sorted(m for m in sys.modules if m.startswith("numpy.polynomial") and m not in preloaded)
 """
 
-# runs cli.main on argv and prints the exit code and every scipy and new numpy.polynomial module
+# runs cli.main on argv (--help exits through SystemExit) and prints the exit code, every radext
+# and scipy module, and every new numpy.polynomial module
 RUN_MAIN = NUMPY_FIRST + """
 import contextlib, io
 from radext import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "polynomial": polynomial(), "f2py": sorted(m for m in sys.modules if m.startswith("numpy.f2py")),
-                  "dirac": "radext.dirac" in sys.modules}))
+                  "dirac": "radext.dirac" in sys.modules,
+                  "radext": sorted(m for m in sys.modules if m.split(".")[0] == "radext")}))
 """
+
+# the radext modules each subcommand loads: the config parse reads radext.channels alone, and
+# each handler imports the physics it runs
+CORE = ["radext", "radext.channels", "radext.cli"]
+EXTENSION = sorted(CORE + ["radext.extensions", "radext.specfun"])
+LINK = sorted(EXTENSION + ["radext.annulus"])
+MODULES = {"channels": CORE, "emit-config": CORE, "bound-states": EXTENSION, "smatrix": EXTENSION,
+           "dirac-check": sorted(EXTENSION + ["radext.dirac"]), "gmap": LINK, "r0scan": LINK, "oracle": LINK}
 
 # one coupled solve (pttrf, gttrf and heevd) of a Haar U at k = 12, n = 400: digests of its link
 # value g and its vectors, its levels as exact hex strings, and whether the scipy.linalg package
@@ -113,12 +129,42 @@ def config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def invalid_configs(tmp_path):
+    """The two invalid configs of a cold run: a grid below 100 nodes, and a doubled Haar U."""
+    docs = {"coarse": {"extension": {"diagonal_thetas": [0.1, 0.2, -0.3, 0.4]}, "oracle": {"n": 10}},
+            "doubled": {"extension": {"matrix": [[[2.0 * z.real, 2.0 * z.imag] for z in row]
+                                                 for row in haar_unitary(1)]}}}
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        Path(paths[key]).write_text(json.dumps(doc), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize(("argv", "code", "prefix"), [
+    (["--help"], 0, ""),
+    (["emit-config", "--config", "coarse"], 2, "config error: oracle: n must be at least 100"),
+    (["gmap", "--config", "doubled", "--r0", "0.1"], 3, "unitarity error: extension matrix is not unitary"),
+], ids=["help", "schema", "unitarity"])
+def test_help_and_refused_configs_load_no_physics(argv, code, prefix, invalid_configs):
+    argv = [invalid_configs.get(arg, arg) for arg in argv]
+    proc = _python("-c", RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["code"] == code
+    assert proc.stderr.startswith(prefix)
+    assert out["radext"] == CORE
+
+
 def test_import_cli_loads_no_scipy():
     out = _scipy_after(NUMPY_FIRST + "import radext.cli\n"
                        "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],"
-                       " 'polynomial': polynomial()}))")
+                       " 'polynomial': polynomial(),"
+                       " 'radext': sorted(m for m in sys.modules if m.split('.')[0] == 'radext')}))")
     assert out["scipy"] == []
     assert out["polynomial"] == []
+    assert out["radext"] == CORE
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,6 +179,7 @@ def test_subcommand_loads_no_scipy(argv, config):
         argv = [argv[0], "--config", config, *argv[1:]]
     out = _scipy_after(RUN_MAIN, *argv)
     assert out["code"] == 0
+    assert out["radext"] == MODULES[argv[0]]
     assert out["scipy"] == []
     if argv[0] != "dirac-check":  # its quadrature is numpy's Gauss-Legendre rule
         assert out["polynomial"] == []
@@ -147,6 +194,7 @@ def test_subcommand_loads_no_scipy(argv, config):
 def test_subcommand_loads_its_scipy_part(argv, config):
     out = _scipy_after(RUN_MAIN, argv[0], "--config", config, *argv[1:])
     assert out["code"] == 0
+    assert out["radext"] == MODULES[argv[0]]
     # the extension alone, without the scipy and scipy.linalg packages and what their __init__s
     # pull in
     assert out["scipy"] == ["scipy.linalg._flapack"]
